@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .qcore import DensityOperator, partial_trace
+from .qcore import DensityOperator, _as_stack, partial_trace
 
 COMPLETENESS_TOL = 1e-10
 
@@ -104,12 +104,15 @@ class IsometricExtension:
     def dim_E(self) -> int:
         return len(self.channel.kraus)
 
-    def evolve(self, rho: DensityOperator) -> DensityOperator:
-        """Joint output VρV† on B ⊗ E (B is the first tensor factor)."""
-        if rho.dim != self.dim_in:
-            raise DimensionError(f"input dim {rho.dim} != channel dim_in {self.dim_in}")
+    def evolve(self, rho):
+        """Joint output VρV† on B ⊗ E (B is the first tensor factor); an ndarray
+        stack (..., d, d) of inputs gives the unvalidated stack of outputs."""
+        m = _as_stack(rho)
+        if m.shape[-1] != self.dim_in:
+            raise DimensionError(f"input dim {m.shape[-1]} != channel dim_in {self.dim_in}")
         v = self.isometry
-        return DensityOperator(v @ rho.matrix @ v.conj().T)
+        out = v @ m @ v.conj().T
+        return DensityOperator(out) if isinstance(rho, DensityOperator) else out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Bob's marginal Tr_E(VρV†); equals the Kraus-sum channel output."""

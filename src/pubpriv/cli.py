@@ -191,10 +191,10 @@ def cmd_skp(args) -> int:
                           alphabet_x=1, alphabet_y=cfg.alphabet_y,
                           pure_states_only=cfg.pure_states_only, convergence_tol=cfg.convergence_tol)
     samples = pareto_surface(iso, args.rs, [(0.0, 1.0)], cfg)
-    header = ("R_S", "P", "I_YB", "I_YE", "seed", "restarts")
+    header = ("R_S", "P", "I_YB", "I_YE", "seed", "restarts", "converged")
     rows = [
         (s.r_s, s.result.achieved.P, s.result.constraints.b, s.result.constraints.c,
-         cfg.seed, cfg.restarts)
+         cfg.seed, cfg.restarts, int(s.result.converged))
         for s in samples
     ]
     _write_csv(args.out, header, rows)

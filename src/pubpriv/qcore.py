@@ -28,9 +28,14 @@ EIGENVALUE_CLIP = 1e-12
 MAX_COMPOSITE_DIM = 4096
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def _hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2; counters numerical drift before eigensolves."""
-    return (m + m.conj().T) / 2.0
+    return (m + _dagger(m)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -137,60 +142,73 @@ def tensor(a: DensityOperator, b: DensityOperator, max_dim: int = MAX_COMPOSITE_
     return DensityOperator(np.kron(a.matrix, b.matrix))
 
 
-def partial_trace(rho: DensityOperator, keep, dims) -> DensityOperator:
+def _as_stack(rho) -> np.ndarray:
+    """The matrix of a DensityOperator, or a (..., d, d) stack of square matrices."""
+    if isinstance(rho, DensityOperator):
+        return rho.matrix
+    m = np.asarray(rho)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a stack of square matrices, got shape {m.shape}")
+    return m
+
+
+def partial_trace(rho, keep, dims):
     """Reduced state on the subsystems listed in `keep`.
 
     Parameters
     ----------
-    rho : DensityOperator
-        State on the composite whose factor dimensions are ``dims``.
+    rho : DensityOperator or ndarray
+        State on the composite whose factor dimensions are ``dims``, or a
+        stack of such matrices of shape (..., D, D); a stack gives back the
+        (unvalidated) stack of reduced matrices.
     keep : iterable of int
         Indices (into ``dims``) of the subsystems to retain, in their
         original relative order.
     dims : sequence of int
         Dimension of each tensor factor; their product must equal rho.dim.
     """
+    m = _as_stack(rho)
     dims = [int(d) for d in dims]
     n = len(dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionError(f"prod(dims)={int(np.prod(dims))} does not match dim {rho.dim}")
+    if int(np.prod(dims)) != m.shape[-1]:
+        raise DimensionError(f"prod(dims)={int(np.prod(dims))} does not match dim {m.shape[-1]}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
     if not keep:
         raise DimensionError("cannot trace out every subsystem")
 
-    t = rho.matrix.reshape(dims + dims)
+    batch = m.shape[:-2]
+    nb = len(batch)
+    t = m.reshape(batch + tuple(dims + dims))
     # Trace out discarded factors from the right to keep axis bookkeeping simple.
     cur = list(range(n))
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
         pos = cur.index(idx)
-        t = np.trace(t, axis1=pos, axis2=pos + len(cur))
+        t = np.trace(t, axis1=nb + pos, axis2=nb + pos + len(cur))
         cur.pop(pos)
     d_keep = int(np.prod([dims[k] for k in keep]))
-    return DensityOperator(t.reshape(d_keep, d_keep))
+    out = t.reshape(batch + (d_keep, d_keep))
+    return DensityOperator(out) if isinstance(rho, DensityOperator) else out
 
 
-def _clipped_eigenvalues(rho: DensityOperator) -> np.ndarray:
-    m = rho.matrix
-    herm = np.max(np.abs(m - m.conj().T))
+def von_neumann_entropy(rho):
+    """S(ρ) = -Σ λ log2 λ in bits, with 0·log 0 := 0.
+
+    Eigenvalues below ``EIGENVALUE_CLIP`` are clipped to zero; the result is
+    clamped into [0, log2 dim] against float noise. A (..., d, d) stack of
+    matrices goes through one batched eigensolve and gives an array of shape
+    (...); every matrix in it must be Hermitian within ``VALIDATION_TOL``.
+    """
+    m = _as_stack(rho)
+    herm = float(np.max(np.abs(m - _dagger(m))))
     if herm > VALIDATION_TOL:
         raise ValidationError(f"not Hermitian within {VALIDATION_TOL:g}: deviation {herm:.3e}")
     lam = np.linalg.eigvalsh(_hermitize(m))
     lam = np.where(lam < EIGENVALUE_CLIP, 0.0, lam)
-    return lam
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(ρ) = -Σ λ log2 λ in bits, with 0·log 0 := 0.
-
-    Eigenvalues below ``EIGENVALUE_CLIP`` are clipped to zero; the result is
-    clamped into [0, log2 dim] against float noise.
-    """
-    lam = _clipped_eigenvalues(rho)
-    nz = lam[lam > 0.0]
-    s = float(-(nz * np.log2(nz)).sum())
-    return max(0.0, s)
+    s = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    s = np.where(s > 0.0, s, 0.0)
+    return float(s) if isinstance(rho, DensityOperator) else s
 
 
 def trace_norm_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -283,8 +283,8 @@ def optimize_region(
     structured basis ensemble, the rest from seeded random draws; each
     restart cycles Nelder-Mead over the probability and state blocks until
     the improvement per sweep drops below ``convergence_tol`` or the
-    iteration budget runs out (in which case the best point so far is
-    returned with ``converged=False``). Identical seed and config give
+    iteration budget runs out. ``converged`` reports the winning restart:
+    False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
     """
     w_r, w_p = float(weights[0]), float(weights[1])
@@ -302,7 +302,7 @@ def optimize_region(
 
     best_theta = None
     best_val = -np.inf
-    any_converged = False
+    best_converged = False
     for restart in range(cfg.restarts):
         if restart == 0:
             theta = par.structured_start()
@@ -343,10 +343,8 @@ def optimize_region(
             if val - sweep_start < cfg.convergence_tol:
                 converged = True
                 break
-        any_converged = any_converged or converged
         if val > best_val:
-            best_val = val
-            best_theta = theta
+            best_val, best_theta, best_converged = val, theta, converged
 
     ens = par.decode(best_theta)
     rc = one_shot_constraints(ens, iso)
@@ -355,7 +353,7 @@ def optimize_region(
         constraints=rc,
         achieved=_achieved_triple(rc, r_s),
         objective=best_val,
-        converged=any_converged,
+        converged=best_converged,
         restarts_used=cfg.restarts,
     )
 
@@ -370,7 +368,7 @@ class ParetoSample:
     result: OptimizeResult
 
 
-PARETO_CSV_COLUMNS = ("R_S", "w_R", "w_P", "R", "P", "a", "b", "c", "seed", "restarts")
+PARETO_CSV_COLUMNS = ("R_S", "w_R", "w_P", "R", "P", "a", "b", "c", "seed", "restarts", "converged")
 
 
 def pareto_surface(
@@ -395,6 +393,6 @@ def pareto_csv_rows(samples: list[ParetoSample], cfg: OptimizerConfig) -> list[t
         r = s.result
         rows.append(
             (s.r_s, s.w_r, s.w_p, r.achieved.R, r.achieved.P,
-             r.constraints.a, r.constraints.b, r.constraints.c, cfg.seed, cfg.restarts)
+             r.constraints.a, r.constraints.b, r.constraints.c, cfg.seed, cfg.restarts, int(r.converged))
         )
     return rows

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product as _iproduct
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .errors import BudgetError, ConfigurationError, DimensionError, ValidationError
 
@@ -644,7 +644,7 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
             if len(hits) >= 2:
                 return None
             scanned += hi - lo
-            if codebook.is_lazy and scanned >= JT_SCAN_BUDGET and len(hits) <= 1:
+            if codebook.is_lazy and scanned >= JT_SCAN_BUDGET and (hi < M or k < K - 1):
                 raise BudgetError(
                     "joint-typicality scan budget exhausted on a lazy codebook without resolving "
                     "uniqueness; use ML on a smaller codebook or a larger delta"
@@ -673,8 +673,8 @@ class ErrorEstimate:
 
 def _binomial_ci(x: int, n: int, conf: float = 0.95):
     alpha = 1.0 - conf
-    lo = 0.0 if x == 0 else float(_beta.ppf(alpha / 2.0, x, n - x + 1))
-    hi = 1.0 if x == n else float(_beta.ppf(1.0 - alpha / 2.0, x + 1, n - x))
+    lo = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, alpha / 2.0))
+    hi = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1.0 - alpha / 2.0))
     return lo, hi
 
 

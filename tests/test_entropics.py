@@ -20,7 +20,7 @@ from pubpriv.entropics import (
     mutual_info_XYE,
 )
 from pubpriv.errors import DimensionError, ValidationError
-from pubpriv.qcore import DensityOperator, von_neumann_entropy
+from pubpriv.qcore import DensityOperator, partial_trace, von_neumann_entropy
 from pubpriv.serialize import ensemble_from_json, ensemble_to_json
 
 from conftest import rand_channel, rand_density, rand_ensemble, rand_simplex
@@ -159,6 +159,87 @@ class TestBounds:
             for f in (mutual_info_XB, mutual_info_XE, cond_mutual_info_YB_given_X,
                       cond_mutual_info_YE_given_X, mutual_info_XYB, mutual_info_XYE):
                 assert f(s) >= 0.0
+
+
+def reference_infos(ens, iso):
+    """The six quantities block by block, through the single-matrix qcore primitives."""
+    dims = [iso.dim_B, iso.dim_E]
+    out = []
+    for keep in (0, 1):
+        d = dims[keep]
+        s_xy = np.zeros((ens.size_x, ens.size_y))
+        s_x = np.zeros(ens.size_x)
+        sigma = np.zeros((d, d), dtype=complex)
+        for x in range(ens.size_x):
+            sigma_x = np.zeros((d, d), dtype=complex)
+            for y in range(ens.size_y):
+                if ens.p_x[x] * ens.p_y_given_x[x, y] > 0.0:
+                    m = partial_trace(iso.evolve(ens.rho_xy[x][y]), keep=[keep], dims=dims)
+                    s_xy[x, y] = von_neumann_entropy(m)
+                    sigma_x += ens.p_y_given_x[x, y] * m.matrix
+            if ens.p_x[x] > 0.0:
+                s_x[x] = von_neumann_entropy(DensityOperator(sigma_x, validate=False))
+                sigma += ens.p_x[x] * sigma_x
+        s_all = von_neumann_entropy(DensityOperator(sigma, validate=False))
+        holevo = s_all - sum(ens.p_x[x] * s_x[x] for x in range(ens.size_x))
+        cond = sum(ens.p_x[x] * (s_x[x] - sum(ens.p_y_given_x[x, y] * s_xy[x, y] for y in range(ens.size_y)))
+                   for x in range(ens.size_x))
+        joint = s_all - sum(ens.p_x[x] * ens.p_y_given_x[x, y] * s_xy[x, y]
+                            for x in range(ens.size_x) for y in range(ens.size_y))
+        out.append((holevo, cond, joint))
+    (xb, yb, xyb), (xe, ye, xye) = out
+    return [max(0.0, v) for v in (xb, xe, yb, ye, xyb, xye)]
+
+
+SIX = (mutual_info_XB, mutual_info_XE, cond_mutual_info_YB_given_X,
+       cond_mutual_info_YE_given_X, mutual_info_XYB, mutual_info_XYE)
+
+
+class TestStackedKernel:
+    def test_matches_blockwise_reference_with_zero_weights(self, rng):
+        for _ in range(30):
+            nx, ny, d_in = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            ens = rand_ensemble(rng, nx, ny, d_in)
+            p_x = ens.p_x.copy()
+            p_x[0], p_x[1] = 0.0, p_x[1] + p_x[0]  # a zero-weight x row
+            pyx = ens.p_y_given_x.copy()
+            pyx[1, 0], pyx[1, 1] = 0.0, pyx[1, 1] + pyx[1, 0]  # a zero-weight (x, y) entry
+            ens = InputEnsemble(p_x=p_x, p_y_given_x=pyx, rho_xy=ens.rho_xy)
+            ch = rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+            iso = isometric_extension(ch)
+            s = build_cq_state(ens, iso)
+            assert s.blocks[0][0] is None and s.blocks[1][0] is None
+            got = [f(s) for f in SIX]
+            want = reference_infos(ens, iso)
+            assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+
+    def test_pure_inputs_joint_info_gap_is_output_entropy_gap(self, rng):
+        """S(B_xy) = S(E_xy) for pure inputs, so I(XY;B) - I(XY;E) = S(σ_B) - S(σ_E)."""
+        for _ in range(20):
+            d_in = int(rng.integers(2, 4))
+            ens = rand_ensemble(rng, 3, 2, d_in, pure=True)
+            iso = isometric_extension(rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(2, 4))))
+            s = build_cq_state(ens, iso)
+            avg = DensityOperator(sum(ens.p_x[x] * ens.p_y_given_x[x, y] * ens.rho_xy[x][y].matrix
+                                      for x in range(3) for y in range(2)), validate=False)
+            want = von_neumann_entropy(iso.apply(avg)) - von_neumann_entropy(iso.complementary_apply(avg))
+            assert abs(mutual_info_XYB(s) - mutual_info_XYE(s) - want) < 1e-12
+
+    def test_stacked_primitives_match_single_matrices(self, rng):
+        stack = np.array([rand_density(rng, 6).matrix for _ in range(5)]).reshape(5, 1, 6, 6)
+        ents = von_neumann_entropy(stack)
+        marg = partial_trace(stack, keep=[1], dims=[2, 3])
+        assert ents.shape == (5, 1) and marg.shape == (5, 1, 3, 3)
+        for i in range(5):
+            rho = DensityOperator(stack[i, 0])
+            assert abs(ents[i, 0] - von_neumann_entropy(rho)) < 1e-12
+            assert np.array_equal(marg[i, 0], partial_trace(rho, keep=[1], dims=[2, 3]).matrix)
+
+    def test_non_hermitian_stack_rejected(self, rng):
+        bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+        stack = np.array([rand_density(rng, 2).matrix, bad])
+        with pytest.raises(ValidationError):
+            von_neumann_entropy(stack)
 
 
 class TestEnsembleValidation:

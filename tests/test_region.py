@@ -11,6 +11,7 @@ from pubpriv.entropics import InputEnsemble
 from pubpriv.errors import DimensionError, ValidationError
 from pubpriv.qcore import DensityOperator
 from pubpriv.region import (
+    PARETO_CSV_COLUMNS,
     OptimizerConfig,
     RateTriple,
     RegionConstraints,
@@ -196,6 +197,17 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             OptimizerConfig(restarts=0)
 
+    def test_converged_reports_the_winning_restart(self):
+        """Restart 0 (the structured start) converges at a ≈ 0 on dephasing(0.5);
+        restart 1 beats it but runs out of its 10 iterations."""
+        iso = isometric_extension(dephasing_channel(0.5))
+        kw = dict(max_iters=10, seed=1, alphabet_x=2, alphabet_y=2)
+        first = optimize_region(iso, 0.0, (1.0, 0.0), OptimizerConfig(restarts=1, **kw))
+        both = optimize_region(iso, 0.0, (1.0, 0.0), OptimizerConfig(restarts=2, **kw))
+        assert first.converged
+        assert both.objective > first.objective + 1e-3
+        assert not both.converged
+
     def test_default_alphabet_ceiling(self):
         nx, ny = OptimizerConfig().resolve_alphabets(ISO_ID)
         assert nx == min(2, 2) ** 2 + 1
@@ -228,5 +240,7 @@ class TestParetoSurface:
     def test_csv_rows_shape(self):
         samples = pareto_surface(ISO_ID, [0.0], [(1.0, 0.0)], FAST_CFG)
         rows = pareto_csv_rows(samples, FAST_CFG)
-        assert len(rows) == 1 and len(rows[0]) == 10
+        assert len(rows) == 1 and len(rows[0]) == len(PARETO_CSV_COLUMNS) == 11
         assert rows[0][8] == FAST_CFG.seed
+        assert PARETO_CSV_COLUMNS[-1] == "converged"
+        assert rows[0][10] == int(samples[0].result.converged)

@@ -218,6 +218,21 @@ class TestDecoding:
         est = estimate_error(cfg, ch, cb)
         assert est.error <= 0.35
 
+    def test_jt_full_scan_at_the_budget_returns(self):
+        """A lazy codebook of exactly JT_SCAN_BUDGET words is scanned to the end
+        without a budget error; one word more runs out of budget."""
+        ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
+        b = np.ones(5, dtype=np.intp)  # atypical for [0.8, 0.2], so no codeword matches it
+        for M, raises in ((wt.JT_SCAN_BUDGET, False), (wt.JT_SCAN_BUDGET + 1, True)):
+            cfg = CodeConfig(n=5, M=M, S=1, delta=0.05, seed=3, decoder="joint_typicality")
+            cb = generate_codebook(cfg, ch, np.array([0.8, 0.2]))
+            assert cb.is_lazy
+            if raises:
+                with pytest.raises(BudgetError, match="scan budget"):
+                    decode(b, cb, cfg, ch)
+            else:
+                assert decode(b, cb, cfg, ch) is None
+
     def test_jt_ambiguity_is_failure(self):
         # two identical codewords make every decode ambiguous
         ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
@@ -250,6 +265,24 @@ class TestEstimateError:
         cb = generate_codebook(cfg, ch, UNIFORM2)
         est = estimate_error(cfg, ch, cb)
         assert est.ci_low <= est.error <= est.ci_high
+
+
+class TestBinomialCI:
+    def test_clopper_pearson_closed_forms(self):
+        """x = 0 gives hi = 1 - (α/2)^(1/n); x = n gives lo = (α/2)^(1/n)."""
+        for n in (1, 2, 7, 60, 399):
+            for alpha in (0.01, 0.05, 0.1):
+                edge = (alpha / 2.0) ** (1.0 / n)
+                lo, hi = wt._binomial_ci(0, n, conf=1.0 - alpha)
+                assert lo == 0.0 and abs(hi - (1.0 - edge)) < 1e-12
+                lo, hi = wt._binomial_ci(n, n, conf=1.0 - alpha)
+                assert hi == 1.0 and abs(lo - edge) < 1e-12
+
+    def test_interval_brackets_the_rate(self):
+        for n in (5, 40, 300):
+            for x in range(0, n + 1, max(1, n // 7)):
+                lo, hi = wt._binomial_ci(x, n)
+                assert 0.0 <= lo <= x / n <= hi <= 1.0
 
 
 def security_oracle(cb, cfg, ch):
