@@ -13,10 +13,10 @@ empirical surprisal rate -(1/n)·log2 p^n deviates from the source entropy
 by at most δ. (Under a uniform source every sequence is typical for any
 δ > 0.)
 
-Determinism: codewords are a pure function of (seed, layer, k, m,
-rejection round, position) through a counter-based hash, so lazy, eager,
-serial and parallel generation all agree bit-for-bit; Monte-Carlo trials
-derive their own PRNG stream from (seed, trial index).
+Determinism: codewords are a pure function of (seed, layer, k, m, rejection
+round, position) through a counter-based hash compared with integer CDF
+thresholds (no float rounding), so lazy, eager, serial and parallel generation
+agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index).
 """
 
 from __future__ import annotations
@@ -131,35 +131,46 @@ def noiseless(q: int = 2) -> np.ndarray:
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
 _C3 = np.uint64(0x94D049BB133111EB)
+#: Symbols per codeword-kernel block: 512 KiB uint64 temporaries stay in L2.
+_BLOCK_SYMBOLS = 1 << 16
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = x + _C1
-        z = (z ^ (z >> np.uint64(30))) * _C2
-        z = (z ^ (z >> np.uint64(27))) * _C3
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """In place z ← the splitmix64 finaliser of z (splitmix64(x) mixes x + C1); tmp is scratch."""
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _C2
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _C3
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
 
 
 def _stream_base(seed: int, tag: int, k: int) -> np.uint64:
-    h = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = _splitmix64(h ^ np.uint64(tag))
-    return _splitmix64(h ^ np.uint64(k))
+    z, tmp = np.zeros(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
+    for v in (seed & 0xFFFFFFFFFFFFFFFF, tag, k):
+        np.add(z ^ np.uint64(v), _C1, out=z)
+        _mix64(z, tmp)
+    return z[0]
 
 
-def _uniforms(base: np.uint64, ids: np.ndarray, rnd: int, n: int) -> np.ndarray:
-    """(len(ids), n) uniforms in [0,1), pure in (base, id, rnd, position)."""
-    ids = ids.astype(np.uint64)
-    # pack = id·2^27 + round·2^7 + position: injective for id < 2^37, rnd < 2^20, n <= 128
-    pack = (ids[:, None] << np.uint64(27)) | (np.uint64(rnd) << np.uint64(7)) | np.arange(n, dtype=np.uint64)[None, :]
-    with np.errstate(over="ignore"):
-        h = _splitmix64(base + pack)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """(max(q-1, 1), n) uint64 thresholds from (n, q) per-position CDF rows.
+
+    With u = (h>>11)·2^-53, min(searchsorted(cdf_i, u, "right"), q-1) counts the j < q-1 with cdf_ij <= u,
+    i.e. with h>>11 >= ceil(cdf_ij·2^53) (exact). 2^53 never fires; a one-symbol law gets one such row.
+    """
+    t = np.clip(np.ceil(cdf[:, :-1].T * 2.0 ** 53), 0.0, 2.0 ** 53)
+    return (t if len(t) else np.full((1, cdf.shape[0]), 2.0 ** 53)).astype(np.uint64, order="C")
 
 
-def _symbols_from_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    s = np.searchsorted(cdf, u.reshape(-1), side="right").reshape(u.shape)
-    return np.minimum(s, cdf.size - 1)
+def _symbols(u53: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r, i] = #{j : u53[r, i] >= thresholds[j, i]}, with u53 = h>>11."""
+    np.greater_equal(u53, thresholds[0], out=out)
+    for row in thresholds[1:]:
+        out += u53 >= row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +219,7 @@ def _window_mass_log2(logs: np.ndarray, n: int, center: float, delta: float,
 class PrunedDistribution:
     """p^n conditioned on the entropy-typical set T_δ.
 
-    ``sample`` rejection-samples i.i.d. sequences until typical;
+    ``_generate_words`` rejection-samples i.i.d. sequences until typical;
     ``log2_prob`` evaluates the exact pruned log-probability
     log2[p^n(y^n) / Pr(T_δ)] and returns -inf for sequences outside the
     typical set (the out-of-support marker).
@@ -219,6 +230,8 @@ class PrunedDistribution:
     delta: float
     entropy: float = field(init=False)
     log2_acceptance: float = field(init=False)
+    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p per symbol
+    thresholds: np.ndarray = field(init=False, repr=False)  # the same column at every position, see _thresholds
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -231,6 +244,9 @@ class PrunedDistribution:
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "surprisal", -np.log2(p))
+        object.__setattr__(self, "thresholds", _thresholds(np.broadcast_to(np.cumsum(p), (self.n, p.size))))
         sup = p > 0
         logs = np.log2(p[sup])
         h = float(-(p[sup] * logs).sum())
@@ -249,10 +265,7 @@ class PrunedDistribution:
         return float(2.0 ** self.log2_acceptance)
 
     def surprisal_rates(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs)
-        with np.errstate(divide="ignore"):
-            l = -np.log2(self.p)
-        return l[seqs].sum(axis=-1) / self.n
+        return self.surprisal[np.asarray(seqs)].sum(axis=-1) / self.n
 
     def is_typical(self, seqs: np.ndarray) -> np.ndarray:
         """Vectorized membership test; accepts (..., n) index arrays."""
@@ -263,26 +276,7 @@ class PrunedDistribution:
         seq = np.asarray(seq)
         if not bool(self.is_typical(seq)):
             return -np.inf
-        with np.errstate(divide="ignore"):
-            l = np.log2(self.p)
-        return float(l[seq].sum() - self.log2_acceptance)
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """(size, n) typical sequences by rejection from p^n."""
-        out = np.empty((size, self.n), dtype=np.intp)
-        got = 0
-        attempts = 0
-        while got < size:
-            batch = max(size - got, 16)
-            cand = rng.choice(self.p.size, size=(batch, self.n), p=self.p)
-            keep = cand[self.is_typical(cand)]
-            take = min(keep.shape[0], size - got)
-            out[got: got + take] = keep[:take]
-            got += take
-            attempts += batch
-            if attempts > 10_000_000:
-                raise ConfigurationError("rejection sampling budget exhausted; increase delta")
-        return out
+        return float(-self.surprisal[seq].sum() - self.log2_acceptance)
 
 
 def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
@@ -299,6 +293,8 @@ class _ConditionalPruned:
     delta: float
     center: float = field(init=False)
     log2_acceptance: float = field(init=False)
+    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p(a|x), (|X|, |A|)
+    thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)
@@ -307,10 +303,11 @@ class _ConditionalPruned:
         x.flags.writeable = False
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "x_seq", x)
+        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1)[x]))
         n = x.size
         with np.errstate(divide="ignore"):
-            lt = np.log2(t)
-        h_rows = np.array([-(t[i][t[i] > 0] * lt[i][t[i] > 0]).sum() for i in range(t.shape[0])])
+            object.__setattr__(self, "surprisal", -np.log2(t))
+        h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
         center = float(h_rows[x].sum() / n)
         object.__setattr__(self, "center", center)
         # Acceptance: group positions by x value, enumerate per-group types,
@@ -348,10 +345,7 @@ class _ConditionalPruned:
         return self.x_seq.size
 
     def is_typical(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs)
-        with np.errstate(divide="ignore"):
-            lt = -np.log2(self.table)
-        rate = lt[self.x_seq, seqs].sum(axis=-1) / self.n
+        rate = self.surprisal[self.x_seq, np.asarray(seqs)].sum(axis=-1) / self.n
         return np.abs(rate - self.center) <= self.delta + 1e-12
 
 
@@ -473,8 +467,7 @@ class Codebook:
         """Inner words u_p^n(k) for p in [lo, hi)."""
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
-        sampler = self._samplers[k]
-        return _generate_words(sampler, self.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+        return _generate_words(self._samplers[k], self.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
 
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
@@ -482,34 +475,40 @@ class Codebook:
 
 
 def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray) -> np.ndarray:
-    """Rejection-sample typical words for the given stream ids (vectorized)."""
-    base = _stream_base(seed, tag, k)
+    """Rejection-sample typical words for the given stream ids.
+
+    Symbol i of an id's round-r candidate is ``_symbols`` of splitmix64(base + (id·2^27 | r·2^7 | i)),
+    injective for id < 2^37, r < 2^20, n <= 128. Ids go in blocks of about ``_BLOCK_SYMBOLS``
+    symbols, each run through its rejection rounds in turn; a word depends only on its id.
+    """
     n = sampler.n
-    if isinstance(sampler, PrunedDistribution):
-        cdfs = np.cumsum(sampler.p)
-        per_position = False
-    else:
-        cdfs = np.cumsum(sampler.table, axis=1)
-        per_position = True
-    out = np.empty((ids.size, n), dtype=np.intp)
-    pending = np.arange(ids.size)
-    rnd = 0
-    while pending.size:
-        u = _uniforms(base, ids[pending], rnd, n)
-        if per_position:
-            cand = np.empty_like(out[pending])
-            for xv in np.unique(sampler.x_seq):
-                cols = np.nonzero(sampler.x_seq == xv)[0]
-                cand[:, cols] = _symbols_from_cdf(u[:, cols], cdfs[xv])
-        else:
-            cand = _symbols_from_cdf(u, cdfs)
-        ok = sampler.is_typical(cand)
-        out[pending[ok]] = cand[ok]
-        pending = pending[~ok]
-        rnd += 1
-        if rnd >= (1 << 20):
-            raise ConfigurationError("codeword rejection budget exhausted; increase delta")
+    keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
+    out = np.empty((keys.size, n), dtype=np.intp)
+    rows = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
+    h, tmp = np.empty((2, rows, n), dtype=np.uint64)
+    col = np.arange(n, dtype=np.uint64) + _stream_base(seed, tag, k) + _C1  # disjoint bit fields: | is +
+    for lo in range(0, keys.size, rows):
+        block = out[lo: lo + rows]  # round 0 draws in place, later rounds fill the rejected rows
+        pending, rnd = np.arange(block.shape[0]), 0
+        while pending.size:
+            z, t = h[: pending.size], tmp[: pending.size]
+            np.add(keys[lo + pending, None], col + np.uint64(rnd << 7), out=z)
+            _mix64(z, t)
+            z >>= np.uint64(11)
+            c = _symbols(z, sampler.thresholds, block if rnd == 0 else t.view(np.intp))
+            ok = sampler.is_typical(c)
+            if rnd:
+                block[pending[ok]] = c[ok]
+            pending, rnd = pending[~ok], rnd + 1
+            if rnd >= (1 << 20):
+                raise ConfigurationError("codeword rejection budget exhausted; increase delta")
     return out
+
+
+def _distinct_rows(words: np.ndarray, q: int) -> int:
+    """Distinct words over q symbols, each compared as one byte string (unlike ``np.unique(axis=0)``, fast)."""
+    w = np.ascontiguousarray(words, dtype=np.min_scalar_type(q - 1))
+    return int(np.unique(w.view(f"V{w.shape[1] * w.itemsize}")).size)
 
 
 def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codebook:
@@ -533,7 +532,7 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codeboo
         collisions = None
         if not lazy:
             inner = _generate_words(pd, cfg.seed, _TAG_INNER, 0, np.arange(cfg.M, dtype=np.int64))[None]
-            collisions = int(cfg.M - np.unique(inner[0], axis=0).shape[0])
+            collisions = cfg.M - _distinct_rows(inner[0], p.size)
         rec = GenerationRecord(acceptance_inner=pd.acceptance, collision_count=collisions, lazy=lazy)
         return Codebook(config=cfg, input_p=p, outer_p=None, cond_table=None, outer_words=None,
                         inner_words=inner, seed=cfg.seed, record=rec, _samplers=(pd,))
@@ -565,7 +564,7 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codeboo
         acc_min = min(acc_min, float(2.0 ** cp.log2_acceptance))
         samplers.append(cp)
         inner[k] = _generate_words(cp, cfg.seed, _TAG_INNER, k, np.arange(cfg.M, dtype=np.int64))
-    collisions = int(sum(cfg.M - np.unique(inner[k], axis=0).shape[0] for k in range(cfg.K_pub)))
+    collisions = sum(cfg.M - _distinct_rows(inner[k], ch.size_a) for k in range(cfg.K_pub))
     rec = GenerationRecord(acceptance_inner=acc_min, acceptance_outer=outer_pd.acceptance,
                            collision_count=collisions, lazy=False)
     return Codebook(config=cfg, input_p=None, outer_p=p_x, cond_table=cond, outer_words=outer_words,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -90,8 +91,9 @@ class TestPrunedDistribution:
 
     def test_sampler_yields_typical_and_is_deterministic(self):
         pd = pruned_distribution([0.8, 0.2], 16, 0.15)
-        a = pd.sample(np.random.default_rng(5), size=40)
-        b = pd.sample(np.random.default_rng(5), size=40)
+        ids = np.arange(40, dtype=np.int64)
+        a = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
+        b = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
         assert np.array_equal(a, b)
         assert pd.is_typical(a).all()
 
@@ -101,6 +103,79 @@ class TestPrunedDistribution:
         mask = pd.is_typical(seqs)
         total = sum(2.0 ** pd.log2_prob(s) for s in seqs[mask])
         assert abs(total - 1.0) < 1e-9
+
+
+def _digest(words) -> str:
+    return hashlib.sha256(np.ascontiguousarray(words, dtype="<i8").tobytes()).hexdigest()
+
+
+class TestCodewordKernel:
+    """The blocked integer-threshold kernel draws the same words as the float
+    inverse-CDF sampler it replaced; the digests were recorded with that sampler."""
+
+    @pytest.mark.parametrize("p, n, delta, seed, count, digest", [
+        ([0.5, 0.5], 40, 0.3, 3, 10000,
+         "b7060925954ced9ac2125c56f0d353476ef3f5d1fa61cef6c3035aae32f4dd76"),
+        # acceptance 0.547: about half the ids need rejection rounds
+        ([0.8, 0.2], 24, 0.12, 5, 3000,
+         "de467bce2727cd83dd74d7a34c3eb7ea0ba68fdb47244c66773adcedb958a399"),
+        # a zero-probability symbol, and a cumsum that ends at 1 - 2^-53
+        ([0.6, 0.0, 0.3999999999999999], 16, 0.3, 11, 3000,
+         "2b7f9c118116d058b661f5bd3e35b9bffa8e38c44884b1244ee969d92b9ee556"),
+    ])
+    def test_single_layer_words_are_pinned(self, p, n, delta, seed, count, digest):
+        pd = pruned_distribution(p, n, delta)
+        words = wt._generate_words(pd, seed, wt._TAG_INNER, 0, np.arange(count, dtype=np.int64))
+        assert _digest(words) == digest
+
+    def test_two_layer_words_and_collisions_are_pinned(self):
+        ch = ClassicalWiretap.from_marginals(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]), np.full((3, 2), 0.5))
+        cfg = CodeConfig(n=12, M=300, K_pub=3, delta=0.4, seed=8)
+        cb = generate_codebook(cfg, ch, ([0.5, 0.5], [[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]))
+        assert _digest(cb.outer_words) == "7353a146054bc5d7bbf180cdd3fb6d6da046e1c3ff35d493144d5fe07909e4cf"
+        assert _digest(cb.inner_words) == "0ebf1ba77b8cee4941ffa49459bfe21902bf406ee04e2f39388fc451bee7763d"
+        assert cb.record.collision_count == 76
+
+    def test_lazy_block_near_2_to_36_is_pinned(self):
+        cfg = CodeConfig(n=40, M=2 ** 36 + 64, delta=0.5, seed=7, decoder="joint_typicality")
+        cb = generate_codebook(cfg, ClassicalWiretap.bsc_pair(0.1, 0.5), [0.8, 0.2])
+        assert cb.is_lazy
+        block = cb.inner_block(0, 2 ** 36 - 32, 2 ** 36 + 32)
+        assert _digest(block) == "4f7bc59c0c8a0cbdcfc7649db41c80717459dcb239cf206c1a65e7575fbab740"
+
+    def test_words_do_not_depend_on_blocking(self, monkeypatch):
+        pd = pruned_distribution([0.8, 0.2], 24, 0.12)
+        ids = np.arange(5000, dtype=np.int64)
+        whole = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
+        cuts = [0, 1, 17, 1000, 1001, 3333, 5000]
+        parts = [wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+        perm = np.random.default_rng(0).permutation(ids.size)
+        assert np.array_equal(wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids[perm]), whole[perm])
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", 24 * 7)  # 7-word blocks
+        assert np.array_equal(wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids), whole)
+
+    @pytest.mark.parametrize("p", [
+        [1.0], [0.5, 0.5], [0.8, 0.2], [0.6, 0.0, 0.3999999999999999], [0.0, 0.1, 0.2, 0.3, 0.4], [0.1] * 10,
+    ])
+    def test_thresholds_equal_the_inverse_cdf_draw(self, p):
+        cdf = np.cumsum(p)
+        q = cdf.size
+        edges = [int(c) << 11 for c in np.ceil(cdf * 2.0 ** 53) if c < 2.0 ** 53]
+        h = np.array(sorted({0, 1, 2 ** 64 - 1} | {e + d for e in edges for d in (-1, 0, 1) if 0 <= e + d < 2 ** 64}),
+                     dtype=np.uint64)
+        u = (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), q - 1)
+        thresholds = wt._thresholds(np.broadcast_to(cdf, (h.size, q)))
+        got = wt._symbols((h >> np.uint64(11))[None, :], thresholds, np.empty((1, h.size), dtype=np.intp))
+        assert np.array_equal(got[0], want)
+
+    def test_distinct_rows_matches_lexicographic_unique(self):
+        rng = np.random.default_rng(1)
+        for q, n in ((2, 40), (300, 7)):
+            words = rng.integers(0, q, size=(4000, n))
+            words[100] = words[7]
+            assert wt._distinct_rows(words, q) == np.unique(words, axis=0).shape[0]
 
 
 class TestEncryption:
