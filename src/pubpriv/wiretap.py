@@ -63,11 +63,12 @@ class ClassicalWiretap:
         t = np.array(self.p_joint, dtype=float)
         if t.ndim != 3:
             raise DimensionError(f"p(b,e|a) needs shape (|A|,|B|,|E|), got {t.shape}")
-        if np.any(t < -PROB_TOL):
-            raise ValidationError("p(b,e|a) must be nonnegative")
+        if not np.all(np.isfinite(t)) or np.any(t < -PROB_TOL):
+            raise ValidationError("p(b,e|a) must be finite and nonnegative")
         sums = t.sum(axis=(1, 2))
         if np.max(np.abs(sums - 1.0)) > PROB_TOL:
             raise ValidationError(f"p(b,e|a) must sum to 1 for every a; sums {sums}")
+        np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 (say 1 - 0.9 - 0.1) would log to NaN
         t.flags.writeable = False
         object.__setattr__(self, "p_joint", t)
 
@@ -192,26 +193,27 @@ def _log2_multinomial(n: int, counts) -> float:
     return v / math.log(2.0)
 
 
-def _window_mass_log2(logs: np.ndarray, n: int, center: float, delta: float,
-                      probs: np.ndarray) -> float:
-    """log2 of the i.i.d. probability that the empirical surprisal rate lands in the window.
+def _window_mass_log2(groups, center: float, delta: float) -> float:
+    """log2 of the probability that the empirical surprisal rate lands within delta of center.
 
-    `logs` are log2-probabilities of the support symbols, `probs` their
-    probabilities. Exact by enumeration of type classes.
+    ``groups`` lists (count, probs) for the positions that share one law p(·|x); the surprisal sum
+    splits by group, so the type classes of all groups are enumerated together (i.i.d. is one group).
+    Exact by enumeration of type classes.
     """
-    q = logs.size
-    if math.comb(n + q - 1, q - 1) > TYPE_ENUM_BUDGET:
-        raise ConfigurationError(
-            f"type enumeration over {q} symbols at n={n} is too large for an exact acceptance probability"
-        )
+    n = sum(cnt for cnt, _ in groups)
+    groups = [(cnt, np.log2(probs[probs > 0])) for cnt, probs in groups]
+    if math.prod(math.comb(cnt + logs.size - 1, logs.size - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
+        raise ConfigurationError(f"type enumeration at n={n} is too large for an exact acceptance probability")
     total = -np.inf
-    lp = np.log2(probs)
-    for counts in _compositions(n, q):
-        cvec = np.asarray(counts, dtype=float)
-        surprisal = -float(cvec @ logs) / n
-        if abs(surprisal - center) <= delta + 1e-12:
-            w = _log2_multinomial(n, counts) + float(cvec @ lp)
-            total = np.logaddexp2(total, w)
+    for combo in _iproduct(*[list(_compositions(cnt, logs.size)) for cnt, logs in groups]):
+        surp = 0.0
+        logw = 0.0
+        for (cnt, logs), counts in zip(groups, combo):
+            dot = float(np.asarray(counts, dtype=float) @ logs)
+            surp += -dot
+            logw += _log2_multinomial(cnt, counts) + dot
+        if abs(surp / n - center) <= delta + 1e-12:
+            total = np.logaddexp2(total, logw)
     return float(total)
 
 
@@ -235,7 +237,7 @@ class PrunedDistribution:
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if p.ndim != 1 or np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
+        if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
             raise ValidationError("p must be a probability vector")
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
@@ -248,10 +250,9 @@ class PrunedDistribution:
             object.__setattr__(self, "surprisal", -np.log2(p))
         object.__setattr__(self, "thresholds", _thresholds(np.broadcast_to(np.cumsum(p), (self.n, p.size))))
         sup = p > 0
-        logs = np.log2(p[sup])
-        h = float(-(p[sup] * logs).sum())
+        h = float(-(p[sup] * np.log2(p[sup])).sum())
         object.__setattr__(self, "entropy", h)
-        acc = _window_mass_log2(logs, self.n, h, self.delta, p[sup])
+        acc = _window_mass_log2([(self.n, p)], h, self.delta)
         object.__setattr__(self, "log2_acceptance", acc)
         if acc < np.log2(MIN_ACCEPTANCE):
             raise ConfigurationError(
@@ -310,30 +311,8 @@ class _ConditionalPruned:
         h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
         center = float(h_rows[x].sum() / n)
         object.__setattr__(self, "center", center)
-        # Acceptance: group positions by x value, enumerate per-group types,
-        # combine across groups (the surprisal sum splits by group).
-        groups = []
-        enum_size = 1
-        for xv in sorted(set(int(v) for v in x)):
-            cnt = int((x == xv).sum())
-            sup = t[xv] > 0
-            q = int(sup.sum())
-            enum_size *= math.comb(cnt + q - 1, q - 1)
-            groups.append((cnt, np.log2(t[xv][sup]), t[xv][sup]))
-        if enum_size > TYPE_ENUM_BUDGET:
-            raise ConfigurationError("conditional type enumeration too large for exact acceptance")
-        total = -np.inf
-        per_group = [list(_compositions(cnt, logs.size)) for cnt, logs, _ in groups]
-        for combo in _iproduct(*per_group):
-            surp = 0.0
-            logw = 0.0
-            for (cnt, logs, probs), counts in zip(groups, combo):
-                cvec = np.asarray(counts, dtype=float)
-                surp += -float(cvec @ logs)
-                logw += _log2_multinomial(cnt, counts) + float(cvec @ np.log2(probs))
-            if abs(surp / n - center) <= self.delta + 1e-12:
-                total = np.logaddexp2(total, logw)
-        object.__setattr__(self, "log2_acceptance", float(total))
+        groups = [(int((x == xv).sum()), t[xv]) for xv in sorted(set(int(v) for v in x))]
+        object.__setattr__(self, "log2_acceptance", _window_mass_log2(groups, center, self.delta))
         if self.log2_acceptance < np.log2(MIN_ACCEPTANCE):
             raise ConfigurationError(
                 f"conditional typical-set acceptance 2^{self.log2_acceptance:.2f} below {MIN_ACCEPTANCE:g}; "
@@ -547,7 +526,8 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codeboo
         raise DimensionError("p_a_given_x must have one row per outer symbol")
     if cond.shape[1] != ch.size_a:
         raise DimensionError(f"inner law over {cond.shape[1]} symbols, channel expects {ch.size_a}")
-    if np.max(np.abs(cond.sum(axis=1) - 1.0)) > PROB_TOL or np.any(cond < -PROB_TOL):
+    if not np.all(np.isfinite(cond)) or np.max(np.abs(cond.sum(axis=1) - 1.0)) > PROB_TOL \
+            or np.any(cond < -PROB_TOL):
         raise ValidationError("p_a_given_x rows must be probability vectors")
     if cfg.K_pub * cfg.M > EAGER_WORD_LIMIT:
         raise BudgetError(
@@ -574,6 +554,28 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codeboo
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
+
+
+def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Σ_i cols[i, words[r, i]] for every row r of the (R, n) words; cols is (n, |A|).
+
+    With cols = table[:, b].T this sums the values of ``table[words, b[None, :]].sum(axis=1)`` in the
+    same order, so scores are bit-identical to that gather (ML ties turn on the last bit). Rows go in
+    blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``.
+    """
+    count, n = words.shape
+    flat = cols.ravel()
+    offsets = np.arange(n) * cols.shape[1]
+    rows = max(1, min(count, _BLOCK_SYMBOLS // n))
+    idx = np.empty((rows, n), dtype=np.intp)
+    g = np.empty((rows, n))
+    out = np.empty(count)
+    for lo in range(0, count, rows):
+        m = min(rows, count - lo)
+        np.add(words[lo: lo + m], offsets, out=idx[:m])
+        np.take(flat, idx[:m], out=g[:m], mode="clip")  # "raise" would buffer out; indices are in range
+        g[:m].sum(axis=1, out=out[lo: lo + m])
+    return out
 
 
 def _loglik_table(ch: ClassicalWiretap) -> np.ndarray:
@@ -609,34 +611,19 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     if cfg.decoder == "ML":
         if K * M > ML_BUDGET:
             raise BudgetError(f"ML decoding budget exceeded: K_pub*M = {K * M} > {ML_BUDGET}")
-        llt = _loglik_table(ch)
-        best_val = -np.inf
-        best = (0, 0)
-        for k in range(K):
-            words = codebook.inner_block(k, 0, M)
-            with np.errstate(invalid="ignore"):
-                ll = llt[words, b[None, :]].sum(axis=1)
-            ll = np.where(np.isnan(ll), -np.inf, ll)
-            p = int(np.argmax(ll))  # first maximum = lexicographically smallest
-            if ll[p] > best_val:
-                best_val = ll[p]
-                best = (k, p)
-        return best
+        ll = _row_scores(_loglik_table(ch)[:, b].T, codebook.inner_words.reshape(K * M, cfg.n))
+        return divmod(int(np.argmax(ll)), M)  # first maximum = lexicographically smallest (k, p)
 
     v, h = _jt_tables(codebook, ch)
     hits = []
     scanned = 0
     chunk = 65536
     for k in range(K):
-        x = codebook.outer_words[k] if codebook.two_layer else None
+        cols = v[codebook.outer_words[k], :, b] if codebook.two_layer else v[:, b].T
         lo = 0
         while lo < M:
             hi = min(M, lo + chunk)
-            words = codebook.inner_block(k, lo, hi)
-            if codebook.two_layer:
-                score = v[x[None, :], words, b[None, :]].sum(axis=1)
-            else:
-                score = v[words, b[None, :]].sum(axis=1)
+            score = _row_scores(cols, codebook.inner_block(k, lo, hi))
             ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
             for idx in ok[:2]:
                 hits.append((k, lo + int(idx)))
@@ -765,11 +752,14 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     """Exact (enumerated) or importance-sampled secrecy distances.
 
     Exact mode enumerates Eve's |E|^n outcomes (budget 2^20, with a
-    secondary M·|E|^n memory guard). Monte-Carlo mode samples Eve outcomes
-    from the reference mixture P̄ and averages |likelihood ratio - 1|, an
-    unbiased L1 estimate whose standard error is reported. ``messages``
-    restricts the (k, m) pairs probed; by default all pairs are probed,
-    which requires an eagerly materialized codebook.
+    secondary M·|E|^n memory guard), one (M + S - 1, |E|^n) table at a time.
+    Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
+    averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
+    the reported maximum of these means over the probed messages is biased
+    upward, more so the more messages are probed, and its standard error is
+    that of the winning mean alone. ``messages`` restricts the (k, m) pairs
+    probed; by default all pairs are probed, which requires an eagerly
+    materialized codebook.
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValidationError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
@@ -786,19 +776,25 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
             raise BudgetError(f"exact security needs |E|^n <= {SECURITY_BUDGET}, got {size}")
         if M * size > (1 << 24):
             raise BudgetError(f"exact security table M*|E|^n = {M * size} exceeds memory guard {1 << 24}")
-        best_full = 0.0
-        best_msg = 0.0
-        by_k: dict[int, tuple] = {}
-        for k, m in messages:
-            if k not in by_k:
-                w = _eve_product_rows(p_eve, codebook.inner_block(k, 0, M))
-                pbar = w.mean(axis=0)
-                d_p = np.abs(w - pbar[None, :]).sum(axis=1)
-                by_k[k] = (w, pbar, d_p)
-            w, pbar, d_p = by_k[k]
-            idx = (m + np.arange(S)) % M
-            best_full = max(best_full, float(d_p[idx].mean()))
-            best_msg = max(best_msg, float(np.abs(w[idx].mean(axis=0) - pbar).sum()))
+        best_full = best_msg = 0.0
+        rows = max(1, min(M, _BLOCK_SYMBOLS // size))
+        blk = np.empty((rows, size))  # scratch: |w_p − p̄| for a block of rows
+        table_k = None
+        # One public message's table at a time, so messages go by k; the maxima do not depend on the order.
+        for k, m in sorted(messages, key=lambda km: km[0]):
+            if k != table_k:
+                w = None  # drop the previous table before building the next
+                # Rows M .. M+S-2 repeat words 0 .. S-2, so the pad rows f(m, 0 .. S-1) are the slice w[m: m+S].
+                w = _eve_product_rows(p_eve, codebook.inner_block(k, 0, M)[np.arange(M + S - 1) % M])
+                table_k, pbar, d_p = k, w[:M].mean(axis=0), np.empty(M)
+                for lo in range(0, M, rows):
+                    t = blk[: min(rows, M - lo)]
+                    np.subtract(w[lo: lo + len(t)], pbar, out=t)
+                    np.abs(t, out=t).sum(axis=1, out=d_p[lo: lo + rows])
+            best_full = max(best_full, float(d_p[(m + np.arange(S)) % M].mean()))
+            mix = w[m: m + S].mean(axis=0)
+            mix -= pbar
+            best_msg = max(best_msg, float(np.abs(mix, out=mix).sum()))
         return SecurityReport(full_criterion=best_full, message_secrecy=best_msg, mode="exact")
 
     if codebook.is_lazy:
@@ -811,7 +807,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     for k, m in messages:
         words = codebook.inner_block(k, 0, M)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SECURITY, k, m]))
-        pad_words = words[(m + np.arange(S)) % M]  # row s ↦ word f(m, s)
+        pad = (m + np.arange(S)) % M  # entry s ↦ word f(m, s)
         r_full = np.empty(cfg.trials)
         r_msg = np.empty(cfg.trials)
         for t in range(cfg.trials):
@@ -820,7 +816,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
             e_seq = _sample_channel_outputs(rng, p_eve, words[ref_p])
             ll_all = log_eve[words, e_seq[None, :]].sum(axis=1)
             log_pbar = float(np.logaddexp.reduce(ll_all)) - math.log(M)
-            ll_pad = log_eve[pad_words, e_seq[None, :]].sum(axis=1)
+            ll_pad = ll_all[pad]
             r_full[t] = abs(math.exp(ll_pad[s] - log_pbar) - 1.0)
             log_q = float(np.logaddexp.reduce(ll_pad)) - math.log(S)
             r_msg[t] = abs(math.exp(log_q - log_pbar) - 1.0)

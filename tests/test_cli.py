@@ -116,6 +116,15 @@ class TestSimulateCommand:
         assert r.returncode == 3, r.stderr
         assert "security" in r.stderr
 
+    def test_nan_channel_is_validation_error(self, tmp_path):
+        # json reads the bare token NaN; a NaN entry fails no <, > or sum check
+        (tmp_path / "nan.json").write_text(
+            '{"channel": {"p_joint": [[[NaN, 0.5], [0.25, 0.25]], [[0.25, 0.25], [0.25, 0.25]]]},'
+            ' "input_p": [0.5, 0.5], "code": {"n": 8, "M": 4, "delta": 0.5, "seed": 1, "trials": 5}}')
+        r = run_cli(["simulate", "--config", "nan.json", "--out", "n.csv"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "finite" in r.stderr
+
     def test_seed_flag_overrides_spec(self, tmp_path, experiment_spec):
         r = run_cli(["simulate", "--config", experiment_spec, "--seed", "99", "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr

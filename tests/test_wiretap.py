@@ -39,6 +39,19 @@ class TestChannelModel:
         ch = ClassicalWiretap.bsc_pair(0.0, 0.5)
         assert np.allclose(ch.p_main, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_laws_rejected(self, bad):
+        """NaN fails every < and > check, so each law is tested for finiteness first."""
+        t = np.full((2, 2, 2), 0.25)
+        t[0, 0, 0] = bad
+        with pytest.raises(ValidationError):
+            ClassicalWiretap(t)
+        with pytest.raises(ValidationError):
+            pruned_distribution([bad, 0.5], 8, 0.3)
+        cfg = CodeConfig(n=8, M=4, K_pub=2, delta=0.9, seed=1)
+        with pytest.raises(ValidationError):
+            generate_codebook(cfg, ClassicalWiretap.bsc_pair(0.1, 0.2), ([0.5, 0.5], [[bad, 0.5], [0.5, 0.5]]))
+
 
 class TestPrunedDistribution:
     def test_uniform_binary_everything_typical(self):
@@ -96,6 +109,23 @@ class TestPrunedDistribution:
         b = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
         assert np.array_equal(a, b)
         assert pd.is_typical(a).all()
+
+    def test_acceptances_are_pinned(self):
+        """One type-class enumerator serves both laws; hex values recorded with the two separate loops."""
+        for p, n, delta, want in (([0.8, 0.2], 24, 0.12, "-0x1.bd5b38b69360fp-1"),
+                                  ([0.6, 0.0, 0.4], 16, 0.3, "-0x1.03e4ec34b9090p-16"),
+                                  ([0.1, 0.2, 0.3, 0.4], 12, 0.2, "-0x1.b881cfbe1aea7p-2")):
+            pd = pruned_distribution(p, n, delta)
+            assert pd.log2_acceptance.hex() == want
+            one_group = wt._ConditionalPruned(table=np.array([p]), x_seq=np.zeros(n, dtype=int), delta=delta)
+            assert one_group.log2_acceptance == pd.log2_acceptance
+        for table, x, delta, want in (
+                ([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]], [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1], 0.4,
+                 "-0x1.435138bf7bf4fp-3"),
+                ([[0.5, 0.5], [0.9, 0.1], [0.25, 0.75]], [2, 0, 1, 2, 2, 0, 1, 1, 0, 2], 0.15,
+                 "-0x1.c99bcf3284743p-1")):
+            cp = wt._ConditionalPruned(table=np.array(table), x_seq=np.array(x), delta=delta)
+            assert cp.log2_acceptance.hex() == want
 
     def test_evaluator_normalizes(self):
         pd = pruned_distribution([0.7, 0.3], 10, 0.2)
@@ -176,6 +206,51 @@ class TestCodewordKernel:
             words = rng.integers(0, q, size=(4000, n))
             words[100] = words[7]
             assert wt._distinct_rows(words, q) == np.unique(words, axis=0).shape[0]
+
+
+class TestRowScores:
+    """``_row_scores`` sums the values of the 2-D gather ``table[words, b[None, :]].sum(axis=1)``
+    in the same order, so the scores are equal to the last bit, -inf and +inf entries included."""
+
+    @staticmethod
+    def _tables(rng, q):
+        noisy = rng.standard_normal((q, q))  # order-sensitive sums
+        with np.errstate(divide="ignore"):
+            ml = np.log(np.array([[0.9, 0.1, 0.0], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]])[:q, :q])
+            jt = -np.log2(np.array([[0.3, 0.0, 0.1], [0.2, 0.2, 0.0], [0.0, 0.1, 0.1]])[:q, :q])
+        return {"noisy": noisy, "ML": ml, "JT": jt, "MC": ml.T.copy()}
+
+    @pytest.mark.parametrize("n, count", [(1, 5), (40, 3), (40, 5000), (7, 20000), (128, 513)])
+    def test_equals_the_2d_gather(self, n, count):
+        rng = np.random.default_rng(n * 100003 + count)
+        words = rng.integers(0, 3, size=(count, n))
+        b = rng.integers(0, 3, size=n)
+        for name, table in self._tables(rng, 3).items():
+            want = table[words, b[None, :]].sum(axis=1)
+            got = wt._row_scores(table[:, b].T, words)
+            assert np.array_equal(got, want), name
+
+    def test_two_layer_columns_equal_the_3d_gather(self):
+        rng = np.random.default_rng(4)
+        n, count = 24, 3001
+        v = rng.standard_normal((2, 3, 3))
+        v[0, 1, 2] = np.inf
+        x, b = rng.integers(0, 2, size=n), rng.integers(0, 3, size=n)
+        words = rng.integers(0, 3, size=(count, n))
+        want = v[x[None, :], words, b[None, :]].sum(axis=1)
+        assert np.array_equal(wt._row_scores(v[x, :, b], words), want)
+
+    def test_block_boundaries_do_not_change_scores(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 9
+        words = rng.integers(0, 2, size=(50, n))
+        b = rng.integers(0, 2, size=n)
+        table = rng.standard_normal((2, 2))
+        want = table[words, b[None, :]].sum(axis=1)
+        # 50 rows: 1-row blocks, 7-row blocks with a short tail, one block, one clipped block
+        for block_rows in (1, 7, 50, 64):
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", n * block_rows)
+            assert np.array_equal(wt._row_scores(table[:, b].T, words), want)
 
 
 class TestEncryption:
@@ -308,6 +383,63 @@ class TestDecoding:
             else:
                 assert decode(b, cb, cfg, ch) is None
 
+    def test_two_layer_jt_matches_a_brute_force_window_scan(self):
+        """Two-layer JT decoding returns the unique (k, p) whose triple (x, u, b) surprisal rate
+        lies in the window, and None for zero or several such candidates."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.5))
+        law = (np.array([0.5, 0.5]), np.array([[0.85, 0.15], [0.15, 0.85]]))
+        cfg = CodeConfig(n=12, M=8, K_pub=4, delta=0.25, seed=6, decoder="joint_typicality")
+        cb = generate_codebook(cfg, ch, law)
+        q = law[0][:, None, None] * law[1][:, :, None] * ch.p_main[None, :, :]
+        h = float(-(q[q > 0] * np.log2(q[q > 0])).sum())
+        outcomes = {"hit": 0, "none": 0}
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            k, p = int(rng.integers(4)), int(rng.integers(8))
+            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
+            hits = []
+            for kk in range(4):
+                x = cb.outer_words[kk]
+                for pp in range(8):
+                    rate = float(-np.log2(q[x, cb.word(kk, pp), b]).sum()) / cfg.n
+                    if abs(rate - h) <= cfg.delta + 1e-12:
+                        hits.append((kk, pp))
+            want = hits[0] if len(hits) == 1 else None
+            assert decode(b, cb, cfg, ch) == want
+            outcomes["hit" if want else "none"] += 1
+        assert min(outcomes.values()) > 0
+
+    def test_ml_ties_go_to_the_first_index_pair(self):
+        """Equal likelihoods resolve to the first (k, p) in (k, p) order, also when every score is -inf."""
+        ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))  # log p(b|a) is 0 or -inf per symbol
+        cfg = CodeConfig(n=4, M=3, K_pub=2, delta=3.0, seed=0)
+        words = np.array([[[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0]],
+                          [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]]])
+        cb = Codebook(config=cfg, input_p=None, outer_p=UNIFORM2, cond_table=np.eye(2),
+                      outer_words=np.zeros((2, 4), dtype=np.intp), inner_words=words, seed=0,
+                      record=wt.GenerationRecord(acceptance_inner=1.0))
+        assert decode([0, 1, 1, 0], cb, cfg, ch) == (0, 0)
+        assert decode([1, 1, 0, 0], cb, cfg, ch) == (0, 1)
+        assert decode([1, 1, 1, 1], cb, cfg, ch) == (1, 2)
+        assert decode([0, 0, 0, 1], cb, cfg, ch) == (0, 0)
+
+    def test_ml_on_a_law_with_a_tiny_negative_entry(self):
+        """1 - 0.9 - 0.1 = -2.8e-17 passes validation; it is stored as 0, so words through that
+        transition score -inf and cannot win (a NaN score would win argmax). Results from the
+        release that mapped NaN scores to -inf."""
+        pb = np.array([[0.9, 0.1, 1 - 0.9 - 0.1], [0.1, 0.1, 0.8]])
+        assert pb[0, 2] < 0
+        ch = ClassicalWiretap.from_marginals(pb, np.ones((2, 1)))
+        assert ch.p_joint.min() == 0.0
+        cfg = CodeConfig(n=3, M=3, K_pub=2, delta=3.0, seed=0)
+        words = np.array([[[0, 0, 0], [1, 1, 1], [0, 1, 1]], [[0, 0, 1], [1, 0, 1], [0, 1, 0]]])
+        cb = Codebook(config=cfg, input_p=None, outer_p=UNIFORM2, cond_table=np.eye(2),
+                      outer_words=np.zeros((2, 3), dtype=np.intp), inner_words=words, seed=0,
+                      record=wt.GenerationRecord(acceptance_inner=1.0))
+        for b, want in (([2, 0, 2], (1, 1)), ([0, 0, 2], (1, 0)), ([0, 2, 2], (0, 2)),
+                        ([2, 2, 2], (0, 1)), ([0, 0, 0], (0, 0))):
+            assert decode(b, cb, cfg, ch) == want
+
     def test_jt_ambiguity_is_failure(self):
         # two identical codewords make every decode ambiguous
         ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
@@ -414,6 +546,45 @@ class TestSecurity:
         rep = security_distance(cb, cfg, ch, mode="exact")
         assert abs(rep.full_criterion - want_full) < 1e-12
         assert abs(rep.message_secrecy - want_msg) < 1e-12
+
+    @pytest.mark.parametrize("seed, n, M, S, full, msg", [
+        (1, 16, 64, 64, "0x1.a3f33cdba73b6p+0", "0x1.6bc1880000000p-52"),
+        (7, 16, 64, 1, "0x1.b45f0af703cdfp+0", "0x1.b45f0af703cdfp+0"),
+        (1, 12, 32, 8, "0x1.887251c9b8608p+0", "0x1.e01f977763e5cp-1"),
+        (7, 10, 64, 5, "0x1.70e1cae798a0fp+0", "0x1.2559aeb4114c0p+0"),
+        # S not a power of two: the last bit shows how the key mixture is divided by S
+        (1, 12, 32, 3, "0x1.8d71adfa472c4p+0", "0x1.4e352be1a84cep+0"),
+        (2, 14, 12, 11, "0x1.830a2981c0e99p+0", "0x1.265e39a4bb302p-3"),
+    ])
+    def test_exact_distances_are_pinned(self, seed, n, M, S, full, msg):
+        """Hex values recorded with the whole-table formulas |w - p̄| and w[idx].mean(axis=0)."""
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        cfg = CodeConfig(n=n, M=M, S=S, delta=0.5, seed=seed)
+        rep = security_distance(generate_codebook(cfg, ch, UNIFORM2), cfg, ch, mode="exact")
+        assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == (full, msg)
+
+    def test_exact_two_layer_distances_are_pinned(self):
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        cfg = CodeConfig(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7)
+        cb = generate_codebook(cfg, ch, (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]])))
+        rep = security_distance(cb, cfg, ch, mode="exact")
+        assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == ("0x1.27304039abf36p+0", "0x1.28fefccac15a0p-1")
+
+    def test_exact_mode_holds_one_table(self):
+        """Peak traced memory stays below two (M, |E|^n) tables (three with whole-table temporaries)."""
+        import tracemalloc
+
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        cfg = CodeConfig(n=18, M=16, S=1, delta=0.5, seed=3)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        table = cfg.M * 2 ** cfg.n * 8
+        tracemalloc.start()
+        try:
+            security_distance(cb, cfg, ch, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table <= peak < 2 * table
 
     def test_key_monotonicity(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.8, 0.2], [0.25, 0.75]]))
