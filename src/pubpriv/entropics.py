@@ -6,13 +6,14 @@ p(x)p(y|x). The classical registers are kept implicit as array indices —
 the full block-diagonal matrix is never materialized, since the X alphabet
 alone may be as large as min{dim A', dim B}² + 1.
 
-Layout: the inputs are stacked into an (|X|, |Y|, d, d) array and evolved in
-one matmul into ``CqState.joint`` of shape (|X|, |Y|, d_B·d_E, d_B·d_E).
-For each system K in {B, E}, the marginals σ_{x,y}, their averages
-σ_x = Σ_y p(y|x) σ_{x,y} and σ = Σ_x p(x) σ_x go through one batched
-eigensolve into the table ``CqState.entropies[K]`` = (S(σ_{x,y}) as an
-|X|×|Y| array, S(σ_x) as an |X| array, S(σ)). The six mutual informations
-are weighted sums over it; non-positive weights are stored as exact zeros.
+Layout: the inputs are stored as one validated (|X|, |Y|, d, d) array,
+``InputEnsemble.states``, and evolved in one matmul into ``CqState.joint``
+of shape (|X|, |Y|, d_B·d_E, d_B·d_E). For each system K in {B, E}, the
+marginals σ_{x,y}, their averages σ_x = Σ_y p(y|x) σ_{x,y} and
+σ = Σ_x p(x) σ_x go through one batched eigensolve into the table
+``CqState.entropies[K]`` = (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an
+|X| array, S(σ)). The six mutual informations are weighted sums over it;
+non-positive weights are stored as exact zeros.
 
 All quantities are in bits. Tiny negative values (float noise) are clamped
 to zero; anything below -1e-6 raises, because that signals a real bug
@@ -22,12 +23,13 @@ rather than rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import IsometricExtension
 from .errors import DimensionError, ValidationError
-from .qcore import DensityOperator, partial_trace, von_neumann_entropy
+from .qcore import DensityOperator, partial_trace, validate_states, von_neumann_entropy
 
 PROB_TOL = 1e-12
 CLAMP_TOL = 1e-6
@@ -39,17 +41,19 @@ def _clamp(v: float) -> float:
     return float(max(0.0, v))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class InputEnsemble:
-    """{p(x), p(y|x), ρ_{x,y}} with states on the channel input system."""
+    """{p(x), p(y|x), ρ_{x,y}} with states on the channel input system. ``rho_xy`` is an
+    (|X|, |Y|, d, d) array or nested DensityOperators, stored validated as one read-only
+    complex128 array ``states``; ``rho_xy[x][y]`` reads a slice back as a DensityOperator."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
-    rho_xy: tuple
+    states: np.ndarray
 
-    def __post_init__(self):
-        px = np.array(self.p_x, dtype=float)
-        pyx = np.array(self.p_y_given_x, dtype=float)
+    def __init__(self, p_x, p_y_given_x, rho_xy):
+        px = np.array(p_x, dtype=float)
+        pyx = np.array(p_y_given_x, dtype=float)
         px.flags.writeable = False
         pyx.flags.writeable = False
         object.__setattr__(self, "p_x", px)
@@ -60,13 +64,22 @@ class InputEnsemble:
             raise ValidationError("p_x must be a probability vector")
         if np.any(pyx < -PROB_TOL) or np.max(np.abs(pyx.sum(axis=1) - 1.0)) > PROB_TOL:
             raise ValidationError("each row of p_y_given_x must be a probability vector")
-        rows = tuple(tuple(row) for row in self.rho_xy)
-        object.__setattr__(self, "rho_xy", rows)
-        if len(rows) != px.size or any(len(r) != pyx.shape[1] for r in rows):
-            raise DimensionError("rho_xy must be an |X| × |Y| array of states")
-        dims = {st.dim for row in rows for st in row}
-        if len(dims) != 1:
-            raise DimensionError(f"all states must share one dimension, got {sorted(dims)}")
+        if not isinstance(rho_xy, np.ndarray):
+            rho_xy = [[st.matrix for st in row] for row in rho_xy]
+        try:
+            states = np.array(rho_xy, dtype=np.complex128)
+        except ValueError as exc:  # ragged rows or states of different dimensions
+            raise DimensionError(f"rho_xy must be an |X| × |Y| array of equal-size states: {exc}") from exc
+        if states.ndim != 4 or states.shape[:2] != pyx.shape or states.shape[2] != states.shape[3]:
+            raise DimensionError(f"rho_xy must be an |X| × |Y| array of states, got shape {states.shape}")
+        states.flags.writeable = False
+        validate_states(states)
+        object.__setattr__(self, "states", states)
+
+    @cached_property
+    def rho_xy(self) -> tuple:
+        """``rho_xy[x][y]`` is ρ_{x,y} as a DensityOperator."""
+        return tuple(tuple(DensityOperator(m, validate=False) for m in row) for row in self.states)
 
     @property
     def size_x(self) -> int:
@@ -78,7 +91,7 @@ class InputEnsemble:
 
     @property
     def dim_in(self) -> int:
-        return self.rho_xy[0][0].dim
+        return self.states.shape[-1]
 
     @classmethod
     def over_x(cls, p_x, states) -> "InputEnsemble":
@@ -124,7 +137,7 @@ def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
     total = float((ens.p_x[:, None] * ens.p_y_given_x).sum())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"block weights sum to {total}, expected 1")
-    joint = iso.evolve(np.array([[st.matrix for st in row] for row in ens.rho_xy]))
+    joint = iso.evolve(ens.states)
     p_x = np.where(ens.p_x > 0.0, ens.p_x, 0.0)
     p_yx = np.where(ens.p_y_given_x > 0.0, ens.p_y_given_x, 0.0)
     nx, ny = p_yx.shape

@@ -38,6 +38,21 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + _dagger(m)) / 2.0
 
 
+def validate_states(m: np.ndarray) -> None:
+    """Raise ValidationError unless every matrix of the (..., d, d) stack is Hermitian, of unit
+    trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack."""
+    herm = np.max(np.abs(m - _dagger(m)))
+    if herm > VALIDATION_TOL:
+        raise ValidationError(f"not Hermitian: max |M - M†| = {herm:.3e}")
+    traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    tr = traces[np.argmax(np.abs(traces - 1.0))]
+    if abs(tr - 1.0) > VALIDATION_TOL:
+        raise ValidationError(f"trace is {tr:.12f}, expected 1")
+    lo = float(np.linalg.eigvalsh(_hermitize(m)).min())
+    if lo < -VALIDATION_TOL:
+        raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
+
+
 @dataclass(frozen=True)
 class SystemLabel:
     """A named subsystem with its dimension, e.g. SystemLabel("B", 2)."""
@@ -86,15 +101,7 @@ class DensityOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if self.validate:
-            herm = np.max(np.abs(m - m.conj().T))
-            if herm > VALIDATION_TOL:
-                raise ValidationError(f"not Hermitian: max |M - M†| = {herm:.3e}")
-            tr = np.trace(m)
-            if abs(tr - 1.0) > VALIDATION_TOL:
-                raise ValidationError(f"trace is {tr:.12f}, expected 1")
-            lo = float(np.linalg.eigvalsh(_hermitize(m)).min())
-            if lo < -VALIDATION_TOL:
-                raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
+            validate_states(m)
 
     @property
     def dim(self) -> int:

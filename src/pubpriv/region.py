@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import IsometricExtension
 from .entropics import (
@@ -37,7 +36,6 @@ from .entropics import (
     mutual_info_XE,
 )
 from .errors import DimensionError, ValidationError
-from .qcore import DensityOperator
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -193,8 +191,9 @@ class OptimizeResult:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class _Parametrization:
@@ -214,29 +213,22 @@ class _Parametrization:
     def blocks(self) -> list[slice]:
         return [self.sl_px, self.sl_py, self.sl_states]
 
-    def _state(self, raw: np.ndarray) -> DensityOperator:
-        d = self.dim
-        if self.pure:
-            v = raw[:d] + 1j * raw[d:]
-            if np.linalg.norm(v) < 1e-9:
-                v = np.zeros(d, dtype=complex)
-                v[0] = 1.0
-            return DensityOperator.pure(v)
-        a = (raw[: d * d] + 1j * raw[d * d:]).reshape(d, d)
-        m = a @ a.conj().T
-        tr = float(np.trace(m).real)
-        if tr < 1e-12:
-            return DensityOperator.maximally_mixed(d)
-        return DensityOperator(m / tr)
-
     def decode(self, theta: np.ndarray) -> InputEnsemble:
+        d = self.dim
         p_x = _softmax(theta[self.sl_px])
-        py = theta[self.sl_py].reshape(self.nx, self.ny)
-        p_y_given_x = np.vstack([_softmax(row) for row in py])
+        p_y_given_x = _softmax(theta[self.sl_py].reshape(self.nx, self.ny))
         raw = theta[self.sl_states].reshape(self.nx, self.ny, self.state_len)
-        states = tuple(
-            tuple(self._state(raw[x, y]) for y in range(self.ny)) for x in range(self.nx)
-        )
+        if self.pure:
+            v = raw[..., :d] + 1j * raw[..., d:]
+            # np.linalg.norm's formula: each state equals |ψ⟩⟨ψ| of its own normalized vector to the bit
+            nrm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+            v = np.where(nrm < 1e-9, np.eye(d)[0], v / np.where(nrm < 1e-9, 1.0, nrm))
+            states = v[..., :, None] * v.conj()[..., None, :]
+        else:
+            a = (raw[..., : d * d] + 1j * raw[..., d * d:]).reshape(self.nx, self.ny, d, d)
+            m = a @ np.swapaxes(a, -1, -2).conj()
+            tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+            states = np.where(tr < 1e-12, np.eye(d) / d, m / np.where(tr < 1e-12, 1.0, tr))
         return InputEnsemble(p_x=p_x, p_y_given_x=p_y_given_x, rho_xy=states)
 
     def structured_start(self) -> np.ndarray:
@@ -286,7 +278,11 @@ def optimize_region(
     iteration budget runs out. ``converged`` reports the winning restart:
     False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
+    When the best ensemble has R_S + b - c < 0, it certifies no P >= 0, so the
+    returned witness is its Y-collapse {p(x), Σ_y p(y|x) ρ_{x,y}}: the same
+    σ_x, hence the same a, and b = c = 0.
     """
+    from scipy.optimize import minimize  # deferred: scipy is slow to import and only the optimizer needs it
     w_r, w_p = float(weights[0]), float(weights[1])
     if w_r < 0 or w_p < 0 or (w_r == 0 and w_p == 0):
         raise ValidationError("weights must be nonnegative and not both zero")
@@ -348,6 +344,10 @@ def optimize_region(
 
     ens = par.decode(best_theta)
     rc = one_shot_constraints(ens, iso)
+    if r_s + rc.b - rc.c < 0.0:
+        rho_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, ens.states)
+        ens = InputEnsemble(p_x=ens.p_x, p_y_given_x=np.ones((nx, 1)), rho_xy=rho_x[:, None])
+        rc = one_shot_constraints(ens, iso)
     return OptimizeResult(
         ensemble=ens,
         constraints=rc,

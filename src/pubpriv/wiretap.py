@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from itertools import product as _iproduct
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import BudgetError, ConfigurationError, DimensionError, ValidationError
 
@@ -658,6 +657,7 @@ class ErrorEstimate:
 
 
 def _binomial_ci(x: int, n: int, conf: float = 0.95):
+    from scipy.special import betaincinv  # deferred: scipy is slow to import
     alpha = 1.0 - conf
     lo = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, alpha / 2.0))
     hi = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1.0 - alpha / 2.0))

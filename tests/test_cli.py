@@ -203,3 +203,11 @@ class TestManifestContents:
         assert str(experiment_spec) in manifest["input_digests"]
         digest = manifest["input_digests"][str(experiment_spec)]
         assert len(digest) == 64
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        code = "import sys, pubpriv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"

@@ -257,6 +257,40 @@ class TestEnsembleValidation:
             InputEnsemble(p_x=[0.5, 0.5], p_y_given_x=[[1.0], [1.0]],
                           rho_xy=((rand_density(rng, 2),), (rand_density(rng, 3),)))
 
+    def test_array_and_nested_states_give_the_same_infos(self, rng):
+        for nx, ny, d_in in ((3, 2, 2), (1, 4, 3), (2, 3, 4)):
+            nested = rand_ensemble(rng, nx, ny, d_in)
+            stacked = InputEnsemble(p_x=nested.p_x, p_y_given_x=nested.p_y_given_x,
+                                    rho_xy=np.array([[st.matrix for st in row] for row in nested.rho_xy]))
+            assert np.array_equal(stacked.states, nested.states)
+            iso = isometric_extension(rand_channel(rng, d_in, 2, 2))
+            got = [f(build_cq_state(stacked, iso)) for f in SIX]
+            want = [f(build_cq_state(nested, iso)) for f in SIX]
+            assert got == want
+
+    def test_rho_xy_reads_the_stored_stack(self, rng):
+        ens = rand_ensemble(rng, 2, 3, 2)
+        assert ens.states.shape == (2, 3, 2, 2) and ens.states.dtype == np.complex128
+        assert ens.dim_in == 2
+        for x in range(2):
+            for y in range(3):
+                assert np.array_equal(ens.rho_xy[x][y].matrix, ens.states[x, y])
+        with pytest.raises(ValueError):
+            ens.states[0, 0, 0, 0] = 1.0
+
+    def test_stack_is_copied_and_validated(self, rng):
+        stack = np.array([[rand_density(rng, 2).matrix, rand_density(rng, 2).matrix]])
+        ens = InputEnsemble(p_x=[1.0], p_y_given_x=[[0.5, 0.5]], rho_xy=stack)
+        stack[0, 0] = np.eye(2)
+        assert not np.array_equal(ens.states[0, 0], stack[0, 0])
+        with pytest.raises(ValidationError, match="trace"):
+            InputEnsemble(p_x=[1.0], p_y_given_x=[[0.5, 0.5]], rho_xy=stack)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 2, 2), (2, 2, 2, 2), (1, 2, 2, 3), (1, 2, 4)])
+    def test_stack_shape_must_match(self, shape):
+        with pytest.raises(DimensionError):
+            InputEnsemble(p_x=[1.0], p_y_given_x=[[0.5, 0.5]], rho_xy=np.zeros(shape))
+
     def test_json_round_trip(self, rng):
         ens = rand_ensemble(rng, 2, 3, 2)
         back = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(ens))))

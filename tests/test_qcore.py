@@ -10,6 +10,7 @@ from pubpriv.qcore import (
     partial_trace,
     tensor,
     trace_norm_distance,
+    validate_states,
     von_neumann_entropy,
 )
 
@@ -68,6 +69,30 @@ class TestDensityOperator:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             DensityOperator(np.ones((2, 3)))
+
+
+class TestValidateStates:
+    """One bad matrix in a (..., d, d) stack of good ones fails it, with DensityOperator's messages."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "PSD"),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, rng, bad, message):
+        stack = np.array([rand_density(rng, 2).matrix for _ in range(12)]).reshape(3, 4, 2, 2)
+        validate_states(stack)
+        stack[2, 1] = bad
+        with pytest.raises(ValidationError, match=message):
+            validate_states(stack)
+        with pytest.raises(ValidationError, match=message):
+            DensityOperator(bad)
+
+    def test_tolerance_is_validation_tol(self):
+        m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+        validate_states(m[None])
+        with pytest.raises(ValidationError, match="PSD"):
+            validate_states(np.diag([1.0 + 5e-10, -5e-10])[None])
 
 
 class TestSystemLabel:

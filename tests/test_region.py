@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pubpriv.region import (
     OptimizerConfig,
     RateTriple,
     RegionConstraints,
+    _Parametrization,
     devetak_rates,
     is_in_one_shot_region,
     one_shot_constraints,
@@ -244,3 +247,126 @@ class TestParetoSurface:
         assert rows[0][8] == FAST_CFG.seed
         assert PARETO_CSV_COLUMNS[-1] == "converged"
         assert rows[0][10] == int(samples[0].result.converged)
+
+
+ISO_DEPH_HALF = isometric_extension(dephasing_channel(0.5))
+ISO_DEPOL_03 = isometric_extension(depolarizing_channel(0.3))
+
+
+def _hex_and_digest(res):
+    ens = res.ensemble
+    digest = hashlib.sha256(ens.p_x.tobytes() + ens.p_y_given_x.tobytes() + ens.states.tobytes()).hexdigest()
+    abc = (res.constraints.a, res.constraints.b, res.constraints.c, res.objective)
+    return tuple(float(v).hex() for v in abc), digest[:16]
+
+
+class TestBitIdentity:
+    """(a, b, c, objective) and a digest of the witness, recorded with the per-state decoder
+    that built one DensityOperator per (x, y); Nelder-Mead's path turns on the last bit."""
+
+    @pytest.mark.parametrize("seed, want", [
+        (1, (("0x1.4e03227391d16p-4", "0x1.25ea6fe4ce379p-2", "0x1.25f106f18e8d2p-3", "0x1.cce56a11d6cabp-3"),
+             "199e13e680cf6ad6")),
+        (7, (("0x1.92b968d6a0fc0p-4", "0x1.c20ceaaf9edfcp-3", "0x1.c277342b255b0p-4", "0x1.aa2e05055cb04p-3"),
+             "4d167421af06a156")),
+    ])
+    def test_default_alphabets(self, seed, want):
+        res = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 1.0), OptimizerConfig(restarts=2, max_iters=8, seed=seed))
+        assert res.ensemble.states.shape == (5, 4, 2, 2)
+        assert _hex_and_digest(res) == want
+
+    def test_trivial_x(self):
+        res = optimize_region(ISO_DEPOL_03, 0.5, (0.0, 1.0),
+                              OptimizerConfig(restarts=2, max_iters=25, seed=1, alphabet_x=1))
+        assert _hex_and_digest(res) == (
+            ("0x0.0p+0", "0x1.8f7e91fe16196p-2", "0x1.082902882f1d3p-1", "0x1.7f2c8cedb7df0p-2"), "f09ea91156efdd07")
+
+    def test_mixed_states(self):
+        cfg = OptimizerConfig(restarts=2, max_iters=20, seed=3, alphabet_x=2, alphabet_y=2, pure_states_only=False)
+        res = optimize_region(ISO_DEPH_HALF, 0.5, (1.0, 1.0), cfg)
+        assert _hex_and_digest(res) == (
+            ("0x1.8345410000000p-29", "0x1.ffffffe1be931p-1", "0x1.9f5fd8901853fp-1", "0x1.60a02769da932p-1"),
+            "6dd3f479b3fee37a")
+
+
+def reference_state(raw, d, pure):
+    """One input state from its raw block, one state at a time, as the decoder did before it
+    worked on the whole stack."""
+    if pure:
+        v = raw[:d] + 1j * raw[d:]
+        if np.linalg.norm(v) < 1e-9:
+            v = np.eye(d)[0]
+        return DensityOperator.pure(v).matrix
+    a = (raw[: d * d] + 1j * raw[d * d:]).reshape(d, d)
+    m = a @ a.conj().T
+    tr = float(np.trace(m).real)
+    return DensityOperator.maximally_mixed(d).matrix if tr < 1e-12 else DensityOperator(m / tr).matrix
+
+
+class TestDecode:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_matches_the_per_state_reference(self, d, pure):
+        rng = np.random.default_rng(11)
+        par = _Parametrization(5, 4, d, pure)
+        for scale in (1e-3, 1.0, 30.0):
+            theta = par.random_start(rng) * scale
+            raw = theta[par.sl_states].reshape(5, 4, par.state_len)
+            raw[3, 1] = 0.0
+            theta[par.sl_states] = raw.reshape(-1)
+            ens = par.decode(theta)
+            want = [[reference_state(raw[x, y], d, pure) for y in range(4)] for x in range(5)]
+            assert np.array_equal(ens.states, np.array(want))
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_all_zero_state_block(self, pure):
+        par = _Parametrization(2, 3, 2, pure)
+        theta = par.random_start(np.random.default_rng(4))
+        raw = theta[par.sl_states].reshape(2, 3, par.state_len)
+        raw[1, 2] = 0.0
+        theta[par.sl_states] = raw.reshape(-1)
+        ens = par.decode(theta)
+        want = np.diag([1.0, 0.0]) if pure else np.eye(2) / 2
+        assert np.array_equal(ens.states[1, 2], want)
+        assert not np.array_equal(ens.states[0, 0], want)
+
+    def test_rows_of_p_y_given_x_are_softmaxes(self):
+        par = _Parametrization(3, 4, 2, True)
+        theta = par.random_start(np.random.default_rng(5))
+        ens = par.decode(theta)
+        for x, z in enumerate(theta[par.sl_py].reshape(3, 4)):
+            e = np.exp(z - z.max())
+            assert np.array_equal(ens.p_y_given_x[x], e / e.sum())
+
+
+class TestCertificates:
+    """Every emitted row is a member of the one-shot region of its own witness."""
+
+    @pytest.mark.parametrize("iso", [ISO_DEPOL_03, ISO_DEPH_HALF])
+    @pytest.mark.parametrize("cfg, r_s_list, weights", [
+        (OptimizerConfig(restarts=2, max_iters=8, seed=1), [0.0, 0.5], [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+        (OptimizerConfig(restarts=2, max_iters=25, seed=1, alphabet_x=1), [0.0, 0.5, 1.0], [(0.0, 1.0)]),
+    ])
+    def test_rows_are_members(self, iso, cfg, r_s_list, weights):
+        samples = pareto_surface(iso, r_s_list, weights, cfg)
+        for s, row in zip(samples, pareto_csv_rows(samples, cfg)):
+            res = s.result
+            rc = one_shot_constraints(res.ensemble, iso)
+            assert (rc.a, rc.b, rc.c) == (res.constraints.a, res.constraints.b, res.constraints.c)
+            assert is_in_one_shot_region(res.achieved, rc)
+            assert row[3:8] == (res.achieved.R, res.achieved.P, rc.a, rc.b, rc.c)
+
+    def test_skp_without_key_on_a_leaky_channel(self):
+        """b - c < 0 for every witness here, so P = 0 is certified by the Y-collapsed witness."""
+        res = optimize_region(ISO_DEPOL_03, 0.0, (0.0, 1.0),
+                              OptimizerConfig(restarts=2, max_iters=25, seed=1, alphabet_x=1))
+        assert res.ensemble.states.shape == (1, 1, 2, 2)
+        assert (res.constraints.b, res.constraints.c, res.achieved.P) == (0.0, 0.0, 0.0)
+        assert is_in_one_shot_region(res.achieved, res.constraints, tol=0.0)
+
+    def test_collapse_keeps_the_public_rate(self):
+        res = optimize_region(ISO_DEPOL_03, 0.0, (1.0, 0.0), OptimizerConfig(restarts=2, max_iters=8, seed=1))
+        assert res.ensemble.states.shape == (5, 1, 2, 2)
+        assert (res.constraints.b, res.constraints.c) == (0.0, 0.0)
+        assert res.objective > 0.05
+        assert abs(res.constraints.a - res.objective) < 1e-12
