@@ -40,16 +40,18 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 def validate_states(m: np.ndarray) -> None:
     """Raise ValidationError unless every matrix of the (..., d, d) stack is Hermitian, of unit
-    trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack."""
+    trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack.
+    The checks are written so that NaN fails them: a NaN or infinite entry makes max |M - M†| NaN or inf."""
     herm = np.max(np.abs(m - _dagger(m)))
-    if herm > VALIDATION_TOL:
-        raise ValidationError(f"not Hermitian: max |M - M†| = {herm:.3e}")
+    if not herm <= VALIDATION_TOL:
+        what = "not Hermitian" if np.isfinite(herm) else "non-finite entry"
+        raise ValidationError(f"{what}: max |M - M†| = {herm:.3e}")
     traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     tr = traces[np.argmax(np.abs(traces - 1.0))]
-    if abs(tr - 1.0) > VALIDATION_TOL:
+    if not abs(tr - 1.0) <= VALIDATION_TOL:
         raise ValidationError(f"trace is {tr:.12f}, expected 1")
     lo = float(np.linalg.eigvalsh(_hermitize(m)).min())
-    if lo < -VALIDATION_TOL:
+    if not lo >= -VALIDATION_TOL:
         raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
 
 

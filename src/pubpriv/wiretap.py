@@ -739,11 +739,23 @@ class SecurityReport:
 
 
 def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(M, |E|^n) product distributions of Eve's word-conditioned outputs."""
-    m, n = words.shape
-    out = np.ones((m, 1))
+    """(R, |E|^n) product laws ((1·p_0)·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
+
+    One table filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of
+    about ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
+    (rows, n), q = words.shape, p_eve.shape[1]
+    out = np.empty((rows, q ** n))
+    out[:, 0] = 1.0
+    chunk = max(1, _BLOCK_SYMBOLS // rows)
+    src = np.empty((rows, min(chunk, q ** (n - 1))))
     for i in range(n):
-        out = (out[:, :, None] * p_eve[words[:, i]][:, None, :]).reshape(m, -1)
+        p_i = p_eve[words[:, i]]
+        for lo in range((q ** i - 1) // chunk * chunk, -1, -chunk):
+            c = min(chunk, q ** i - lo)
+            np.copyto(src[:, :c], out[:, lo: lo + c])
+            dst = out[:, lo * q: (lo + c) * q].reshape(rows, c, q)  # a view: splits contiguous columns
+            for e in range(q):
+                np.multiply(src[:, :c], p_i[:, e: e + 1], out=dst[:, :, e])
     return out
 
 
@@ -752,14 +764,16 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     """Exact (enumerated) or importance-sampled secrecy distances.
 
     Exact mode enumerates Eve's |E|^n outcomes (budget 2^20, with a
-    secondary M·|E|^n memory guard), one (M + S - 1, |E|^n) table at a time.
+    secondary M·|E|^n memory guard) in one (M + S - 1, |E|^n) table per
+    public message, filled in place.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
     upward, more so the more messages are probed, and its standard error is
-    that of the winning mean alone. ``messages`` restricts the (k, m) pairs
-    probed; by default all pairs are probed, which requires an eagerly
-    materialized codebook.
+    that of the winning mean alone. Each (k, m) scores its trials in blocks,
+    drawn in trial order from its own seeded stream. ``messages`` restricts
+    the (k, m) pairs probed; by default all pairs are probed, which requires
+    an eagerly materialized codebook.
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValidationError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
@@ -792,41 +806,49 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                     np.subtract(w[lo: lo + len(t)], pbar, out=t)
                     np.abs(t, out=t).sum(axis=1, out=d_p[lo: lo + rows])
             best_full = max(best_full, float(d_p[(m + np.arange(S)) % M].mean()))
-            mix = w[m: m + S].mean(axis=0)
-            mix -= pbar
-            best_msg = max(best_msg, float(np.abs(mix, out=mix).sum()))
-        return SecurityReport(full_criterion=best_full, message_secrecy=best_msg, mode="exact")
+            if S > 1:  # with S = 1 the key mixture of m is row m itself, whose distance is d_p[m]
+                mix = w[m: m + S].mean(axis=0)
+                mix -= pbar
+                best_msg = max(best_msg, float(np.abs(mix, out=mix).sum()))
+        return SecurityReport(full_criterion=best_full, message_secrecy=best_msg if S > 1 else best_full,
+                              mode="exact")
 
     if codebook.is_lazy:
         raise BudgetError("Monte-Carlo security needs every inner word for the reference mixture; "
                           "lazy codebooks are not supported")
     with np.errstate(divide="ignore"):
-        log_eve = np.log(p_eve)
-    best_full = (-np.inf, 0.0)
-    best_msg = (-np.inf, 0.0)
+        log_eve = np.log(p_eve).ravel()  # log_eve[a·|E| + e] = log p(e | a)
+    # Eve's output for a uniform u is the number of these CDF cuts below u: _sample_channel_outputs' draw
+    cuts, q, T = np.cumsum(p_eve, axis=1)[:, :-1].T, ch.size_e, cfg.trials
+    per = max(1, min(T, _BLOCK_SYMBOLS // (M * n)))  # trials per block: one gather of about _BLOCK_SYMBOLS
+    keys, refs = np.empty((2, per), dtype=np.intp)
+    u, ll = np.empty((per, n)), np.empty((per, M))
+    idx, g = np.empty((per, M, n), dtype=np.intp), np.empty((per, M, n))
+    best_full = best_msg = (-np.inf, 0.0)
     for k, m in messages:
         words = codebook.inner_block(k, 0, M)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SECURITY, k, m]))
         pad = (m + np.arange(S)) % M  # entry s ↦ word f(m, s)
-        r_full = np.empty(cfg.trials)
-        r_msg = np.empty(cfg.trials)
-        for t in range(cfg.trials):
-            s = int(rng.integers(S))
-            ref_p = int(rng.integers(M))
-            e_seq = _sample_channel_outputs(rng, p_eve, words[ref_p])
-            ll_all = log_eve[words, e_seq[None, :]].sum(axis=1)
-            log_pbar = float(np.logaddexp.reduce(ll_all)) - math.log(M)
-            ll_pad = ll_all[pad]
-            r_full[t] = abs(math.exp(ll_pad[s] - log_pbar) - 1.0)
-            log_q = float(np.logaddexp.reduce(ll_pad)) - math.log(S)
-            r_msg[t] = abs(math.exp(log_q - log_pbar) - 1.0)
-        for est, holder in ((r_full, "full"), (r_msg, "msg")):
-            mean = float(est.mean())
-            se = float(est.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-            if holder == "full" and mean > best_full[0]:
-                best_full = (mean, se)
-            if holder == "msg" and mean > best_msg[0]:
-                best_msg = (mean, se)
+        r_full, r_msg = np.empty(T), np.empty(T)
+        for lo in range(0, T, per):
+            c = min(per, T - lo)
+            for t in range(c):  # trial by trial: its key s, its reference word, then Eve's uniforms
+                keys[t], refs[t] = rng.integers(S), rng.integers(M)
+                rng.random(out=u[t])
+            e_seq = (cuts[:, words[refs[:c]]] < u[:c]).sum(axis=0)
+            np.add(words * q, e_seq[:, None, :], out=idx[:c])
+            np.take(log_eve, idx[:c], out=g[:c], mode="clip")  # "raise" would buffer out; indices are in range
+            g[:c].sum(axis=2, out=ll[:c])
+            log_pbar = np.logaddexp.reduce(ll[:c], axis=1) - math.log(M)
+            ll_pad = ll[:c, pad]
+            log_q = np.logaddexp.reduce(ll_pad, axis=1) - math.log(S)
+            # math.exp, not np.exp: numpy's SIMD exp differs from libm's in the last bit on some inputs
+            r_full[lo: lo + c] = list(map(math.exp, (ll_pad[np.arange(c), keys[:c]] - log_pbar).tolist()))
+            r_msg[lo: lo + c] = list(map(math.exp, (log_q - log_pbar).tolist()))
+        full, msg = [(float(r.mean()), float(r.std(ddof=1) / math.sqrt(T)) if T > 1 else 0.0)
+                     for r in (np.abs(r_full - 1.0), np.abs(r_msg - 1.0))]
+        best_full = max(best_full, full, key=lambda b: b[0])  # ties keep the earlier message
+        best_msg = max(best_msg, msg, key=lambda b: b[0])
     return SecurityReport(full_criterion=best_full[0], message_secrecy=best_msg[0], mode="monte_carlo",
                           std_err_full=best_full[1], std_err_message=best_msg[1])
 

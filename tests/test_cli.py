@@ -163,6 +163,19 @@ class TestEntropyCommand:
         assert abs(doc["I_YB_given_X"] - 1.0) < 1e-12
         assert abs(doc["I_YE_given_X"] - 1.0) < 1e-12
 
+    def test_nan_in_ensemble_is_a_validation_error(self, tmp_path):
+        ens = InputEnsemble.over_y([0.5, 0.5], [DensityOperator.basis_state(0, 2),
+                                                DensityOperator.basis_state(1, 2)])
+        doc = ensemble_to_json(ens)
+        text = json.dumps(doc).replace("1.0, 0.0", "NaN, 0.0", 1)
+        assert "NaN" in text
+        path = tmp_path / "ens.json"
+        path.write_text(text)
+        r = run_cli(["entropy", "--zoo", "dephasing", "--p", "1.0", "--ensemble", path], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "non-finite entry" in r.stderr
+        assert "converge" not in r.stderr
+
 
 class TestReplay:
     def test_region_replay_byte_identical(self, tmp_path):

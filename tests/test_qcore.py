@@ -88,6 +88,18 @@ class TestValidateStates:
         with pytest.raises(ValidationError, match=message):
             DensityOperator(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_fails(self, entry):
+        """Every comparison with NaN is false, so the checks are phrased to fail on it."""
+        for idx in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex) / 2
+            m[idx] = entry
+            with pytest.raises(ValidationError, match="non-finite"):
+                with np.errstate(invalid="ignore"):
+                    validate_states(m[None])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator(np.full((2, 2), np.nan))
+
     def test_tolerance_is_validation_tol(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         validate_states(m[None])

@@ -513,6 +513,69 @@ def security_oracle(cb, cfg, ch):
     return best_full, best_msg
 
 
+def broadcast_chain(p_eve, words):
+    """Eve's product table grown by one broadcast per position: the reference for the in-place fill."""
+    m, n = words.shape
+    out = np.ones((m, 1))
+    for i in range(n):
+        out = (out[:, :, None] * p_eve[words[:, i]][:, None, :]).reshape(m, -1)
+    return out
+
+
+# A three-output Eve on a binary input: a non-square p(e|a).
+EVE3 = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.6, 0.3, 0.1], [0.15, 0.25, 0.6]]))
+TWO_LAYER_LAW = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
+
+# Monte-Carlo hex values (full, message, std_err_full, std_err_message), recorded with the per-trial loop.
+MC_CASES = {
+    "S=1": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=16, S=1, delta=0.5, seed=1, trials=120),
+            UNIFORM2, None,
+            ("0x1.d3fddf5090d8dp+0", "0x1.d3fddf5090d8dp+0", "0x1.184a7b39d6526p-2", "0x1.184a7b39d6526p-2")),
+    "S=8": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=12, M=32, S=8, delta=0.5, seed=2, trials=150),
+            UNIFORM2, None,
+            ("0x1.306816a7b036ep+1", "0x1.f1503838e910ep-1", "0x1.c64a50a2bd439p-2", "0x1.b6ba0456829b0p-5")),
+    "S=3": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=12, S=3, delta=0.5, seed=3, trials=97),
+            UNIFORM2, None,
+            ("0x1.a0fa52441b9e2p+0", "0x1.29ae746ef6f1dp+0", "0x1.bd2ccaddc1965p-3", "0x1.35eddeedffd58p-4")),
+    "two-layer": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7, trials=60),
+                  TWO_LAYER_LAW, None,
+                  ("0x1.926eca0b21d73p+0", "0x1.3dc8143f5a319p-1", "0x1.9858fe8f6ce0fp-3",
+                   "0x1.1400f4312e059p-5")),
+    "messages": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=9, M=8, S=4, K_pub=4, delta=0.4, seed=5, trials=80),
+                 TWO_LAYER_LAW, [(3, 1), (0, 6), (2, 2)],
+                 ("0x1.1a83c4f970882p+0", "0x1.d05e6a476a7e3p-2", "0x1.ef92717e9cdcdp-4",
+                  "0x1.27a35693f3a06p-5")),
+    "|E|=3": (EVE3, dict(n=8, M=8, S=2, delta=0.9, seed=4, trials=90), UNIFORM2, None,
+              ("0x1.691391dd01aabp+0", "0x1.0e3b8a2facc0ap+0", "0x1.2b63a60c740c3p-3", "0x1.14dfebdb6dd62p-4")),
+}
+
+
+def mc_hex(case):
+    ch, kw, law, messages, _ = MC_CASES[case]
+    cfg = CodeConfig(**kw)
+    rep = security_distance(generate_codebook(cfg, ch, law), cfg, ch, mode="monte_carlo", messages=messages)
+    return tuple(v.hex() for v in (rep.full_criterion, rep.message_secrecy, rep.std_err_full, rep.std_err_message))
+
+
+class TestEveProductRows:
+    @pytest.mark.parametrize("block", [None, 1, 9 * 5, 9 * 64])
+    def test_equals_the_broadcast_chain_for_three_outputs(self, monkeypatch, block):
+        """M + S - 1 rows of a non-square |E| = 3 channel; column chunks of 1, 5, 64 and the default."""
+        cfg = CodeConfig(n=7, M=6, S=4, delta=0.9, seed=4)
+        words = generate_codebook(cfg, EVE3, UNIFORM2).inner_block(0, 0, cfg.M)[np.arange(cfg.M + cfg.S - 1) % cfg.M]
+        if block is not None:
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", block)
+        got = wt._eve_product_rows(EVE3.p_eve, words)
+        assert got.shape == (9, 3 ** 7)
+        assert got.tobytes() == broadcast_chain(EVE3.p_eve, words).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_equals_the_broadcast_chain_for_a_binary_eve(self, n):
+        p_eve = np.array([[0.7, 0.3], [0.1, 0.9]])
+        words = np.random.default_rng(n).integers(0, 2, size=(5, n))
+        assert wt._eve_product_rows(p_eve, words).tobytes() == broadcast_chain(p_eve, words).tobytes()
+
+
 class TestSecurity:
     def test_full_rate_key_message_secrecy_vanishes(self):
         for seed in (1, 2, 3):
@@ -529,6 +592,14 @@ class TestSecurity:
         rep = security_distance(cb, cfg, ch, mode="exact")
         assert rep.full_criterion <= 1e-12
         assert rep.message_secrecy <= 1e-12
+
+    def test_one_output_eve_sees_nothing(self):
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), np.ones((2, 1)))
+        cfg = CodeConfig(n=6, M=4, S=2, delta=0.9, seed=3, trials=30)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        for mode in ("exact", "monte_carlo"):
+            rep = security_distance(cb, cfg, ch, mode=mode)
+            assert (rep.full_criterion, rep.message_secrecy) == (0.0, 0.0)
 
     def test_noiseless_eve_two_messages(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.05), noiseless(2))
@@ -571,7 +642,7 @@ class TestSecurity:
         assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == ("0x1.27304039abf36p+0", "0x1.28fefccac15a0p-1")
 
     def test_exact_mode_holds_one_table(self):
-        """Peak traced memory stays below two (M, |E|^n) tables (three with whole-table temporaries)."""
+        """Peak traced memory stays below 1.25 (M, |E|^n) tables: the table is filled in place."""
         import tracemalloc
 
         ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
@@ -584,7 +655,7 @@ class TestSecurity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table <= peak < 2 * table
+        assert table <= peak < 1.25 * table
 
     def test_key_monotonicity(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.8, 0.2], [0.25, 0.75]]))
@@ -617,6 +688,16 @@ class TestSecurity:
             ok_msg = abs(exact.message_secrecy - mc.message_secrecy) <= 3 * max(mc.std_err_message, 1e-12)
             hits += ok_full and ok_msg
         assert hits >= 0.95 * cases
+
+    @pytest.mark.parametrize("case", list(MC_CASES))
+    def test_monte_carlo_values_are_pinned(self, case):
+        assert mc_hex(case) == MC_CASES[case][-1]
+
+    @pytest.mark.parametrize("per", [1, 7, 97])
+    def test_monte_carlo_trial_blocks_change_no_bit(self, monkeypatch, per):
+        """97 trials scored one at a time, in 7-trial blocks with a short tail, and in one block."""
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", per * 12 * 10)  # M·n = 120 symbols per trial
+        assert mc_hex("S=3") == MC_CASES["S=3"][-1]
 
     def test_monte_carlo_deterministic(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
