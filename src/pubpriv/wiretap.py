@@ -17,6 +17,11 @@ Determinism: codewords are a pure function of (seed, layer, k, m, rejection
 round, position) through a counter-based hash compared with integer CDF
 thresholds (no float rounding), so lazy, eager, serial and parallel generation
 agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index).
+
+Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``.
+On an eager codebook they replay numpy's pairwise row sum from per-lane
+lookup tables: lane codes are encoded once per codebook, the tables once per
+received word (``_lane_scores``; ``TestLaneScores`` guards the sum order).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product as _iproduct
 
 import numpy as np
@@ -54,9 +60,16 @@ _TAG_OUTER, _TAG_INNER, _TAG_TRIAL, _TAG_SECURITY, _TAG_PERMSG = 3, 5, 7, 11, 13
 
 @dataclass(frozen=True, eq=False)
 class ClassicalWiretap:
-    """Joint conditional law p(b, e | a) on finite alphabets."""
+    """Joint conditional law p(b, e | a) on finite alphabets.
+
+    The marginals and Bob's log-likelihood and CDF tables are computed once, as read-only arrays.
+    """
 
     p_joint: np.ndarray  # (|A|, |B|, |E|)
+    p_main: np.ndarray = field(init=False, repr=False)  # Bob's marginal p(b|a)
+    p_eve: np.ndarray = field(init=False, repr=False)  # Eve's marginal p(e|a)
+    _log_main: np.ndarray = field(init=False, repr=False)  # log p(b|a), the ML score table
+    _cdf_main: np.ndarray = field(init=False, repr=False)  # Σ_{b' <= b} p(b'|a), for _sample_channel_outputs
 
     def __post_init__(self):
         t = np.array(self.p_joint, dtype=float)
@@ -68,8 +81,14 @@ class ClassicalWiretap:
         if np.max(np.abs(sums - 1.0)) > PROB_TOL:
             raise ValidationError(f"p(b,e|a) must sum to 1 for every a; sums {sums}")
         np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 (say 1 - 0.9 - 0.1) would log to NaN
-        t.flags.writeable = False
-        object.__setattr__(self, "p_joint", t)
+        p_main = t.sum(axis=2)
+        with np.errstate(divide="ignore"):
+            log_main = np.log(p_main)
+        tables = {"p_joint": t, "p_main": p_main, "p_eve": t.sum(axis=1), "_log_main": log_main,
+                  "_cdf_main": np.cumsum(p_main, axis=1)}
+        for name, value in tables.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def size_a(self) -> int:
@@ -82,16 +101,6 @@ class ClassicalWiretap:
     @property
     def size_e(self) -> int:
         return self.p_joint.shape[2]
-
-    @property
-    def p_main(self) -> np.ndarray:
-        """Bob's marginal p(b|a)."""
-        return self.p_joint.sum(axis=2)
-
-    @property
-    def p_eve(self) -> np.ndarray:
-        """Eve's marginal p(e|a)."""
-        return self.p_joint.sum(axis=1)
 
     @classmethod
     def from_marginals(cls, p_b_given_a, p_e_given_a) -> "ClassicalWiretap":
@@ -451,6 +460,11 @@ class Codebook:
         """The channel-input word for public message k and inner index p."""
         return self.inner_block(k, p, p + 1)[0]
 
+    @cached_property
+    def _lanes(self) -> "_Lanes":
+        """The eager inner words' lane codes, encoded at first use for ``_lane_scores``."""
+        return _encode_lanes(self.inner_words)
+
 
 def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray) -> np.ndarray:
     """Rejection-sample typical words for the given stream ids.
@@ -559,8 +573,9 @@ def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Σ_i cols[i, words[r, i]] for every row r of the (R, n) words; cols is (n, |A|).
 
     With cols = table[:, b].T this sums the values of ``table[words, b[None, :]].sum(axis=1)`` in the
-    same order, so scores are bit-identical to that gather (ML ties turn on the last bit). Rows go in
-    blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``.
+    same order, so scores are bit-identical to that gather (JT window edges turn on the last bit). Rows go
+    in blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``. It scores lazy JT chunks:
+    each is used once, and encoding it for ``_lane_scores`` would cost more than this gather.
     """
     count, n = words.shape
     flat = cols.ravel()
@@ -577,9 +592,100 @@ def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loglik_table(ch: ClassicalWiretap) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(ch.p_main)
+#: Entries of the largest lookup table of the lane scorer.
+_LANE_TABLE_CAP = 1 << 12
+
+
+@dataclass(frozen=True, eq=False)
+class _Lanes:
+    """The (K, M, n) inner words of an eager codebook as indices into lookup tables of partial row sums.
+
+    For n <= 128 numpy's row sum is 0.0 + a pairwise sum: for n >= 8 lane j adds positions j, j+8, ... (below
+    n - n mod 8) in order, the lanes meet as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the tail follows in order;
+    for n < 8 one lane adds every position (starting it from its first value, not 0.0, changes only the sign of
+    a zero, which the final 0.0 + restores). A lane's first t positions, q^t <= ``_LANE_TABLE_CAP`` (t >= 1),
+    share one table over their q^t codes; the later ones and the tail (``extra``) are looked up one by one.
+    When whole lanes fit, neighbours in the tree share a table too while it stays within the cap.
+    """
+
+    q: int  # symbols are 0 .. q-1
+    tabled: np.ndarray  # (lanes, t) positions; lanes is 8, or 1 for n < 8
+    groups: int  # tables after merging neighbour lanes: 8, 4, 2 or 1
+    steps: int  # untabled positions per lane (0 when lanes are merged)
+    extra: np.ndarray  # the untabled positions, lane by lane within each step, then the tail
+    codes: np.ndarray  # (groups + extra.size, K·M) indices into _lane_tables, smallest unsigned dtype
+
+
+def _encode_lanes(words: np.ndarray) -> _Lanes:
+    """Each table's code d_0·q^(w-1) + ... + d_(w-1) of its w positions (Horner), plus the table's offset."""
+    K, M, n = words.shape
+    q = int(words.max()) + 1
+    lanes = np.arange(n)[None, :] if n < 8 else np.arange(n - n % 8).reshape(-1, 8).T
+    t = 1
+    while t < lanes.shape[1] and q ** (t + 1) <= _LANE_TABLE_CAP:
+        t += 1
+    groups = lanes[:, :t]  # row g: the positions of table g, in summation order
+    # Only whole lanes merge: with t < L, q^(t+1) and so q^(2t) exceed the cap.
+    while len(groups) > 1 and q ** (2 * groups.shape[1]) <= _LANE_TABLE_CAP:
+        groups = groups.reshape(len(groups) // 2, -1)  # lanes 2g and 2g+1, one after the other
+    extra = np.concatenate([lanes[:, t:].T.ravel(), np.arange(lanes.size, n)])
+    size = len(groups) * q ** groups.shape[1]  # entries of the merged tables; the extra columns follow
+    offsets = np.concatenate([np.arange(len(groups)) * q ** groups.shape[1], size + np.arange(extra.size) * q])
+    flat = words.reshape(K * M, n)
+    codes = np.empty((offsets.size, K * M), dtype=np.min_scalar_type(size + extra.size * q - 1))
+    rows = max(1, _BLOCK_SYMBOLS // n)
+    for lo in range(0, K * M, rows):
+        w = flat[lo: lo + rows]
+        c = w[:, groups[:, 0]]
+        for i in range(1, groups.shape[1]):
+            c *= q
+            c += w[:, groups[:, i]]
+        codes[: len(groups), lo: lo + rows] = (c + offsets[: len(groups)]).T
+        codes[len(groups):, lo: lo + rows] = (w[:, extra] + offsets[len(groups):]).T
+    return _Lanes(q=q, tabled=lanes[:, :t], groups=len(groups), steps=lanes.shape[1] - t, extra=extra,
+                  codes=codes)
+
+
+def _lane_tables(cols: np.ndarray, lanes: _Lanes) -> np.ndarray:
+    """Flat lookup tables for the (n, |A|) score columns of one received word: the lanes' partial sums added
+    by broadcast in each lane's order, neighbours merged as the tree adds them, then the ``extra`` columns."""
+    cols, tabled = cols[:, : lanes.q], lanes.tabled
+    tab = cols[tabled[:, 0]]
+    for i in range(1, tabled.shape[1]):
+        tab = (tab[:, :, None] + cols[tabled[:, i]][:, None, :]).reshape(len(tabled), -1)
+    while len(tab) > lanes.groups:
+        tab = (tab[0::2, :, None] + tab[1::2, None, :]).reshape(len(tab) // 2, -1)
+    return np.concatenate([tab.ravel(), cols[lanes.extra].ravel()])
+
+
+def _lane_scores(tables: np.ndarray, lanes: _Lanes, codes: np.ndarray) -> np.ndarray:
+    """Row sums of the words behind the (C, R) ``codes``: ``table[words, b[None, :]].sum(axis=1)`` to the bit.
+
+    Words look up their C values in one ``np.take`` per block of about ``_BLOCK_SYMBOLS`` values, then add
+    them as numpy's pairwise sum would: the untabled steps into the lanes, the rest of the tree, the tail, 0.0.
+    """
+    width, count = codes.shape
+    nl = lanes.groups
+    rows = max(1, min(count, _BLOCK_SYMBOLS // width))
+    idx = np.empty((width, rows), dtype=np.intp)
+    g = np.empty((width, rows))
+    out = np.empty(count)
+    for lo in range(0, count, rows):
+        m = min(rows, count - lo)
+        np.copyto(idx[:, :m], codes[:, lo: lo + m])
+        np.take(tables, idx[:, :m], out=g[:, :m], mode="clip")  # "raise" would buffer out; indices are in range
+        r = g[:nl, :m]
+        for s in range(1, 1 + lanes.steps):
+            r += g[s * nl: (s + 1) * nl, :m]
+        while len(r) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), from whichever level the tables reach
+            np.add(r[0::2], r[1::2], out=r[0::2])
+            r = r[0::2]
+        res = out[lo: lo + m]
+        np.copyto(res, r[0])
+        for c in range(nl * (1 + lanes.steps), width):
+            res += g[c, :m]
+    out += 0.0  # the reduction's start value: turns -0.0 into 0.0
+    return out
 
 
 def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
@@ -604,25 +710,38 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     candidate whose pair (or triple, two-layer) surprisal rate falls within
     the δ-window; zero or several candidates is a decode failure, returned
     as None and counted as an error by the callers.
+
+    Scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``, so
+    ties and window edges turn on the same last bit. On an eager codebook
+    they come from the words' lane codes, encoded once per codebook, and
+    lookup tables built once per received word (``_lane_scores``: this
+    replays numpy's pairwise row sum). Lazy JT chunks, used once each,
+    gather their words directly (``_row_scores``).
     """
     b = np.asarray(b_seq, dtype=np.intp)
     K, M = cfg.K_pub, cfg.M
     if cfg.decoder == "ML":
         if K * M > ML_BUDGET:
             raise BudgetError(f"ML decoding budget exceeded: K_pub*M = {K * M} > {ML_BUDGET}")
-        ll = _row_scores(_loglik_table(ch)[:, b].T, codebook.inner_words.reshape(K * M, cfg.n))
+        lanes = codebook._lanes
+        ll = _lane_scores(_lane_tables(ch._log_main[:, b].T, lanes), lanes, lanes.codes)
         return divmod(int(np.argmax(ll)), M)  # first maximum = lexicographically smallest (k, p)
 
     v, h = _jt_tables(codebook, ch)
+    lanes = None if codebook.is_lazy else codebook._lanes
     hits = []
     scanned = 0
     chunk = 65536
     for k in range(K):
         cols = v[codebook.outer_words[k], :, b] if codebook.two_layer else v[:, b].T
+        tables = None if lanes is None else _lane_tables(cols, lanes)
         lo = 0
         while lo < M:
             hi = min(M, lo + chunk)
-            score = _row_scores(cols, codebook.inner_block(k, lo, hi))
+            if lanes is None:
+                score = _row_scores(cols, codebook.inner_block(k, lo, hi))
+            else:
+                score = _lane_scores(tables, lanes, lanes.codes[:, k * M + lo: k * M + hi])
             ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
             for idx in ok[:2]:
                 hits.append((k, lo + int(idx)))
@@ -664,10 +783,10 @@ def _binomial_ci(x: int, n: int, conf: float = 0.95):
     return lo, hi
 
 
-def _sample_channel_outputs(rng: np.random.Generator, table: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(table, axis=1)[a_seq]
+def _sample_channel_outputs(rng: np.random.Generator, cdf: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outputs for the input word a_seq; cdf is ``np.cumsum(p(b|a), axis=1)``."""
     u = rng.random(a_seq.size)
-    return np.minimum((cdf < u[:, None]).sum(axis=1), table.shape[1] - 1)
+    return np.minimum((cdf[a_seq] < u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: np.random.Generator,
@@ -679,7 +798,7 @@ def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: n
     s = int(rng.integers(cfg.S))
     p = encrypt(m, s, cfg.M)
     a_seq = codebook.word(k, p)
-    b_seq = _sample_channel_outputs(rng, ch.p_main, a_seq)
+    b_seq = _sample_channel_outputs(rng, ch._cdf_main, a_seq)
     return k, p, decode(b_seq, codebook, cfg, ch)
 
 
@@ -729,6 +848,8 @@ class SecurityReport:
     ``full_criterion`` keeps Eve's view joint with the key register;
     ``message_secrecy`` marginalizes the key. Both are unnormalized L1
     distances in [0, 2]. Monte-Carlo mode carries standard errors.
+    ``messages_probed`` counts the distinct (k, m) pairs the maxima range
+    over; in Monte-Carlo mode their upward bias grows with it.
     """
 
     full_criterion: float
@@ -736,6 +857,7 @@ class SecurityReport:
     mode: str
     std_err_full: float | None = None
     std_err_message: float | None = None
+    messages_probed: int | None = None
 
 
 def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -769,11 +891,12 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
-    upward, more so the more messages are probed, and its standard error is
-    that of the winning mean alone. Each (k, m) scores its trials in blocks,
-    drawn in trial order from its own seeded stream. ``messages`` restricts
-    the (k, m) pairs probed; by default all pairs are probed, which requires
-    an eagerly materialized codebook.
+    upward, more so the more messages are probed (the report's
+    ``messages_probed``), and its standard error is that of the winning mean
+    alone. Each (k, m) scores its trials in blocks, drawn in trial order from
+    its own seeded stream. ``messages`` restricts the (k, m) pairs probed; by
+    default all pairs are probed, which requires an eagerly materialized
+    codebook.
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValidationError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
@@ -783,6 +906,8 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         if codebook.is_lazy:
             raise BudgetError("probing all (k, m) pairs needs an eager codebook; pass `messages`")
         messages = [(k, m) for k in range(K) for m in range(M)]
+    messages = [(int(k), int(m)) for k, m in messages]
+    probed = len(set(messages))
 
     if mode == "exact":
         size = ch.size_e ** n
@@ -811,7 +936,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                 mix -= pbar
                 best_msg = max(best_msg, float(np.abs(mix, out=mix).sum()))
         return SecurityReport(full_criterion=best_full, message_secrecy=best_msg if S > 1 else best_full,
-                              mode="exact")
+                              mode="exact", messages_probed=probed)
 
     if codebook.is_lazy:
         raise BudgetError("Monte-Carlo security needs every inner word for the reference mixture; "
@@ -850,7 +975,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         best_full = max(best_full, full, key=lambda b: b[0])  # ties keep the earlier message
         best_msg = max(best_msg, msg, key=lambda b: b[0])
     return SecurityReport(full_criterion=best_full[0], message_secrecy=best_msg[0], mode="monte_carlo",
-                          std_err_full=best_full[1], std_err_message=best_msg[1])
+                          std_err_full=best_full[1], std_err_message=best_msg[1], messages_probed=probed)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,17 @@ class TestChannelModel:
         ch = ClassicalWiretap.bsc_pair(0.0, 0.5)
         assert np.allclose(ch.p_main, np.eye(2))
 
+    def test_channel_tables_are_computed_once_and_read_only(self):
+        ch = ClassicalWiretap(np.random.default_rng(0).dirichlet(np.ones(6), size=3).reshape(3, 2, 3))
+        with np.errstate(divide="ignore"):
+            want = {"p_main": ch.p_joint.sum(axis=2), "p_eve": ch.p_joint.sum(axis=1),
+                    "_log_main": np.log(ch.p_joint.sum(axis=2)), "_cdf_main": np.cumsum(ch.p_joint.sum(axis=2), axis=1)}
+        for name, value in want.items():
+            table = getattr(ch, name)
+            assert table is getattr(ch, name) and table.tobytes() == value.tobytes(), name
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_laws_rejected(self, bad):
         """NaN fails every < and > check, so each law is tested for finiteness first."""
@@ -253,6 +264,146 @@ class TestRowScores:
             assert np.array_equal(wt._row_scores(table[:, b].T, words), want)
 
 
+def _pairwise_row_sum(row) -> float:
+    """numpy's row sum of n <= 128 values, one float add at a time: the reduction's 0.0 plus the pairwise sum,
+    which keeps 8 lane accumulators for n >= 8 and is a plain sequential sum from 0.0 for n < 8."""
+    n = len(row)
+    if n < 8:
+        res = 0.0
+        for x in row:
+            res += x
+    else:
+        r = list(row[:8])
+        for i in range(8, n - n % 8):
+            r[i % 8] += row[i]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in row[n - n % 8:]:
+            res += x
+    return 0.0 + res
+
+
+class TestLaneScores:
+    """ML and eager JT scores come from per-lane lookup tables that replay numpy's pairwise row sum, so they
+    equal ``table[words, b[None, :]].sum(axis=1)`` to the last bit, the sign of zero included."""
+
+    @staticmethod
+    def _tables(rng, q):
+        """(q, min(q, 3)) tables: TestRowScores' ones with rows indexed modulo 3, wide noise, signed zeros."""
+        shape = (q, min(q, 3))
+        tables = {name: t[np.arange(q) % 3, : shape[1]] for name, t in TestRowScores._tables(rng, 3).items()}
+        tables["noisy"] = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+        tables["zeros"] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        return tables
+
+    @staticmethod
+    def _check(words, b, table):
+        lanes = wt._encode_lanes(words[None])
+        got = wt._lane_scores(wt._lane_tables(table[:, b].T, lanes), lanes, lanes.codes)
+        want = table[words, b[None, :]].sum(axis=1)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        return lanes
+
+    def test_numpy_row_sum_is_the_8_lane_pairwise_sum(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 129):
+            a = rng.standard_normal((6, n)) * np.exp(rng.uniform(-40, 40, (6, n)))  # order-sensitive sums
+            a[0] = -0.0
+            want = np.array([_pairwise_row_sum(row.tolist()) for row in a])
+            assert a.sum(axis=1).tobytes() == want.tobytes(), (
+                f"numpy's row sum at n={n} is no longer 0.0 + the 8-lane pairwise sum; ML and eager JT scoring "
+                f"(wiretap._lane_scores) replay that order and would no longer be bit-identical to it")
+
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [40, 63, 64, 65, 127, 128])
+    def test_equals_the_2d_gather(self, n):
+        rng = np.random.default_rng(n)
+        for q in (1, 2, 3, 5):
+            words = rng.integers(0, q, size=(300, n))
+            words[0] = 0  # with b = 0 below, a row of -0.0 entries in the "zeros" table
+            b = rng.integers(0, min(q, 3), size=n)
+            b[: n // 2] = 0
+            for name, table in self._tables(rng, q).items():
+                self._check(words, b, table)
+
+    @pytest.mark.parametrize("q, n, tabled, steps, groups", [
+        (2, 96, 12, 0, 8), (2, 104, 12, 1, 8), (4, 48, 6, 0, 8), (4, 56, 6, 1, 8), (4, 5, 5, 0, 1), (4, 7, 6, 1, 1),
+        (4099, 9, 1, 0, 8), (4099, 17, 1, 1, 8), (2, 15, 1, 0, 1), (2, 24, 3, 0, 2), (2, 32, 4, 0, 4),
+        (2, 40, 5, 0, 4), (4, 24, 3, 0, 4), (3, 16, 2, 0, 4)])
+    def test_lane_tables_at_and_past_the_cap(self, q, n, tabled, steps, groups):
+        """q^t reaches the 4096-entry cap exactly, or the lanes hold one position more than fits; whole lanes
+        merge pairwise while the merged table fits (2^12 entries at q = 2, n = 24; 4^6 at q = 4, n = 24)."""
+        rng = np.random.default_rng(q * 1000 + n)
+        words = rng.integers(0, q, size=(200, n))
+        words[0, 0] = q - 1
+        b = rng.integers(0, min(q, 3), size=n)
+        for table in self._tables(rng, q).values():
+            lanes = self._check(words, b, table)
+        assert (lanes.tabled.shape[1], lanes.steps, lanes.groups) == (tabled, steps, groups)
+        size = wt._lane_tables(table[:, b].T, lanes).size
+        assert lanes.codes.dtype == np.min_scalar_type(size - 1)
+
+    def test_untabled_steps_and_tail(self, monkeypatch):
+        """A 4-entry cap leaves 2 of each lane's positions in its table and the rest to per-position lookups."""
+        monkeypatch.setattr(wt, "_LANE_TABLE_CAP", 4)
+        rng = np.random.default_rng(3)
+        for n in (7, 45, 128):
+            words = rng.integers(0, 2, size=(100, n))
+            b = rng.integers(0, 2, size=n)
+            for table in self._tables(rng, 2).values():
+                lanes = self._check(words, b, table)
+            assert lanes.tabled.shape[1] == 2
+
+    def test_block_boundaries_do_not_change_scores(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 21  # 8 lanes of 2 positions, merged into 4 tables, and a tail of 5: 9 values per word
+        words = rng.integers(0, 3, size=(50, n))
+        b = rng.integers(0, 3, size=n)
+        table = rng.standard_normal((3, 3))
+        assert self._check(words, b, table).codes.shape[0] == 9
+        # 50 rows: 1-row blocks, 7-row blocks with a short tail, one block, one clipped block
+        for block_rows in (1, 7, 50, 64):
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", 9 * block_rows)
+            self._check(words, b, table)
+
+    @staticmethod
+    def _brute_force_ml(cb, ch, b):
+        ll = np.log(ch.p_main)[cb.inner_words, b].sum(axis=-1)
+        return divmod(int(np.argmax(ll.ravel())), cb.inner_words.shape[1])
+
+    def _check_decodes(self, cb, cfg, ch, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            k, p = int(rng.integers(cfg.K_pub)), int(rng.integers(cfg.M))
+            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), cb.word(k, p))
+            assert decode(b, cb, cfg, ch) == self._brute_force_ml(cb, ch, b)
+
+    def test_ml_decodes_match_brute_force(self):
+        ch = ClassicalWiretap.bsc_pair(0.15, 0.3)
+        single = CodeConfig(n=21, M=300, delta=0.5, seed=2)
+        self._check_decodes(generate_codebook(single, ch, np.array([0.7, 0.3])), single, ch, 0)
+        two = CodeConfig(n=21, M=32, K_pub=6, delta=0.5, seed=3)
+        cb = generate_codebook(two, ch, TWO_LAYER_LAW)
+        self._check_decodes(cb, two, ch, 1)
+        kept = expurgate(cb, [0.3, 0.1, 0.5, 0.0, 0.2, 0.4])  # keeps k = 1, 3, 4: new words, new lane codes
+        assert kept._lanes is not cb._lanes
+        self._check_decodes(kept, kept.config, ch, 2)
+
+    def test_eager_jt_decodes_match_the_lazy_path(self, monkeypatch):
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.3)
+        cfg = CodeConfig(n=24, M=200, delta=0.3, seed=4, decoder="joint_typicality")
+        eager = generate_codebook(cfg, ch, UNIFORM2)
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, UNIFORM2)
+        assert lazy.is_lazy and not eager.is_lazy
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(50):
+            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), eager.word(0, int(rng.integers(200))))
+            got = decode(b, eager, cfg, ch)
+            assert got == decode(b, lazy, cfg, ch)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
 class TestEncryption:
     def test_reference_values(self):
         assert encrypt(2, 3, 4) == 1
@@ -396,7 +547,7 @@ class TestDecoding:
         rng = np.random.default_rng(0)
         for _ in range(60):
             k, p = int(rng.integers(4)), int(rng.integers(8))
-            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
+            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), cb.word(k, p))
             hits = []
             for kk in range(4):
                 x = cb.outer_words[kk]
@@ -698,6 +849,19 @@ class TestSecurity:
         """97 trials scored one at a time, in 7-trial blocks with a short tail, and in one block."""
         monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", per * 12 * 10)  # M·n = 120 symbols per trial
         assert mc_hex("S=3") == MC_CASES["S=3"][-1]
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_reports_the_messages_probed(self, mode):
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        single = CodeConfig(n=6, M=8, S=2, delta=0.9, seed=1, trials=20)
+        cb = generate_codebook(single, ch, UNIFORM2)
+        assert security_distance(cb, single, ch, mode=mode).messages_probed == 8
+        subset = security_distance(cb, single, ch, mode=mode, messages=[(0, 5), (0, 2), (0, 5)])
+        assert subset.messages_probed == 2  # distinct pairs: a repeated pair adds no new mean to the maximum
+        two = CodeConfig(n=6, M=4, S=2, K_pub=3, delta=0.9, seed=2, trials=20)
+        cb = generate_codebook(two, ch, TWO_LAYER_LAW)
+        assert security_distance(cb, two, ch, mode=mode).messages_probed == 12
+        assert security_distance(cb, two, ch, mode=mode, messages=iter([(2, 1), (1, 3)])).messages_probed == 2
 
     def test_monte_carlo_deterministic(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
