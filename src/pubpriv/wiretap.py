@@ -19,9 +19,9 @@ thresholds (no float rounding), so lazy, eager, serial and parallel generation
 agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index).
 
 Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``.
-On an eager codebook they replay numpy's pairwise row sum from per-lane
-lookup tables: lane codes are encoded once per codebook, the tables once per
-received word (``_lane_scores``; ``TestLaneScores`` guards the sum order).
+ML scores replay numpy's pairwise row sum from per-lane lookup tables: lane
+codes are encoded once per codebook, the tables once per received word
+(``_lane_scores``; ``TestLaneScores`` guards the sum order).
 """
 
 from __future__ import annotations
@@ -60,16 +60,11 @@ _TAG_OUTER, _TAG_INNER, _TAG_TRIAL, _TAG_SECURITY, _TAG_PERMSG = 3, 5, 7, 11, 13
 
 @dataclass(frozen=True, eq=False)
 class ClassicalWiretap:
-    """Joint conditional law p(b, e | a) on finite alphabets.
-
-    The marginals and Bob's log-likelihood and CDF tables are computed once, as read-only arrays.
-    """
+    """Joint conditional law p(b, e | a) on finite alphabets; the marginals are computed once, read-only."""
 
     p_joint: np.ndarray  # (|A|, |B|, |E|)
     p_main: np.ndarray = field(init=False, repr=False)  # Bob's marginal p(b|a)
     p_eve: np.ndarray = field(init=False, repr=False)  # Eve's marginal p(e|a)
-    _log_main: np.ndarray = field(init=False, repr=False)  # log p(b|a), the ML score table
-    _cdf_main: np.ndarray = field(init=False, repr=False)  # Σ_{b' <= b} p(b'|a), for _sample_channel_outputs
 
     def __post_init__(self):
         t = np.array(self.p_joint, dtype=float)
@@ -81,12 +76,7 @@ class ClassicalWiretap:
         if np.max(np.abs(sums - 1.0)) > PROB_TOL:
             raise ValidationError(f"p(b,e|a) must sum to 1 for every a; sums {sums}")
         np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 (say 1 - 0.9 - 0.1) would log to NaN
-        p_main = t.sum(axis=2)
-        with np.errstate(divide="ignore"):
-            log_main = np.log(p_main)
-        tables = {"p_joint": t, "p_main": p_main, "p_eve": t.sum(axis=1), "_log_main": log_main,
-                  "_cdf_main": np.cumsum(p_main, axis=1)}
-        for name, value in tables.items():
+        for name, value in {"p_joint": t, "p_main": t.sum(axis=2), "p_eve": t.sum(axis=1)}.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -574,8 +564,7 @@ def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
 
     With cols = table[:, b].T this sums the values of ``table[words, b[None, :]].sum(axis=1)`` in the
     same order, so scores are bit-identical to that gather (JT window edges turn on the last bit). Rows go
-    in blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``. It scores lazy JT chunks:
-    each is used once, and encoding it for ``_lane_scores`` would cost more than this gather.
+    in blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``.
     """
     count, n = words.shape
     flat = cols.ravel()
@@ -605,67 +594,60 @@ class _Lanes:
     for n < 8 one lane adds every position (starting it from its first value, not 0.0, changes only the sign of
     a zero, which the final 0.0 + restores). A lane's first t positions, q^t <= ``_LANE_TABLE_CAP`` (t >= 1),
     share one table over their q^t codes; the later ones and the tail (``extra``) are looked up one by one.
-    When whole lanes fit, neighbours in the tree share a table too while it stays within the cap.
     """
 
     q: int  # symbols are 0 .. q-1
     tabled: np.ndarray  # (lanes, t) positions; lanes is 8, or 1 for n < 8
-    groups: int  # tables after merging neighbour lanes: 8, 4, 2 or 1
-    steps: int  # untabled positions per lane (0 when lanes are merged)
+    steps: int  # untabled positions per lane
     extra: np.ndarray  # the untabled positions, lane by lane within each step, then the tail
-    codes: np.ndarray  # (groups + extra.size, K·M) indices into _lane_tables, smallest unsigned dtype
+    codes: np.ndarray  # (lanes + extra.size, K·M) indices into _lane_tables, smallest unsigned dtype
 
 
 def _encode_lanes(words: np.ndarray) -> _Lanes:
-    """Each table's code d_0·q^(w-1) + ... + d_(w-1) of its w positions (Horner), plus the table's offset."""
+    """Each lane's code d_0·q^(t-1) + ... + d_(t-1) of its t tabled positions (Horner), plus the table's offset."""
     K, M, n = words.shape
     q = int(words.max()) + 1
     lanes = np.arange(n)[None, :] if n < 8 else np.arange(n - n % 8).reshape(-1, 8).T
     t = 1
     while t < lanes.shape[1] and q ** (t + 1) <= _LANE_TABLE_CAP:
         t += 1
-    groups = lanes[:, :t]  # row g: the positions of table g, in summation order
-    # Only whole lanes merge: with t < L, q^(t+1) and so q^(2t) exceed the cap.
-    while len(groups) > 1 and q ** (2 * groups.shape[1]) <= _LANE_TABLE_CAP:
-        groups = groups.reshape(len(groups) // 2, -1)  # lanes 2g and 2g+1, one after the other
+    tabled, nl = lanes[:, :t], len(lanes)
     extra = np.concatenate([lanes[:, t:].T.ravel(), np.arange(lanes.size, n)])
-    size = len(groups) * q ** groups.shape[1]  # entries of the merged tables; the extra columns follow
-    offsets = np.concatenate([np.arange(len(groups)) * q ** groups.shape[1], size + np.arange(extra.size) * q])
+    size = nl * q ** t  # entries of the lane tables; the extra columns follow
+    offsets = np.concatenate([np.arange(nl) * q ** t, size + np.arange(extra.size) * q])
     flat = words.reshape(K * M, n)
     codes = np.empty((offsets.size, K * M), dtype=np.min_scalar_type(size + extra.size * q - 1))
     rows = max(1, _BLOCK_SYMBOLS // n)
     for lo in range(0, K * M, rows):
         w = flat[lo: lo + rows]
-        c = w[:, groups[:, 0]]
-        for i in range(1, groups.shape[1]):
+        c = w[:, tabled[:, 0]]
+        for i in range(1, t):
             c *= q
-            c += w[:, groups[:, i]]
-        codes[: len(groups), lo: lo + rows] = (c + offsets[: len(groups)]).T
-        codes[len(groups):, lo: lo + rows] = (w[:, extra] + offsets[len(groups):]).T
-    return _Lanes(q=q, tabled=lanes[:, :t], groups=len(groups), steps=lanes.shape[1] - t, extra=extra,
-                  codes=codes)
+            c += w[:, tabled[:, i]]
+        codes[:nl, lo: lo + rows] = (c + offsets[:nl]).T
+        codes[nl:, lo: lo + rows] = (w[:, extra] + offsets[nl:]).T
+    return _Lanes(q=q, tabled=tabled, steps=lanes.shape[1] - t, extra=extra, codes=codes)
 
 
 def _lane_tables(cols: np.ndarray, lanes: _Lanes) -> np.ndarray:
     """Flat lookup tables for the (n, |A|) score columns of one received word: the lanes' partial sums added
-    by broadcast in each lane's order, neighbours merged as the tree adds them, then the ``extra`` columns."""
+    by broadcast in each lane's order, then the ``extra`` columns."""
     cols, tabled = cols[:, : lanes.q], lanes.tabled
     tab = cols[tabled[:, 0]]
     for i in range(1, tabled.shape[1]):
         tab = (tab[:, :, None] + cols[tabled[:, i]][:, None, :]).reshape(len(tabled), -1)
-    while len(tab) > lanes.groups:
-        tab = (tab[0::2, :, None] + tab[1::2, None, :]).reshape(len(tab) // 2, -1)
     return np.concatenate([tab.ravel(), cols[lanes.extra].ravel()])
 
 
-def _lane_scores(tables: np.ndarray, lanes: _Lanes, codes: np.ndarray) -> np.ndarray:
-    """Row sums of the words behind the (C, R) ``codes``: ``table[words, b[None, :]].sum(axis=1)`` to the bit.
+def _lane_scores(tables: np.ndarray, lanes: _Lanes) -> np.ndarray:
+    """Row sums of the words behind the (C, R) ``lanes.codes``: ``table[words, b[None, :]].sum(axis=1)`` to the bit.
 
     Words look up their C values in one ``np.take`` per block of about ``_BLOCK_SYMBOLS`` values, then add
     them as numpy's pairwise sum would: the untabled steps into the lanes, the rest of the tree, the tail, 0.0.
     """
+    codes = lanes.codes
     width, count = codes.shape
-    nl = lanes.groups
+    nl = len(lanes.tabled)
     rows = max(1, min(count, _BLOCK_SYMBOLS // width))
     idx = np.empty((width, rows), dtype=np.intp)
     g = np.empty((width, rows))
@@ -677,7 +659,7 @@ def _lane_scores(tables: np.ndarray, lanes: _Lanes, codes: np.ndarray) -> np.nda
         r = g[:nl, :m]
         for s in range(1, 1 + lanes.steps):
             r += g[s * nl: (s + 1) * nl, :m]
-        while len(r) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), from whichever level the tables reach
+        while len(r) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
             np.add(r[0::2], r[1::2], out=r[0::2])
             r = r[0::2]
         res = out[lo: lo + m]
@@ -712,11 +694,10 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     as None and counted as an error by the callers.
 
     Scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``, so
-    ties and window edges turn on the same last bit. On an eager codebook
-    they come from the words' lane codes, encoded once per codebook, and
-    lookup tables built once per received word (``_lane_scores``: this
-    replays numpy's pairwise row sum). Lazy JT chunks, used once each,
-    gather their words directly (``_row_scores``).
+    ties and window edges turn on the same last bit. ML scores come from the
+    words' lane codes, encoded once per codebook, and lookup tables built
+    once per received word (``_lane_scores``: this replays numpy's pairwise
+    row sum). JT gathers each chunk's words directly (``_row_scores``).
     """
     b = np.asarray(b_seq, dtype=np.intp)
     K, M = cfg.K_pub, cfg.M
@@ -724,24 +705,21 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
         if K * M > ML_BUDGET:
             raise BudgetError(f"ML decoding budget exceeded: K_pub*M = {K * M} > {ML_BUDGET}")
         lanes = codebook._lanes
-        ll = _lane_scores(_lane_tables(ch._log_main[:, b].T, lanes), lanes, lanes.codes)
+        with np.errstate(divide="ignore"):
+            cols = np.log(ch.p_main)[:, b].T  # the whole table, as one contiguous log
+        ll = _lane_scores(_lane_tables(cols, lanes), lanes)
         return divmod(int(np.argmax(ll)), M)  # first maximum = lexicographically smallest (k, p)
 
     v, h = _jt_tables(codebook, ch)
-    lanes = None if codebook.is_lazy else codebook._lanes
     hits = []
     scanned = 0
     chunk = 65536
     for k in range(K):
         cols = v[codebook.outer_words[k], :, b] if codebook.two_layer else v[:, b].T
-        tables = None if lanes is None else _lane_tables(cols, lanes)
         lo = 0
         while lo < M:
             hi = min(M, lo + chunk)
-            if lanes is None:
-                score = _row_scores(cols, codebook.inner_block(k, lo, hi))
-            else:
-                score = _lane_scores(tables, lanes, lanes.codes[:, k * M + lo: k * M + hi])
+            score = _row_scores(cols, codebook.inner_block(k, lo, hi))
             ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
             for idx in ok[:2]:
                 hits.append((k, lo + int(idx)))
@@ -783,10 +761,10 @@ def _binomial_ci(x: int, n: int, conf: float = 0.95):
     return lo, hi
 
 
-def _sample_channel_outputs(rng: np.random.Generator, cdf: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outputs for the input word a_seq; cdf is ``np.cumsum(p(b|a), axis=1)``."""
+def _sample_channel_outputs(rng: np.random.Generator, table: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(table, axis=1)[a_seq]
     u = rng.random(a_seq.size)
-    return np.minimum((cdf[a_seq] < u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+    return np.minimum((cdf < u[:, None]).sum(axis=1), table.shape[1] - 1)
 
 
 def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: np.random.Generator,
@@ -798,7 +776,7 @@ def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: n
     s = int(rng.integers(cfg.S))
     p = encrypt(m, s, cfg.M)
     a_seq = codebook.word(k, p)
-    b_seq = _sample_channel_outputs(rng, ch._cdf_main, a_seq)
+    b_seq = _sample_channel_outputs(rng, ch.p_main, a_seq)
     return k, p, decode(b_seq, codebook, cfg, ch)
 
 

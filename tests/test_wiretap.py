@@ -41,10 +41,7 @@ class TestChannelModel:
 
     def test_channel_tables_are_computed_once_and_read_only(self):
         ch = ClassicalWiretap(np.random.default_rng(0).dirichlet(np.ones(6), size=3).reshape(3, 2, 3))
-        with np.errstate(divide="ignore"):
-            want = {"p_main": ch.p_joint.sum(axis=2), "p_eve": ch.p_joint.sum(axis=1),
-                    "_log_main": np.log(ch.p_joint.sum(axis=2)), "_cdf_main": np.cumsum(ch.p_joint.sum(axis=2), axis=1)}
-        for name, value in want.items():
+        for name, value in {"p_main": ch.p_joint.sum(axis=2), "p_eve": ch.p_joint.sum(axis=1)}.items():
             table = getattr(ch, name)
             assert table is getattr(ch, name) and table.tobytes() == value.tobytes(), name
             with pytest.raises(ValueError):
@@ -283,8 +280,7 @@ def _pairwise_row_sum(row) -> float:
 
 
 class TestLaneScores:
-    """ML and eager JT scores come from per-lane lookup tables that replay numpy's pairwise row sum, so they
-    equal ``table[words, b[None, :]].sum(axis=1)`` to the last bit, the sign of zero included."""
+    """ML scores come from per-lane lookup tables that replay numpy's pairwise row sum, so they equal ``table[words, b[None, :]].sum(axis=1)`` to the last bit, the sign of zero included."""
 
     @staticmethod
     def _tables(rng, q):
@@ -298,7 +294,7 @@ class TestLaneScores:
     @staticmethod
     def _check(words, b, table):
         lanes = wt._encode_lanes(words[None])
-        got = wt._lane_scores(wt._lane_tables(table[:, b].T, lanes), lanes, lanes.codes)
+        got = wt._lane_scores(wt._lane_tables(table[:, b].T, lanes), lanes)
         want = table[words, b[None, :]].sum(axis=1)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         return lanes
@@ -310,8 +306,8 @@ class TestLaneScores:
             a[0] = -0.0
             want = np.array([_pairwise_row_sum(row.tolist()) for row in a])
             assert a.sum(axis=1).tobytes() == want.tobytes(), (
-                f"numpy's row sum at n={n} is no longer 0.0 + the 8-lane pairwise sum; ML and eager JT scoring "
-                f"(wiretap._lane_scores) replay that order and would no longer be bit-identical to it")
+                f"numpy's row sum at n={n} is no longer 0.0 + the 8-lane pairwise sum; ML scoring "
+                f"(wiretap._lane_scores) replays that order and would no longer be bit-identical to it")
 
     @pytest.mark.parametrize("n", list(range(1, 18)) + [40, 63, 64, 65, 127, 128])
     def test_equals_the_2d_gather(self, n):
@@ -324,20 +320,18 @@ class TestLaneScores:
             for name, table in self._tables(rng, q).items():
                 self._check(words, b, table)
 
-    @pytest.mark.parametrize("q, n, tabled, steps, groups", [
-        (2, 96, 12, 0, 8), (2, 104, 12, 1, 8), (4, 48, 6, 0, 8), (4, 56, 6, 1, 8), (4, 5, 5, 0, 1), (4, 7, 6, 1, 1),
-        (4099, 9, 1, 0, 8), (4099, 17, 1, 1, 8), (2, 15, 1, 0, 1), (2, 24, 3, 0, 2), (2, 32, 4, 0, 4),
-        (2, 40, 5, 0, 4), (4, 24, 3, 0, 4), (3, 16, 2, 0, 4)])
-    def test_lane_tables_at_and_past_the_cap(self, q, n, tabled, steps, groups):
-        """q^t reaches the 4096-entry cap exactly, or the lanes hold one position more than fits; whole lanes
-        merge pairwise while the merged table fits (2^12 entries at q = 2, n = 24; 4^6 at q = 4, n = 24)."""
+    @pytest.mark.parametrize("q, n, tabled, steps", [
+        (2, 96, 12, 0), (2, 104, 12, 1), (4, 48, 6, 0), (4, 56, 6, 1), (4, 5, 5, 0), (4, 7, 6, 1),
+        (4099, 9, 1, 0), (4099, 17, 1, 1), (2, 15, 1, 0), (2, 40, 5, 0)])
+    def test_lane_tables_at_and_past_the_cap(self, q, n, tabled, steps):
+        """q^t reaches the 4096-entry cap exactly, or the lanes hold one position more than fits."""
         rng = np.random.default_rng(q * 1000 + n)
         words = rng.integers(0, q, size=(200, n))
         words[0, 0] = q - 1
         b = rng.integers(0, min(q, 3), size=n)
         for table in self._tables(rng, q).values():
             lanes = self._check(words, b, table)
-        assert (lanes.tabled.shape[1], lanes.steps, lanes.groups) == (tabled, steps, groups)
+        assert (lanes.tabled.shape[1], lanes.steps) == (tabled, steps)
         size = wt._lane_tables(table[:, b].T, lanes).size
         assert lanes.codes.dtype == np.min_scalar_type(size - 1)
 
@@ -354,14 +348,14 @@ class TestLaneScores:
 
     def test_block_boundaries_do_not_change_scores(self, monkeypatch):
         rng = np.random.default_rng(5)
-        n = 21  # 8 lanes of 2 positions, merged into 4 tables, and a tail of 5: 9 values per word
+        n = 21  # 8 lanes of 2 positions and a tail of 5: 13 values per word
         words = rng.integers(0, 3, size=(50, n))
         b = rng.integers(0, 3, size=n)
         table = rng.standard_normal((3, 3))
-        assert self._check(words, b, table).codes.shape[0] == 9
+        assert self._check(words, b, table).codes.shape[0] == 13
         # 50 rows: 1-row blocks, 7-row blocks with a short tail, one block, one clipped block
         for block_rows in (1, 7, 50, 64):
-            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", 9 * block_rows)
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", 13 * block_rows)
             self._check(words, b, table)
 
     @staticmethod
@@ -373,7 +367,7 @@ class TestLaneScores:
         rng = np.random.default_rng(seed)
         for _ in range(50):
             k, p = int(rng.integers(cfg.K_pub)), int(rng.integers(cfg.M))
-            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), cb.word(k, p))
+            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
             assert decode(b, cb, cfg, ch) == self._brute_force_ml(cb, ch, b)
 
     def test_ml_decodes_match_brute_force(self):
@@ -386,22 +380,6 @@ class TestLaneScores:
         kept = expurgate(cb, [0.3, 0.1, 0.5, 0.0, 0.2, 0.4])  # keeps k = 1, 3, 4: new words, new lane codes
         assert kept._lanes is not cb._lanes
         self._check_decodes(kept, kept.config, ch, 2)
-
-    def test_eager_jt_decodes_match_the_lazy_path(self, monkeypatch):
-        ch = ClassicalWiretap.bsc_pair(0.05, 0.3)
-        cfg = CodeConfig(n=24, M=200, delta=0.3, seed=4, decoder="joint_typicality")
-        eager = generate_codebook(cfg, ch, UNIFORM2)
-        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
-        lazy = generate_codebook(cfg, ch, UNIFORM2)
-        assert lazy.is_lazy and not eager.is_lazy
-        rng = np.random.default_rng(5)
-        outcomes = set()
-        for _ in range(50):
-            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), eager.word(0, int(rng.integers(200))))
-            got = decode(b, eager, cfg, ch)
-            assert got == decode(b, lazy, cfg, ch)
-            outcomes.add(got is None)
-        assert outcomes == {True, False}
 
 
 class TestEncryption:
@@ -547,7 +525,7 @@ class TestDecoding:
         rng = np.random.default_rng(0)
         for _ in range(60):
             k, p = int(rng.integers(4)), int(rng.integers(8))
-            b = wt._sample_channel_outputs(rng, np.cumsum(ch.p_main, axis=1), cb.word(k, p))
+            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
             hits = []
             for kk in range(4):
                 x = cb.outer_words[kk]
