@@ -3,12 +3,16 @@
 Subcommands: region, skp, simulate, resources, entropy, replay. Every
 output file is accompanied by a <output>.manifest.json recording the
 subcommand, the fully resolved options (defaults materialized), the seed,
-the tool version and the SHA-256 digests of any input files; `replay`
-re-runs a manifest and reproduces the outputs byte for byte.
+the tool version and the SHA-256 digests of the input files it read.
+`replay` refuses a manifest whose inputs are missing or changed (exit 2,
+naming the path, nothing written), then re-runs its stored options as they
+are, ignoring PUBPRIV_* variables, and reproduces the outputs byte for byte.
 
-Every flag can be defaulted through an environment variable with the
-PUBPRIV_ prefix (e.g. PUBPRIV_SEED=7); explicit flags win. Exit codes:
-0 success, 2 input/validation error, 3 budget error.
+--seed, --out, --zoo, --channel-json, --cq-table, --restarts, --max-iters
+and --tol can be defaulted through PUBPRIV_<FLAG> environment variables
+(e.g. PUBPRIV_SEED=7); explicit flags win. Exit codes:
+0 success, 2 input error (a malformed or missing file, flag or field),
+3 budget error (enumeration or decoder limits); a bug ends in a traceback.
 
 Tabular output is RFC-4180 CSV with '.' decimals and no locale; structured
 output is JSON.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,18 +33,10 @@ import numpy as np
 
 from . import __version__
 from .channels import isometric_extension, zoo
-from .errors import (
-    BudgetError,
-    CapacityError,
-    ConfigurationError,
-    DimensionError,
-    PubPrivError,
-    RuleError,
-    ValidationError,
-)
+from .errors import BudgetError, CapacityError, PubPrivError, ValidationError
 from .region import OptimizerConfig, PARETO_CSV_COLUMNS, pareto_csv_rows, pareto_surface
 from .resources import DERIVATIONS
-from .serialize import channel_from_json, ensemble_from_json
+from .serialize import channel_from_json, ensemble_from_json, float_array, json_field
 from .entropics import (
     build_cq_state,
     cond_mutual_info_YB_given_X,
@@ -51,19 +48,32 @@ from .entropics import (
 )
 from . import wiretap as wt
 
-_INPUT_DIGESTS: dict[str, str] = {}
+#: JSON value types accepted for a field of each Python type (bool is checked apart).
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
 def _env(name: str, default):
-    """Environment override PUBPRIV_<NAME>; the raw string is parsed like a flag."""
+    """Environment override PUBPRIV_<NAME>; argparse parses a string default like the flag itself."""
     return os.environ.get(f"PUBPRIV_{name.upper().replace('-', '_')}", default)
 
 
-def _read_json(path: str):
+def _read_json(path: str, digests: dict):
+    """Decoded JSON of an input file; its SHA-256 goes into `digests` for the manifest."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    _INPUT_DIGESTS[path] = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode("utf-8"))
+    digests[path] = hashlib.sha256(raw).hexdigest()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"{path} is not UTF-8 JSON: {exc}") from None
+
+
+def _typed(value, type_name: str, what: str):
+    """A decoded JSON value checked against a field's type; an int stands for a float."""
+    kinds = _JSON_TYPES[type_name]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValidationError(f"{what} must be {type_name}, got {value!r}")
+    return float(value) if type_name == "float" else value
 
 
 def _fmt(v) -> str:
@@ -84,23 +94,29 @@ def _write_csv(path: str, header, rows):
         fh.write(buf.getvalue())
 
 
-def _write_manifest(out_path: str, subcommand: str, options: dict):
-    manifest = {
-        "subcommand": subcommand,
-        "options": options,
-        "seed": options.get("seed"),
-        "tool_version": __version__,
-        "input_digests": dict(sorted(_INPUT_DIGESTS.items())),
-        "output": out_path,
-    }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: str | None, doc: dict, sort_keys: bool = False):
+    """Indented JSON to `path`, or to stdout when no path is given."""
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _options(args: argparse.Namespace) -> dict:
-    skip = {"func", "subcommand"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _dispatch(args: argparse.Namespace, digests: dict):
+    """Run the subcommand of `args`; a command that wrote to --out gets its manifest."""
+    args.func(args, digests)
+    if getattr(args, "out", None):
+        options = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+        _write_json(args.out + ".manifest.json", {
+            "subcommand": args.subcommand,
+            "options": options,
+            "seed": options.get("seed"),
+            "tool_version": __version__,
+            "input_digests": dict(sorted(digests.items())),
+            "output": args.out,
+        }, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +124,13 @@ def _options(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_channel(args):
-    if getattr(args, "channel_json", None):
-        return channel_from_json(_read_json(args.channel_json))
-    if getattr(args, "cq_table", None):
-        return zoo("cq_embedding", table=_read_json(args.cq_table))
-    if getattr(args, "zoo", None):
-        params = {}
-        if args.p is not None:
-            params["p"] = args.p
-        if args.dim is not None:
-            params["d"] = args.dim
-        return zoo(args.zoo, **params)
+def _load_channel(args, digests: dict):
+    if args.channel_json:
+        return channel_from_json(_read_json(args.channel_json, digests))
+    if args.cq_table:
+        return zoo("cq_embedding", table=float_array(_read_json(args.cq_table, digests), "--cq-table JSON"))
+    if args.zoo:
+        return zoo(args.zoo, **{k: v for k, v in (("p", args.p), ("d", args.dim)) if v is not None})
     raise ValidationError("no channel given: use --zoo, --channel-json or --cq-table")
 
 
@@ -135,12 +146,12 @@ def _add_channel_flags(p: argparse.ArgumentParser):
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser):
-    p.add_argument("--restarts", type=int, default=int(_env("restarts", 4)))
-    p.add_argument("--max-iters", type=int, default=int(_env("max_iters", 300)))
+    p.add_argument("--restarts", type=int, default=_env("restarts", 4))
+    p.add_argument("--max-iters", type=int, default=_env("max_iters", 300))
     p.add_argument("--alphabet-x", type=int, default=None, help="|X| (default: cardinality ceiling)")
     p.add_argument("--alphabet-y", type=int, default=None, help="|Y| (default: dim_in^2)")
     p.add_argument("--mixed-states", action="store_true", help="search mixed input states too")
-    p.add_argument("--tol", type=float, default=float(_env("tol", 1e-7)), help="convergence tolerance")
+    p.add_argument("--tol", type=float, default=_env("tol", 1e-7), help="convergence tolerance")
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -158,10 +169,13 @@ def _optimizer_config(args) -> OptimizerConfig:
 def _parse_weights(items) -> list[tuple[float, float]]:
     grid = []
     for item in items:
-        parts = item.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"weights must look like 'wR,wP', got {item!r}")
-        grid.append((float(parts[0]), float(parts[1])))
+        try:
+            w_r, w_p = (float(part) for part in item.split(","))
+        except ValueError:
+            raise ValidationError(f"weights must look like 'wR,wP' with two numbers, got {item!r}") from None
+        grid.append((w_r, w_p))
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"weights must be finite, got {' '.join(items)}")
     return grid
 
 
@@ -170,67 +184,66 @@ def _parse_weights(items) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_region(args) -> int:
-    ch = _load_channel(args)
-    iso = isometric_extension(ch)
+def cmd_region(args, digests):
+    iso = isometric_extension(_load_channel(args, digests))
     cfg = _optimizer_config(args)
-    weights = _parse_weights(args.weights)
-    samples = pareto_surface(iso, args.rs, weights, cfg)
-    rows = pareto_csv_rows(samples, cfg)
-    _write_csv(args.out, PARETO_CSV_COLUMNS, rows)
-    _write_manifest(args.out, "region", _options(args))
-    return 0
+    samples = pareto_surface(iso, args.rs, _parse_weights(args.weights), cfg)
+    _write_csv(args.out, PARETO_CSV_COLUMNS, pareto_csv_rows(samples, cfg))
 
 
-def cmd_skp(args) -> int:
-    ch = _load_channel(args)
-    iso = isometric_extension(ch)
-    cfg = _optimizer_config(args)
+def cmd_skp(args, digests):
+    iso = isometric_extension(_load_channel(args, digests))
     # Private-only setting: trivial public register, maximize P.
-    cfg = OptimizerConfig(restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed,
-                          alphabet_x=1, alphabet_y=cfg.alphabet_y,
-                          pure_states_only=cfg.pure_states_only, convergence_tol=cfg.convergence_tol)
+    cfg = dataclasses.replace(_optimizer_config(args), alphabet_x=1)
     samples = pareto_surface(iso, args.rs, [(0.0, 1.0)], cfg)
     header = ("R_S", "P", "I_YB", "I_YE", "seed", "restarts", "converged")
-    rows = [
-        (s.r_s, s.result.achieved.P, s.result.constraints.b, s.result.constraints.c,
-         cfg.seed, cfg.restarts, int(s.result.converged))
-        for s in samples
-    ]
+    rows = [(s.r_s, s.result.achieved.P, s.result.constraints.b, s.result.constraints.c,
+             cfg.seed, cfg.restarts, int(s.result.converged)) for s in samples]
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "skp", _options(args))
-    return 0
 
 
 SIMULATE_CSV_COLUMNS = ("n", "rate_public", "rate_private", "rate_key", "decoder", "trials",
                         "error", "ci_low", "ci_high", "full_criterion", "message_secrecy", "seed")
 
 
+def _code_config(keys: dict) -> wt.CodeConfig:
+    """A CodeConfig from experiment-spec keys, each checked against its field's type."""
+    fields = {f.name: f for f in dataclasses.fields(wt.CodeConfig)}
+    unknown = sorted(set(keys) - set(fields))
+    missing = [name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in keys]
+    if unknown or missing:
+        problem = f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+        raise ValidationError(f"experiment spec 'code' has {problem}; its keys are {', '.join(fields)}")
+    return wt.CodeConfig(**{k: _typed(v, fields[k].type, f"experiment spec 'code' key {k!r}")
+                            for k, v in keys.items()})
+
+
 def run_simulation_spec(spec: dict, seed_override: int | None = None):
     """Execute an experiment spec; returns (header, rows)."""
-    chd = spec.get("channel")
-    if not isinstance(chd, dict):
-        raise ValidationError("experiment spec needs a 'channel' object")
-    if "p_joint" in chd:
-        channel = wt.ClassicalWiretap(np.asarray(chd["p_joint"], dtype=float))
-    elif "p_main" in chd and "p_eve" in chd:
-        channel = wt.ClassicalWiretap.from_marginals(chd["p_main"], chd["p_eve"])
+    chd = json_field(spec, "channel", "experiment spec")
+    if isinstance(chd, dict) and "p_joint" in chd:
+        channel = wt.ClassicalWiretap(float_array(chd["p_joint"], "channel 'p_joint'"))
+    elif isinstance(chd, dict) and "p_main" in chd and "p_eve" in chd:
+        channel = wt.ClassicalWiretap.from_marginals(float_array(chd["p_main"], "channel 'p_main'"),
+                                                     float_array(chd["p_eve"], "channel 'p_eve'"))
     else:
-        raise ValidationError("channel needs either 'p_joint' or 'p_main'+'p_eve'")
-    base = dict(spec.get("code", {}))
+        raise ValidationError("experiment spec 'channel' needs either 'p_joint' or 'p_main'+'p_eve'")
+    base, sweep = spec.get("code", {}), spec.get("sweep", [{}])
+    if not isinstance(base, dict) or not isinstance(sweep, list) or not all(isinstance(o, dict) for o in sweep):
+        raise ValidationError("experiment spec 'code' must be an object and 'sweep' a list of objects")
     if seed_override is not None:
-        base["seed"] = seed_override
+        base = {**base, "seed": seed_override}
     if "input_p" in spec:
-        law = np.asarray(spec["input_p"], dtype=float)
+        law = float_array(spec["input_p"], "experiment spec 'input_p'")
     elif "input_law" in spec:
-        law = (np.asarray(spec["input_law"]["p_x"], dtype=float),
-               np.asarray(spec["input_law"]["p_a_given_x"], dtype=float))
+        law = tuple(float_array(json_field(spec["input_law"], key, "experiment spec 'input_law'"),
+                                f"input_law '{key}'") for key in ("p_x", "p_a_given_x"))
     else:
         raise ValidationError("experiment spec needs 'input_p' or 'input_law'")
     security_mode = spec.get("security", "none")
     rows = []
-    for override in spec.get("sweep", [{}]):
-        cfg = wt.CodeConfig(**{**base, **override})
+    for override in sweep:
+        cfg = _code_config({**base, **override})
         codebook = wt.generate_codebook(cfg, channel, law)
         est = wt.estimate_error(cfg, channel, codebook)
         if security_mode == "none":
@@ -243,88 +256,77 @@ def run_simulation_spec(spec: dict, seed_override: int | None = None):
     return SIMULATE_CSV_COLUMNS, rows
 
 
-def cmd_simulate(args) -> int:
-    spec = _read_json(args.config)
-    header, rows = run_simulation_spec(spec, seed_override=args.seed)
+def cmd_simulate(args, digests):
+    header, rows = run_simulation_spec(_read_json(args.config, digests), seed_override=args.seed)
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "simulate", _options(args))
-    return 0
 
 
-def cmd_resources(args) -> int:
+def cmd_resources(args, digests):
     if args.action != "derive":
         raise ValidationError(f"unknown resources action {args.action!r}; available: derive")
     name = args.name
     if name not in DERIVATIONS:
         raise ValidationError(f"unknown derivation {name!r}; available: {', '.join(sorted(DERIVATIONS))}")
-    if name == "section3":
-        if args.ib is None or args.ie is None:
-            raise ValidationError("section3 needs --ib and --ie")
-        transcript = DERIVATIONS[name](args.ib, args.ie)
-    else:
-        if args.a is None or args.b is None or args.c is None:
-            raise ValidationError(f"{name} needs --a, --b and --c")
-        if name == "otp_combination" and args.optimal_key is not None:
-            transcript = DERIVATIONS[name](args.a, args.b, args.c, optimal_key_rate=args.optimal_key)
-        else:
-            transcript = DERIVATIONS[name](args.a, args.b, args.c)
-    doc = transcript.as_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args.out, "resources", _options(args))
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return 0
+    flags = ("ib", "ie") if name == "section3" else ("a", "b", "c")
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise ValidationError(f"{name} needs {', '.join('--' + flag for flag in flags)}")
+    extra = {"optimal_key_rate": args.optimal_key} if name == "otp_combination" else {}
+    _write_json(args.out, DERIVATIONS[name](*values, **extra).as_dict())
 
 
-def cmd_entropy(args) -> int:
-    ch = _load_channel(args)
-    iso = isometric_extension(ch)
-    ens = ensemble_from_json(_read_json(args.ensemble))
-    s = build_cq_state(ens, iso)
-    doc = {
+def cmd_entropy(args, digests):
+    iso = isometric_extension(_load_channel(args, digests))
+    s = build_cq_state(ensemble_from_json(_read_json(args.ensemble, digests)), iso)
+    _write_json(args.out, {
         "I_XB": mutual_info_XB(s),
         "I_XE": mutual_info_XE(s),
         "I_YB_given_X": cond_mutual_info_YB_given_X(s),
         "I_YE_given_X": cond_mutual_info_YE_given_X(s),
         "I_XYB": mutual_info_XYB(s),
         "I_XYE": mutual_info_XYE(s),
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, "entropy", _options(args))
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    return 0
+    }, sort_keys=True)
 
 
-def cmd_replay(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    sub = manifest["subcommand"]
-    options = manifest["options"]
-    argv = [sub]
-    if sub == "resources":
-        argv.append(options.get("action", "derive"))
-        argv.append(options["name"])
-    for key, val in options.items():
-        if key in ("action", "name") or val is None or val is False:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if val is True:
-            argv.append(flag)
-        elif isinstance(val, list):
-            argv.append(flag)
-            argv.extend(str(v) for v in val)
-        else:
-            argv.extend([flag, str(val)])
-    return main(argv)
+def _stored_option(action: argparse.Action, options):
+    """The manifest value of one option, checked as its flag would be."""
+    value = json_field(options, action.dest, "manifest 'options'")
+    if value is None and not action.required:
+        return None
+    what = f"manifest option {action.dest!r}"
+    many = action.nargs == "+"
+    if many and not (isinstance(value, list) and value):
+        raise ValidationError(f"{what} must be a non-empty list, got {value!r}")
+    type_name = "bool" if action.nargs == 0 else action.type.__name__ if action.type else "str"
+    items = [_typed(v, type_name, what) for v in (value if many else [value])]
+    return items if many else items[0]
+
+
+def cmd_replay(args, digests):
+    manifest = _read_json(args.manifest, {})  # the manifest is not an input of the run it replays
+    sub = json_field(manifest, "subcommand", "manifest")
+    (choices,) = [a.choices for a in build_parser()._actions if a.dest == "subcommand"]
+    replayable = sorted(set(choices) - {"replay"})
+    if sub not in replayable:
+        raise ValidationError(f"manifest subcommand {sub!r} is not one of {replayable}")
+    options = json_field(manifest, "options", "manifest")
+    replayed = argparse.Namespace(subcommand=sub, func=choices[sub].get_default("func"))
+    for action in choices[sub]._actions:
+        if action.dest != "help":
+            setattr(replayed, action.dest, _stored_option(action, options))
+    recorded = manifest.get("input_digests", {})
+    if not isinstance(recorded, dict):
+        raise ValidationError("manifest 'input_digests' must be an object")
+    for path, digest in sorted(recorded.items()):
+        try:
+            with open(path, "rb") as fh:
+                actual = hashlib.sha256(fh.read()).hexdigest()
+        except OSError:
+            raise ValidationError(f"replay input {path} is missing or unreadable") from None
+        if actual != digest:
+            raise ValidationError(f"replay input {path} changed since the run: "
+                                  f"SHA-256 {actual}, manifest has {digest}")
+    _dispatch(replayed, digests)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, default_out, seed_default=0):
-        env_seed = _env("seed", None)
-        seed = int(env_seed) if env_seed is not None else seed_default
-        p.add_argument("--seed", type=int, default=seed)
-        p.add_argument("--threads", type=int, default=int(_env("threads", 1)),
-                       help="reserved; outputs never depend on it")
+        p.add_argument("--seed", type=int, default=_env("seed", seed_default))
         p.add_argument("--out", default=_env("out", default_out))
 
     p_region = sub.add_parser("region", help="optimizer sweep over the one-shot region")
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ent, None)
     p_ent.set_defaults(func=cmd_entropy)
 
-    p_rep = sub.add_parser("replay", help="re-run a manifest")
+    p_rep = sub.add_parser("replay", help="check a manifest's input digests, then re-run it")
     p_rep.add_argument("--manifest", required=True)
     p_rep.set_defaults(func=cmd_replay)
 
@@ -391,24 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _INPUT_DIGESTS.clear()
-    parser = build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(argv)  # None: sys.argv[1:]
     try:
-        return args.func(args)
+        _dispatch(args, {})
     except (BudgetError, CapacityError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, DimensionError, ConfigurationError, RuleError) as exc:
+    except (PubPrivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PubPrivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0

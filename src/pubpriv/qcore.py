@@ -7,7 +7,7 @@ measure is the unnormalized trace norm (sum of singular values), which for
 two states ranges over [0, 2].
 
 All values are immutable after construction and every operation is a pure
-function, so the module is safe to use from any number of threads.
+function, so the module keeps no shared mutable state.
 """
 
 from __future__ import annotations

@@ -168,6 +168,8 @@ class OptimizerConfig:
             raise ValidationError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
     def resolve_alphabets(self, iso: IsometricExtension) -> tuple[int, int]:
         ceiling = min(iso.dim_in, iso.dim_B) ** 2 + 1

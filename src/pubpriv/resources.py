@@ -23,6 +23,7 @@ must be rationalized (``rationalize``) before entering a derivation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ RATIONALIZE_MAX_DENOMINATOR = 10**9
 def rationalize(x, max_denominator: int = RATIONALIZE_MAX_DENOMINATOR) -> Fraction:
     """Exact Fraction from int/str/Fraction; floats are snapped to a bounded denominator."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValidationError(f"cannot rationalize the non-finite value {x}")
         return Fraction(x).limit_denominator(max_denominator)
     return Fraction(x)
 
@@ -56,11 +59,6 @@ _SYMBOLS = {
     ResourceKind.CHANNEL_N: "⟨N⟩",
     ResourceKind.SUBLINEAR_KEY: "o[cc]_priv",
 }
-
-
-class Side(enum.Enum):
-    LHS = "lhs"
-    RHS = "rhs"
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,6 @@ class ResourceExpr:
     """Normalized multiset of terms (same kind+flag merged, zeros dropped)."""
 
     terms: tuple = ()
-    side: Side = Side.RHS
 
     def __post_init__(self):
         merged: dict = {}
@@ -108,14 +105,10 @@ class ResourceExpr:
         object.__setattr__(self, "terms", norm)
 
     @classmethod
-    def of(cls, *pairs, side: Side = Side.RHS) -> "ResourceExpr":
+    def of(cls, *pairs) -> "ResourceExpr":
         """Build from (coefficient, kind[, relative]) tuples."""
-        terms = []
-        for p in pairs:
-            coeff, kind = p[0], p[1]
-            rel = bool(p[2]) if len(p) > 2 else False
-            terms.append(ResourceTerm(kind=kind, coefficient=rationalize(coeff), relative=rel))
-        return cls(terms=tuple(terms), side=side)
+        return cls(terms=tuple(
+            ResourceTerm(kind=p[1], coefficient=rationalize(p[0]), relative=len(p) > 2 and bool(p[2])) for p in pairs))
 
     def coeff(self, kind: ResourceKind, relative: bool = False) -> Fraction:
         for t in self.terms:
@@ -125,7 +118,7 @@ class ResourceExpr:
 
     def add(self, kind: ResourceKind, amount: Fraction, relative: bool = False) -> "ResourceExpr":
         extra = (ResourceTerm(kind=kind, coefficient=amount, relative=relative),)
-        return ResourceExpr(terms=self.terms + extra, side=self.side)
+        return ResourceExpr(terms=self.terms + extra)
 
     def remove(self, kind: ResourceKind, amount: Fraction, relative: bool = False) -> "ResourceExpr":
         have = self.coeff(kind, relative)
@@ -136,7 +129,7 @@ class ResourceExpr:
         rest = tuple(t for t in self.terms if not (t.kind is kind and t.relative == relative))
         if have > amount:
             rest = rest + (ResourceTerm(kind=kind, coefficient=have - amount, relative=relative),)
-        return ResourceExpr(terms=rest, side=self.side)
+        return ResourceExpr(terms=rest)
 
     def render(self) -> str:
         if not self.terms:

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pubpriv import cli
 from pubpriv.entropics import InputEnsemble
 from pubpriv.qcore import DensityOperator
 from pubpriv.serialize import ensemble_to_json
@@ -15,9 +18,35 @@ from conftest import cli_env
 FAST_REGION = ["--alphabet-x", "2", "--alphabet-y", "2", "--restarts", "2", "--max-iters", "100"]
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_process(args, cwd, env_extra=None):
+    """`python -m pubpriv` in a child process: for the entry point and its real exit codes."""
     return subprocess.run([sys.executable, "-m", "pubpriv"] + [str(a) for a in args],
                           cwd=cwd, capture_output=True, text=True, env=cli_env(env_extra), timeout=600)
+
+
+@pytest.fixture(autouse=True)
+def no_inherited_env(monkeypatch):
+    """The CLI defaults some flags from PUBPRIV_* variables; the outer shell's must not count."""
+    for name in [k for k in os.environ if k.startswith("PUBPRIV_")]:
+        monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def run_cli(monkeypatch, capsys):
+    """`cli.main` in this process, from directory `cwd`; returns its code and captured output."""
+    def run(args, cwd, env_extra=None):
+        monkeypatch.chdir(cwd)
+        for name, value in (env_extra or {}).items():
+            monkeypatch.setenv(name, value)
+        argv = [str(a) for a in args]
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(argv, code, out, err)
+    return run
 
 
 def read_rows(path):
@@ -39,7 +68,7 @@ def experiment_spec(tmp_path):
 
 
 class TestRegionCommand:
-    def test_identity_reaches_unit_rates(self, tmp_path):
+    def test_identity_reaches_unit_rates(self, tmp_path, run_cli):
         r = run_cli(["region", "--zoo", "identity", "--dim", "2", "--rs", "0",
                      "--weights", "1,0", "0,1", "--seed", "5", "--out", "r.csv"] + FAST_REGION, tmp_path)
         assert r.returncode == 0, r.stderr
@@ -49,7 +78,7 @@ class TestRegionCommand:
         assert abs(float(by_w[("0.0", "1.0")]["P"]) - 1.0) < 1e-3
         assert (tmp_path / "r.csv.manifest.json").exists()
 
-    def test_depolarizing_yields_nothing(self, tmp_path):
+    def test_depolarizing_yields_nothing(self, tmp_path, run_cli):
         r = run_cli(["region", "--zoo", "depolarizing", "--p", "1.0", "--rs", "0",
                      "--weights", "1,1", "--restarts", "1", "--max-iters", "40",
                      "--alphabet-x", "2", "--alphabet-y", "1", "--out", "d.csv"], tmp_path)
@@ -57,7 +86,7 @@ class TestRegionCommand:
         row = read_rows(tmp_path / "d.csv")[0]
         assert float(row["R"]) <= 1e-6 and float(row["P"]) <= 1e-6
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path, run_cli):
         args = ["region", "--zoo", "dephasing", "--p", "1.0", "--rs", "0", "0.5",
                 "--weights", "0,1", "--seed", "3", "--out", "a.csv"] + FAST_REGION
         r = run_cli(args, tmp_path)
@@ -68,17 +97,17 @@ class TestRegionCommand:
         assert (tmp_path / "a.csv").read_bytes() == first
 
     def test_missing_channel_is_validation_error(self, tmp_path):
-        r = run_cli(["region", "--rs", "0", "--out", "x.csv"], tmp_path)
+        r = run_process(["region", "--rs", "0", "--out", "x.csv"], tmp_path)
         assert r.returncode == 2, r.stderr
 
-    def test_malformed_channel_json(self, tmp_path):
+    def test_malformed_channel_json(self, tmp_path, run_cli):
         (tmp_path / "bad.json").write_text("{not json")
         r = run_cli(["region", "--channel-json", "bad.json", "--rs", "0", "--out", "x.csv"], tmp_path)
         assert r.returncode == 2, r.stderr
 
 
 class TestSkpCommand:
-    def test_dephasing_key_sweep(self, tmp_path):
+    def test_dephasing_key_sweep(self, tmp_path, run_cli):
         r = run_cli(["skp", "--zoo", "dephasing", "--p", "1.0", "--rs", "0", "1",
                      "--seed", "2", "--alphabet-y", "2", "--restarts", "2",
                      "--max-iters", "100", "--out", "s.csv"], tmp_path)
@@ -89,14 +118,14 @@ class TestSkpCommand:
 
 
 class TestSimulateCommand:
-    def test_noiseless_full_key(self, tmp_path, experiment_spec):
+    def test_noiseless_full_key(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "sim.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
         row = read_rows(tmp_path / "sim.csv")[0]
         assert float(row["error"]) == 0.0
         assert float(row["message_secrecy"]) == 0.0
 
-    def test_rerun_is_byte_identical(self, tmp_path, experiment_spec):
+    def test_rerun_is_byte_identical(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s1.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s2.csv"], tmp_path)
@@ -112,11 +141,11 @@ class TestSimulateCommand:
         }
         path = tmp_path / "big.json"
         path.write_text(json.dumps(spec))
-        r = run_cli(["simulate", "--config", path, "--out", "b.csv"], tmp_path)
+        r = run_process(["simulate", "--config", path, "--out", "b.csv"], tmp_path)
         assert r.returncode == 3, r.stderr
         assert "security" in r.stderr
 
-    def test_nan_channel_is_validation_error(self, tmp_path):
+    def test_nan_channel_is_validation_error(self, tmp_path, run_cli):
         # json reads the bare token NaN; a NaN entry fails no <, > or sum check
         (tmp_path / "nan.json").write_text(
             '{"channel": {"p_joint": [[[NaN, 0.5], [0.25, 0.25]], [[0.25, 0.25], [0.25, 0.25]]]},'
@@ -125,7 +154,7 @@ class TestSimulateCommand:
         assert r.returncode == 2, r.stderr
         assert "finite" in r.stderr
 
-    def test_seed_flag_overrides_spec(self, tmp_path, experiment_spec):
+    def test_seed_flag_overrides_spec(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--seed", "99", "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
         assert read_rows(tmp_path / "s.csv")[0]["seed"] == "99"
@@ -133,18 +162,18 @@ class TestSimulateCommand:
 
 class TestResourcesCommand:
     def test_section3(self, tmp_path):
-        r = run_cli(["resources", "derive", "section3", "--ib", "1", "--ie", "0.4"], tmp_path)
+        r = run_process(["resources", "derive", "section3", "--ib", "1", "--ie", "0.4"], tmp_path)
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
         assert doc["final_terms"] == ["1 [c→c]_priv"]
 
-    def test_ds03(self, tmp_path):
+    def test_ds03(self, tmp_path, run_cli):
         r = run_cli(["resources", "derive", "ds03", "--a", "1", "--b", "1", "--c", "0"], tmp_path)
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
         assert "1 [c→c]_pub" in doc["final_terms"]
 
-    def test_unknown_derivation_lists_available(self, tmp_path):
+    def test_unknown_derivation_lists_available(self, tmp_path, run_cli):
         r = run_cli(["resources", "derive", "bogus", "--a", "1", "--b", "1", "--c", "0"], tmp_path)
         assert r.returncode == 2, r.stderr
         for name in ("section3", "ds03", "otp_combination"):
@@ -152,7 +181,7 @@ class TestResourcesCommand:
 
 
 class TestEntropyCommand:
-    def test_quantities_emitted(self, tmp_path):
+    def test_quantities_emitted(self, tmp_path, run_cli):
         ens = InputEnsemble.over_y([0.5, 0.5], [DensityOperator.basis_state(0, 2),
                                                 DensityOperator.basis_state(1, 2)])
         path = tmp_path / "ens.json"
@@ -163,7 +192,7 @@ class TestEntropyCommand:
         assert abs(doc["I_YB_given_X"] - 1.0) < 1e-12
         assert abs(doc["I_YE_given_X"] - 1.0) < 1e-12
 
-    def test_nan_in_ensemble_is_a_validation_error(self, tmp_path):
+    def test_nan_in_ensemble_is_a_validation_error(self, tmp_path, run_cli):
         ens = InputEnsemble.over_y([0.5, 0.5], [DensityOperator.basis_state(0, 2),
                                                 DensityOperator.basis_state(1, 2)])
         doc = ensemble_to_json(ens)
@@ -178,7 +207,7 @@ class TestEntropyCommand:
 
 
 class TestReplay:
-    def test_region_replay_byte_identical(self, tmp_path):
+    def test_region_replay_byte_identical(self, tmp_path, run_cli):
         args = ["region", "--zoo", "identity", "--dim", "2", "--rs", "0",
                 "--weights", "1,0", "--seed", "4", "--out", "r.csv"] + FAST_REGION
         r = run_cli(args, tmp_path)
@@ -189,7 +218,7 @@ class TestReplay:
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "r.csv").read_bytes() == first
 
-    def test_simulate_replay_byte_identical(self, tmp_path, experiment_spec):
+    def test_simulate_replay_byte_identical(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
         first = (tmp_path / "s.csv").read_bytes()
@@ -199,15 +228,21 @@ class TestReplay:
 
 
 class TestEnvOverrides:
-    def test_seed_env_var(self, tmp_path, experiment_spec):
+    def test_seed_env_var(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path,
                     env_extra={"PUBPRIV_SEED": "77"})
         assert r.returncode == 0, r.stderr
         assert read_rows(tmp_path / "s.csv")[0]["seed"] == "77"
 
 
+    def test_malformed_env_default_is_exit_2(self, tmp_path, run_cli):
+        r = run_cli(["region", "--zoo", "identity", "--out", "r.csv"], tmp_path, env_extra={"PUBPRIV_RESTARTS": "x"})
+        assert r.returncode == 2
+        assert "--restarts" in r.stderr and "Traceback" not in r.stderr
+
+
 class TestManifestContents:
-    def test_digests_and_version(self, tmp_path, experiment_spec):
+    def test_digests_and_version(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
@@ -216,6 +251,110 @@ class TestManifestContents:
         assert str(experiment_spec) in manifest["input_digests"]
         digest = manifest["input_digests"][str(experiment_spec)]
         assert len(digest) == 64
+
+
+    def test_digests_are_per_call(self, tmp_path, experiment_spec, run_cli):
+        r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["region", "--zoo", "identity", "--rs", "0", "--weights", "1,0", "--out", "r.csv"]
+                    + FAST_REGION, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert json.loads((tmp_path / "r.csv.manifest.json").read_text())["input_digests"] == {}
+
+
+class TestReplayContract:
+    """Replay re-runs a manifest's stored options as they are, on the inputs it recorded."""
+
+    def test_replay_ignores_environment(self, tmp_path, experiment_spec, run_cli):
+        r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "s.csv").read_bytes()
+        (tmp_path / "s.csv").unlink()
+        r = run_cli(["replay", "--manifest", "s.csv.manifest.json"], tmp_path, env_extra={"PUBPRIV_SEED": "77"})
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "s.csv").read_bytes() == first
+
+    def test_replays_manifest_with_threads_option(self, tmp_path, experiment_spec, run_cli):
+        # the manifest layout written before the --threads flag was removed
+        r = run_cli(["simulate", "--config", "exp.json", "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "s.csv").read_bytes()
+        (tmp_path / "s.csv").unlink()
+        old = {
+            "input_digests": {"exp.json": hashlib.sha256(experiment_spec.read_bytes()).hexdigest()},
+            "options": {"config": "exp.json", "out": "s.csv", "seed": None, "threads": 1},
+            "output": "s.csv",
+            "seed": None,
+            "subcommand": "simulate",
+            "tool_version": "0.1.0",
+        }
+        (tmp_path / "old.manifest.json").write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "s.csv").read_bytes() == first
+        assert "threads" not in json.loads((tmp_path / "s.csv.manifest.json").read_text())["options"]
+
+    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    def test_changed_input_is_refused(self, tmp_path, experiment_spec, run_cli, change):
+        r = run_cli(["simulate", "--config", "exp.json", "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        (tmp_path / "s.csv").unlink()
+        if change == "edited":
+            spec = json.loads(experiment_spec.read_text())
+            spec["code"]["trials"] = 41
+            experiment_spec.write_text(json.dumps(spec))
+        else:
+            experiment_spec.unlink()
+        r = run_cli(["replay", "--manifest", "s.csv.manifest.json"], tmp_path)
+        assert r.returncode == 2
+        assert "exp.json" in r.stderr
+        assert not (tmp_path / "s.csv").exists()
+
+
+VALID_CODE = {"n": 8, "M": 4, "delta": 0.5, "seed": 1, "trials": 5}
+CHANNEL = {"p_main": [[1.0, 0.0], [0.0, 1.0]], "p_eve": [[0.5, 0.5], [0.5, 0.5]]}
+MALFORMED = {
+    # id: (files to write, argv, word the message must name, raw Python message it must not print)
+    "spec-is-a-list": ({"spec.json": [1, 2]}, ["simulate", "--config", "spec.json", "--out", "s.csv"],
+                       "experiment spec", "AttributeError"),
+    "unknown-code-key": ({"spec.json": {"channel": CHANNEL, "input_p": [0.5, 0.5],
+                                        "code": {**VALID_CODE, "bogus": 1}}},
+                         ["simulate", "--config", "spec.json", "--out", "s.csv"],
+                         "bogus", "unexpected keyword argument"),
+    "weights-not-numbers": ({}, ["region", "--zoo", "identity", "--weights", "1,x", "--out", "r.csv"],
+                            "weights", "could not convert"),
+    "manifest-without-options": ({"m.json": {"subcommand": "simulate"}}, ["replay", "--manifest", "m.json"],
+                                 "options", "error: 'options'"),
+    "ensemble-is-a-list": ({"ens.json": []},
+                           ["entropy", "--zoo", "dephasing", "--p", "1.0", "--ensemble", "ens.json"],
+                           "ensemble", "list indices"),
+    "negative-seed": ({}, ["region", "--zoo", "identity", "--seed", "-1", "--weights", "1,0", "--out", "r.csv"]
+                      + FAST_REGION, "seed", "expected non-negative integer"),
+    "non-finite-weights": ({}, ["region", "--zoo", "identity", "--weights", "nan,1", "--out", "r.csv"],
+                           "weights", "not subscriptable"),
+    "non-finite-derivation-input": ({}, ["resources", "derive", "ds03", "--a", "inf", "--b", "1", "--c", "0"],
+                                    "non-finite", "integer ratio"),
+}
+
+
+@pytest.mark.parametrize("files, argv, names, raw", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_exit_2_with_a_message(tmp_path, run_cli, files, argv, names, raw):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    r = run_cli(argv, tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and names in r.stderr
+    assert raw not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_library_type_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug in the library")
+
+    monkeypatch.setattr(cli, "pareto_surface", broken)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(TypeError, match="a bug in the library"):
+        cli.main(["region", "--zoo", "identity", "--rs", "0", "--out", "r.csv"])
 
 
 class TestColdStart:

@@ -200,6 +200,11 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             OptimizerConfig(restarts=0)
 
+    def test_negative_seed_rejected(self):
+        # np.random.SeedSequence would raise a bare ValueError at the first random restart
+        with pytest.raises(ValidationError):
+            OptimizerConfig(seed=-1)
+
     def test_converged_reports_the_winning_restart(self):
         """Restart 0 (the structured start) converges at a ≈ 0 on dephasing(0.5);
         restart 1 beats it but runs out of its 10 iterations."""

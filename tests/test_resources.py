@@ -62,6 +62,11 @@ class TestExpressions:
         assert rationalize("2/5") == Fraction(2, 5)
         assert rationalize(3) == Fraction(3)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_rationalize_rejects_non_finite(self, x):
+        with pytest.raises(ValidationError):
+            rationalize(x)
+
 
 class TestApplyRule:
     def test_one_time_pad(self):
