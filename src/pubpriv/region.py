@@ -170,6 +170,8 @@ class OptimizerConfig:
             raise ValidationError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
+        if not (np.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ValidationError(f"convergence_tol must be finite and nonnegative, got {self.convergence_tol}")
 
     def resolve_alphabets(self, iso: IsometricExtension) -> tuple[int, int]:
         ceiling = min(iso.dim_in, iso.dim_B) ** 2 + 1
@@ -288,8 +290,8 @@ def optimize_region(
     w_r, w_p = float(weights[0]), float(weights[1])
     if w_r < 0 or w_p < 0 or (w_r == 0 and w_p == 0):
         raise ValidationError("weights must be nonnegative and not both zero")
-    if r_s < 0:
-        raise ValidationError("key rate must be nonnegative")
+    if not (np.isfinite(r_s) and r_s >= 0):
+        raise ValidationError(f"key rate must be finite and nonnegative, got {r_s}")
     nx, ny = cfg.resolve_alphabets(iso)
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 

@@ -8,10 +8,15 @@ decoding, expurgation, and the trace-norm security criterion — is exactly
 computable at n ≤ ~12 and Monte-Carlo-estimable beyond. The quantum region
 computation and this simulator meet only through shared rate formulas.
 
-Typicality is the entropy-typical window: a sequence is δ-typical when its
-empirical surprisal rate -(1/n)·log2 p^n deviates from the source entropy
-by at most δ. (Under a uniform source every sequence is typical for any
-δ > 0.)
+Every codebook is a two-layer codebook: K_pub outer words x^n(k) from the
+pruned p(x)^n, each carrying M inner words from the pruned Π_i p(·|x_i). A
+1-D input law p is the one-symbol outer law p(x) = [1], p(a|x) = [p], whose
+outer word is 0^n: the key-assisted code without a public message.
+
+Typicality is the entropy-typical window: a word is δ-typical when its
+empirical surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) deviates from
+(1/n)·Σ_i H(p(·|x_i)) by at most δ. (Under a uniform law every word is
+typical for any δ > 0.)
 
 Determinism: codewords are a pure function of (seed, layer, k, m, rejection
 round, position) through a counter-based hash compared with integer CDF
@@ -60,11 +65,14 @@ _TAG_OUTER, _TAG_INNER, _TAG_TRIAL, _TAG_SECURITY, _TAG_PERMSG = 3, 5, 7, 11, 13
 
 @dataclass(frozen=True, eq=False)
 class ClassicalWiretap:
-    """Joint conditional law p(b, e | a) on finite alphabets; the marginals are computed once, read-only."""
+    """Joint conditional law p(b, e | a) on finite alphabets; the marginals and their CDF cuts are computed
+    once, read-only."""
 
     p_joint: np.ndarray  # (|A|, |B|, |E|)
     p_main: np.ndarray = field(init=False, repr=False)  # Bob's marginal p(b|a)
     p_eve: np.ndarray = field(init=False, repr=False)  # Eve's marginal p(e|a)
+    cuts_main: np.ndarray = field(init=False, repr=False)  # (|B|-1, |A|) CDF cuts of p(b|a), see _channel_outputs
+    cuts_eve: np.ndarray = field(init=False, repr=False)  # (|E|-1, |A|) CDF cuts of p(e|a)
 
     def __post_init__(self):
         t = np.array(self.p_joint, dtype=float)
@@ -76,7 +84,9 @@ class ClassicalWiretap:
         if np.max(np.abs(sums - 1.0)) > PROB_TOL:
             raise ValidationError(f"p(b,e|a) must sum to 1 for every a; sums {sums}")
         np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 (say 1 - 0.9 - 0.1) would log to NaN
-        for name, value in {"p_joint": t, "p_main": t.sum(axis=2), "p_eve": t.sum(axis=1)}.items():
+        p_main, p_eve = t.sum(axis=2), t.sum(axis=1)
+        for name, value in {"p_joint": t, "p_main": p_main, "p_eve": p_eve,
+                            "cuts_main": _cdf_cuts(p_main), "cuts_eve": _cdf_cuts(p_eve)}.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -105,6 +115,20 @@ class ClassicalWiretap:
     def bsc_pair(cls, flip_main: float, flip_eve: float) -> "ClassicalWiretap":
         """Binary symmetric main and eavesdropper channels with given flip rates."""
         return cls.from_marginals(bsc(flip_main), bsc(flip_eve))
+
+
+def _cdf_cuts(table: np.ndarray) -> np.ndarray:
+    """(q-1, |A|) cuts of each row's CDF: all but its last partial sum."""
+    return np.cumsum(table, axis=1)[:, :-1].T
+
+
+def _channel_outputs(cuts: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outputs for the inputs ``a`` and the uniforms ``u`` of a's shape: how many CDF cuts of p(·|a) lie below u.
+
+    This is the inverse-CDF draw min(#{j < q : cdf_j < u}, q-1): a cumsum of nonnegative entries never
+    decreases, so when its last entry lies below u, so do all q-1 cuts. One output (q = 1) has no cuts.
+    """
+    return (cuts[:, a] < u).sum(axis=0)
 
 
 def bsc(flip: float) -> np.ndarray:
@@ -217,40 +241,44 @@ def _window_mass_log2(groups, center: float, delta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PrunedDistribution:
-    """p^n conditioned on the entropy-typical set T_δ.
+    """Π_i p(·|x_i) conditioned on conditional entropy-typicality given the outer word x^n.
 
-    ``_generate_words`` rejection-samples i.i.d. sequences until typical;
-    ``log2_prob`` evaluates the exact pruned log-probability
-    log2[p^n(y^n) / Pr(T_δ)] and returns -inf for sequences outside the
-    typical set (the out-of-support marker).
+    A word is typical when its surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) lies within δ of
+    ``entropy`` = (1/n)·Σ_i H(p(·|x_i)). One table row with x^n = 0^n is the i.i.d. law p^n
+    (``pruned_distribution``). ``_generate_words`` rejection-samples words until typical;
+    ``log2_prob`` evaluates the exact pruned log-probability log2[p(a^n|x^n) / Pr(T_δ)] and
+    returns -inf for words outside the typical set (the out-of-support marker).
     """
 
-    p: np.ndarray
-    n: int
+    table: np.ndarray  # (|X|, |A|) row-stochastic p(a|x)
+    x_seq: np.ndarray  # (n,) outer word
     delta: float
-    entropy: float = field(init=False)
+    entropy: float = field(init=False)  # the window center
     log2_acceptance: float = field(init=False)
-    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p per symbol
-    thresholds: np.ndarray = field(init=False, repr=False)  # the same column at every position, see _thresholds
+    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p(a|x), (|X|, |A|)
+    thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValidationError("p must be a probability vector")
+        t = np.array(self.table, dtype=float)
+        x = np.array(self.x_seq, dtype=np.intp)
+        if t.ndim != 2 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(t < -PROB_TOL) \
+                or np.max(np.abs(t.sum(axis=1) - 1.0)) > PROB_TOL:
+            raise ValidationError("every row of an input law must be a probability vector")
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
-        if self.n < 1:
+        if x.ndim != 1 or x.size < 1:
             raise ValidationError("n must be >= 1")
-        p = np.clip(p, 0.0, None)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 would log to NaN
+        for name, value in (("table", t), ("x_seq", x)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1)[x]))
         with np.errstate(divide="ignore"):
-            object.__setattr__(self, "surprisal", -np.log2(p))
-        object.__setattr__(self, "thresholds", _thresholds(np.broadcast_to(np.cumsum(p), (self.n, p.size))))
-        sup = p > 0
-        h = float(-(p[sup] * np.log2(p[sup])).sum())
-        object.__setattr__(self, "entropy", h)
-        acc = _window_mass_log2([(self.n, p)], h, self.delta)
+            object.__setattr__(self, "surprisal", -np.log2(t))
+        h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
+        object.__setattr__(self, "entropy", float(h_rows[x].sum() / self.n))
+        groups = [(int((x == xv).sum()), t[xv]) for xv in np.unique(x)]
+        acc = _window_mass_log2(groups, self.entropy, self.delta)
         object.__setattr__(self, "log2_acceptance", acc)
         if acc < np.log2(MIN_ACCEPTANCE):
             raise ConfigurationError(
@@ -259,71 +287,34 @@ class PrunedDistribution:
             )
 
     @property
-    def acceptance(self) -> float:
-        """Pr[T_δ] under p^n."""
-        return float(2.0 ** self.log2_acceptance)
-
-    def surprisal_rates(self, seqs: np.ndarray) -> np.ndarray:
-        return self.surprisal[np.asarray(seqs)].sum(axis=-1) / self.n
-
-    def is_typical(self, seqs: np.ndarray) -> np.ndarray:
-        """Vectorized membership test; accepts (..., n) index arrays."""
-        return np.abs(self.surprisal_rates(seqs) - self.entropy) <= self.delta + 1e-12
-
-    def log2_prob(self, seq) -> float:
-        """Pruned log2-probability; -inf marks sequences outside T_δ."""
-        seq = np.asarray(seq)
-        if not bool(self.is_typical(seq)):
-            return -np.inf
-        return float(-self.surprisal[seq].sum() - self.log2_acceptance)
-
-
-def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
-    """Sampler plus exact evaluator for p^n conditioned on the δ-typical set."""
-    return PrunedDistribution(p=np.asarray(p, dtype=float), n=n, delta=delta)
-
-
-@dataclass(frozen=True, eq=False)
-class _ConditionalPruned:
-    """Π_i p(·|x_i) conditioned on conditional entropy-typicality given x^n."""
-
-    table: np.ndarray  # (|X|, |A|) row-stochastic
-    x_seq: np.ndarray  # (n,)
-    delta: float
-    center: float = field(init=False)
-    log2_acceptance: float = field(init=False)
-    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p(a|x), (|X|, |A|)
-    thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
-
-    def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        x = np.array(self.x_seq, dtype=np.intp)
-        t.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "x_seq", x)
-        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1)[x]))
-        n = x.size
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "surprisal", -np.log2(t))
-        h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
-        center = float(h_rows[x].sum() / n)
-        object.__setattr__(self, "center", center)
-        groups = [(int((x == xv).sum()), t[xv]) for xv in sorted(set(int(v) for v in x))]
-        object.__setattr__(self, "log2_acceptance", _window_mass_log2(groups, center, self.delta))
-        if self.log2_acceptance < np.log2(MIN_ACCEPTANCE):
-            raise ConfigurationError(
-                f"conditional typical-set acceptance 2^{self.log2_acceptance:.2f} below {MIN_ACCEPTANCE:g}; "
-                f"increase delta"
-            )
-
-    @property
     def n(self) -> int:
         return self.x_seq.size
 
-    def is_typical(self, seqs: np.ndarray) -> np.ndarray:
-        rate = self.surprisal[self.x_seq, np.asarray(seqs)].sum(axis=-1) / self.n
-        return np.abs(rate - self.center) <= self.delta + 1e-12
+    @property
+    def acceptance(self) -> float:
+        """Pr[T_δ] under the unpruned law."""
+        return float(2.0 ** self.log2_acceptance)
+
+    def _surprisals(self, seqs) -> np.ndarray:
+        """Per-position surprisals of (..., n) words; one row is a 1-D gather, cheaper than the (x_i, a_i) one."""
+        seqs = np.asarray(seqs)
+        return self.surprisal[0][seqs] if len(self.surprisal) == 1 else self.surprisal[self.x_seq, seqs]
+
+    def is_typical(self, seqs) -> np.ndarray:
+        """Vectorized membership test; accepts (..., n) index arrays."""
+        return np.abs(self._surprisals(seqs).sum(axis=-1) / self.n - self.entropy) <= self.delta + 1e-12
+
+    def log2_prob(self, seq) -> float:
+        """Pruned log2-probability; -inf marks sequences outside T_δ."""
+        if not bool(self.is_typical(seq)):
+            return -np.inf
+        return float(-self._surprisals(seq).sum() - self.log2_acceptance)
+
+
+def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
+    """Sampler plus exact evaluator for the i.i.d. p^n conditioned on the δ-typical set."""
+    return PrunedDistribution(table=np.asarray(p, dtype=float)[None], x_seq=np.zeros(max(n, 0), dtype=np.intp),
+                              delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +397,7 @@ class GenerationRecord:
     """Pruning and generation bookkeeping for a codebook."""
 
     acceptance_inner: float
-    acceptance_outer: float | None = None
+    acceptance_outer: float = 1.0  # 1.0 for the one-symbol outer law of a 1-D input law
     collision_count: int | None = None
     lazy: bool = False
     expurgation: dict | None = None
@@ -414,21 +405,19 @@ class GenerationRecord:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Seeded random codebook: outer words x^n(k) and per-k inner words u_p^n.
+    """Seeded random two-layer codebook: outer words x^n(k) and per-k inner words u_p^n.
 
-    Single-layer codebooks (K_pub=1) have no outer words. When the total
-    word count exceeds ``EAGER_WORD_LIMIT`` the inner words are not
-    materialized; ``word``/``inner_block`` regenerate them on demand from
-    the seed (bit-identical to eager generation).
+    A 1-D input law p is the one-symbol outer law: ``outer_p`` = [1], ``cond_table`` = [p]
+    and the outer word 0^n. When the total word count exceeds ``EAGER_WORD_LIMIT`` the inner
+    words are not materialized; ``word``/``inner_block`` regenerate them on demand from the
+    seed (bit-identical to eager generation).
     """
 
     config: CodeConfig
-    input_p: np.ndarray | None  # single-layer law over A
-    outer_p: np.ndarray | None  # two-layer p(x)
-    cond_table: np.ndarray | None  # two-layer p(a|x)
-    outer_words: np.ndarray | None  # (K, n)
+    outer_p: np.ndarray  # p(x)
+    cond_table: np.ndarray  # p(a|x)
+    outer_words: np.ndarray  # (K, n)
     inner_words: np.ndarray | None  # (K, M, n) or None when lazy
-    seed: int
     record: GenerationRecord
     _samplers: tuple = field(default=(), repr=False, compare=False)
 
@@ -436,15 +425,11 @@ class Codebook:
     def is_lazy(self) -> bool:
         return self.inner_words is None
 
-    @property
-    def two_layer(self) -> bool:
-        return self.outer_words is not None
-
     def inner_block(self, k: int, lo: int, hi: int) -> np.ndarray:
         """Inner words u_p^n(k) for p in [lo, hi)."""
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
-        return _generate_words(self._samplers[k], self.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+        return _generate_words(self._samplers[k], self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
 
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
@@ -456,8 +441,8 @@ class Codebook:
         return _encode_lanes(self.inner_words)
 
 
-def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray) -> np.ndarray:
-    """Rejection-sample typical words for the given stream ids.
+def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray, out: np.ndarray | None = None):
+    """Rejection-sample typical words for the given stream ids, into ``out`` if given.
 
     Symbol i of an id's round-r candidate is ``_symbols`` of splitmix64(base + (id·2^27 | r·2^7 | i)),
     injective for id < 2^37, r < 2^20, n <= 128. Ids go in blocks of about ``_BLOCK_SYMBOLS``
@@ -465,7 +450,8 @@ def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray) -> np
     """
     n = sampler.n
     keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
-    out = np.empty((keys.size, n), dtype=np.intp)
+    if out is None:
+        out = np.empty((keys.size, n), dtype=np.intp)
     rows = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
     h, tmp = np.empty((2, rows, n), dtype=np.uint64)
     col = np.arange(n, dtype=np.uint64) + _stream_base(seed, tag, k) + _C1  # disjoint bit fields: | is +
@@ -493,65 +479,53 @@ def _distinct_rows(words: np.ndarray, q: int) -> int:
     return int(np.unique(w.view(f"V{w.shape[1] * w.itemsize}")).size)
 
 
-def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, outer_p) -> Codebook:
+_LAW_FORMS = "an input law is a 1-D p over the input alphabet (K_pub = 1) or a pair (p_x, p_a_given_x)"
+
+
+def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     """Draw a seeded random codebook for the channel.
 
-    Single-layer (K_pub=1): ``outer_p`` is a distribution over the input
-    alphabet; M i.i.d. words from the pruned distribution. Two-layer
-    (K_pub>1): ``outer_p`` is a pair (p_x, p_a_given_x); K_pub outer words
-    come from the pruned p(x)^n and each carries M inner words drawn from
-    the conditionally pruned law given its outer word.
+    ``law`` is a pair (p_x, p_a_given_x), for any K_pub, or a 1-D distribution p over the
+    input alphabet, for K_pub = 1 only, read as the pair ([1], [p]). K_pub outer words come
+    from the pruned p(x)^n and each carries M inner words drawn from the conditionally pruned
+    law given its outer word. The inner words are regenerated on demand (lazy) when
+    K_pub·M > ``EAGER_WORD_LIMIT``, which needs K_pub = 1.
     """
-    if cfg.K_pub == 1:
-        p = np.asarray(outer_p, dtype=float)
-        if p.ndim != 1:
-            raise DimensionError("single-layer codebooks need a 1-D input distribution")
-        if p.size != ch.size_a:
-            raise DimensionError(f"input law over {p.size} symbols, channel expects {ch.size_a}")
-        pd = pruned_distribution(p, cfg.n, cfg.delta)
-        lazy = cfg.M > EAGER_WORD_LIMIT
-        inner = None
-        collisions = None
-        if not lazy:
-            inner = _generate_words(pd, cfg.seed, _TAG_INNER, 0, np.arange(cfg.M, dtype=np.int64))[None]
-            collisions = cfg.M - _distinct_rows(inner[0], p.size)
-        rec = GenerationRecord(acceptance_inner=pd.acceptance, collision_count=collisions, lazy=lazy)
-        return Codebook(config=cfg, input_p=p, outer_p=None, cond_table=None, outer_words=None,
-                        inner_words=inner, seed=cfg.seed, record=rec, _samplers=(pd,))
-
     try:
-        p_x, cond = outer_p
-    except (TypeError, ValueError) as exc:
-        raise DimensionError("two-layer codebooks need (p_x, p_a_given_x)") from exc
-    p_x = np.asarray(p_x, dtype=float)
-    cond = np.asarray(cond, dtype=float)
-    if cond.ndim != 2 or cond.shape[0] != p_x.size:
-        raise DimensionError("p_a_given_x must have one row per outer symbol")
+        p = np.asarray(law, dtype=float)
+    except ValueError:  # ragged, as a pair is
+        p = None
+    if p is not None and p.ndim == 1:
+        if cfg.K_pub > 1:
+            raise DimensionError(f"K_pub = {cfg.K_pub}: {_LAW_FORMS}")
+        p_x, cond = np.ones(1), p[None]
+    else:
+        try:
+            p_x, cond = (np.asarray(v, dtype=float) for v in law)
+        except (TypeError, ValueError) as exc:
+            raise DimensionError(_LAW_FORMS) from exc
+        if p_x.ndim != 1 or cond.ndim != 2 or cond.shape[0] != p_x.size:
+            raise DimensionError(f"{_LAW_FORMS}, with one row of p_a_given_x per outer symbol")
     if cond.shape[1] != ch.size_a:
-        raise DimensionError(f"inner law over {cond.shape[1]} symbols, channel expects {ch.size_a}")
-    if not np.all(np.isfinite(cond)) or np.max(np.abs(cond.sum(axis=1) - 1.0)) > PROB_TOL \
-            or np.any(cond < -PROB_TOL):
-        raise ValidationError("p_a_given_x rows must be probability vectors")
-    if cfg.K_pub * cfg.M > EAGER_WORD_LIMIT:
-        raise BudgetError(
-            f"two-layer codebooks are materialized eagerly; K_pub*M = {cfg.K_pub * cfg.M} "
-            f"exceeds {EAGER_WORD_LIMIT}"
-        )
+        raise DimensionError(f"input law over {cond.shape[1]} symbols, channel expects {ch.size_a}")
+    K, M = cfg.K_pub, cfg.M
+    lazy = K * M > EAGER_WORD_LIMIT
+    if lazy and K > 1:
+        raise BudgetError(f"codebooks with K_pub > 1 are materialized eagerly; K_pub*M = {K * M} "
+                          f"exceeds {EAGER_WORD_LIMIT}")
     outer_pd = pruned_distribution(p_x, cfg.n, cfg.delta)
-    outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(cfg.K_pub, dtype=np.int64))
-    samplers = []
-    inner = np.empty((cfg.K_pub, cfg.M, cfg.n), dtype=np.intp)
-    acc_min = 1.0
-    for k in range(cfg.K_pub):
-        cp = _ConditionalPruned(table=cond, x_seq=outer_words[k], delta=cfg.delta)
-        acc_min = min(acc_min, float(2.0 ** cp.log2_acceptance))
-        samplers.append(cp)
-        inner[k] = _generate_words(cp, cfg.seed, _TAG_INNER, k, np.arange(cfg.M, dtype=np.int64))
-    collisions = sum(cfg.M - _distinct_rows(inner[k], ch.size_a) for k in range(cfg.K_pub))
-    rec = GenerationRecord(acceptance_inner=acc_min, acceptance_outer=outer_pd.acceptance,
-                           collision_count=collisions, lazy=False)
-    return Codebook(config=cfg, input_p=None, outer_p=p_x, cond_table=cond, outer_words=outer_words,
-                    inner_words=inner, seed=cfg.seed, record=rec, _samplers=tuple(samplers))
+    outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
+    samplers = tuple(PrunedDistribution(table=cond, x_seq=x, delta=cfg.delta) for x in outer_words)
+    inner, collisions = None, None
+    if not lazy:
+        inner = np.empty((K, M, cfg.n), dtype=np.intp)
+        for k, sampler in enumerate(samplers):
+            _generate_words(sampler, cfg.seed, _TAG_INNER, k, np.arange(M, dtype=np.int64), out=inner[k])
+        collisions = sum(M - _distinct_rows(words, ch.size_a) for words in inner)
+    rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers),
+                           acceptance_outer=outer_pd.acceptance, collision_count=collisions, lazy=lazy)
+    return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=samplers[0].table, outer_words=outer_words,
+                    inner_words=inner, record=rec, _samplers=samplers)
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +645,8 @@ def _lane_scores(tables: np.ndarray, lanes: _Lanes) -> np.ndarray:
 
 
 def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
-    """Per-symbol surprisal of the generating tuple law and its entropy."""
-    if codebook.two_layer:
-        # q(x, a, b); candidate score gathers (x_i, u_i, b_i)
-        q = codebook.outer_p[:, None, None] * codebook.cond_table[:, :, None] * ch.p_main[None, :, :]
-    else:
-        q = codebook.input_p[:, None] * ch.p_main
+    """Per-symbol surprisal of the generating law q(x, a, b) and its entropy; a candidate gathers (x_i, u_i, b_i)."""
+    q = codebook.outer_p[:, None, None] * codebook.cond_table[:, :, None] * ch.p_main[None, :, :]
     with np.errstate(divide="ignore"):
         v = -np.log2(q)
     sup = q > 0
@@ -715,7 +685,7 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     scanned = 0
     chunk = 65536
     for k in range(K):
-        cols = v[codebook.outer_words[k], :, b] if codebook.two_layer else v[:, b].T
+        cols = v[codebook.outer_words[k], :, b]
         lo = 0
         while lo < M:
             hi = min(M, lo + chunk)
@@ -762,9 +732,8 @@ def _binomial_ci(x: int, n: int, conf: float = 0.95):
 
 
 def _sample_channel_outputs(rng: np.random.Generator, table: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(table, axis=1)[a_seq]
-    u = rng.random(a_seq.size)
-    return np.minimum((cdf < u[:, None]).sum(axis=1), table.shape[1] - 1)
+    """Outputs of the (|A|, q) channel ``table`` for the inputs a_seq, drawn as ``_run_trial`` draws Bob's."""
+    return _channel_outputs(_cdf_cuts(table), a_seq, rng.random(a_seq.size))
 
 
 def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: np.random.Generator,
@@ -776,7 +745,7 @@ def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: n
     s = int(rng.integers(cfg.S))
     p = encrypt(m, s, cfg.M)
     a_seq = codebook.word(k, p)
-    b_seq = _sample_channel_outputs(rng, ch.p_main, a_seq)
+    b_seq = _channel_outputs(ch.cuts_main, a_seq, rng.random(a_seq.size))
     return k, p, decode(b_seq, codebook, cfg, ch)
 
 
@@ -921,8 +890,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                           "lazy codebooks are not supported")
     with np.errstate(divide="ignore"):
         log_eve = np.log(p_eve).ravel()  # log_eve[a·|E| + e] = log p(e | a)
-    # Eve's output for a uniform u is the number of these CDF cuts below u: _sample_channel_outputs' draw
-    cuts, q, T = np.cumsum(p_eve, axis=1)[:, :-1].T, ch.size_e, cfg.trials
+    q, T = ch.size_e, cfg.trials
     per = max(1, min(T, _BLOCK_SYMBOLS // (M * n)))  # trials per block: one gather of about _BLOCK_SYMBOLS
     keys, refs = np.empty((2, per), dtype=np.intp)
     u, ll = np.empty((per, n)), np.empty((per, M))
@@ -938,7 +906,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
             for t in range(c):  # trial by trial: its key s, its reference word, then Eve's uniforms
                 keys[t], refs[t] = rng.integers(S), rng.integers(M)
                 rng.random(out=u[t])
-            e_seq = (cuts[:, words[refs[:c]]] < u[:c]).sum(axis=0)
+            e_seq = _channel_outputs(ch.cuts_eve, words[refs[:c]], u[:c])
             np.add(words * q, e_seq[:, None, :], out=idx[:c])
             np.take(log_eve, idx[:c], out=g[:c], mode="clip")  # "raise" would buffer out; indices are in range
             g[:c].sum(axis=2, out=ll[:c])
@@ -985,14 +953,6 @@ def expurgate(codebook: Codebook, per_message_error) -> Codebook:
     new_cfg = replace(codebook.config, K_pub=keep_count)
     rec = replace(codebook.record,
                   expurgation={"kept": [int(i) for i in kept], "rate_loss_public": rate_loss})
-    return Codebook(
-        config=new_cfg,
-        input_p=codebook.input_p,
-        outer_p=codebook.outer_p,
-        cond_table=codebook.cond_table,
-        outer_words=None if codebook.outer_words is None else codebook.outer_words[kept],
-        inner_words=codebook.inner_words[kept],
-        seed=codebook.seed,
-        record=rec,
-        _samplers=tuple(codebook._samplers[i] for i in kept) if codebook.two_layer else codebook._samplers,
-    )
+    return replace(codebook, config=new_cfg, outer_words=codebook.outer_words[kept],
+                   inner_words=codebook.inner_words[kept], record=rec,
+                   _samplers=tuple(codebook._samplers[i] for i in kept))

@@ -154,6 +154,20 @@ class TestSimulateCommand:
         assert r.returncode == 2, r.stderr
         assert "finite" in r.stderr
 
+    def test_pair_law_with_one_public_message(self, tmp_path, run_cli):
+        """An 'input_law' spec runs at the default K_pub = 1; ([1], [p]) writes the rows of 'input_p': p."""
+        code = {"n": 10, "M": 8, "S": 2, "delta": 0.5, "seed": 3, "trials": 20}
+        specs = {"pair": {"input_law": {"p_x": [0.5, 0.5], "p_a_given_x": [[0.85, 0.15], [0.15, 0.85]]}},
+                 "one-row": {"input_law": {"p_x": [1.0], "p_a_given_x": [[0.7, 0.3]]}},
+                 "1-D": {"input_p": [0.7, 0.3]}}
+        for name, law in specs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"channel": CHANNEL, **law, "code": code,
+                                                               "security": "exact"}))
+            r = run_cli(["simulate", "--config", f"{name}.json", "--out", f"{name}.csv"], tmp_path)
+            assert r.returncode == 0, r.stderr
+        assert read_rows(tmp_path / "pair.csv")[0]["rate_public"] == "0.0"
+        assert (tmp_path / "one-row.csv").read_bytes() == (tmp_path / "1-D.csv").read_bytes()
+
     def test_seed_flag_overrides_spec(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--seed", "99", "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -334,6 +348,12 @@ MALFORMED = {
                            "weights", "not subscriptable"),
     "non-finite-derivation-input": ({}, ["resources", "derive", "ds03", "--a", "inf", "--b", "1", "--c", "0"],
                                     "non-finite", "integer ratio"),
+    "nan-key-rate": ({}, ["region", "--zoo", "identity", "--rs", "nan", "--weights", "1,1", "--out", "r.csv"]
+                     + FAST_REGION, "key rate", "RuntimeWarning"),
+    "infinite-key-rate": ({}, ["skp", "--zoo", "dephasing", "--p", "0.5", "--rs", "inf", "--out", "k.csv"]
+                          + FAST_REGION, "key rate", "RuntimeWarning"),
+    "nan-tolerance": ({}, ["region", "--zoo", "identity", "--tol", "nan", "--weights", "1,0", "--out", "r.csv"]
+                      + FAST_REGION, "convergence_tol", "RuntimeWarning"),
 }
 
 

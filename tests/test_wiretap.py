@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -46,6 +47,19 @@ class TestChannelModel:
             assert table is getattr(ch, name) and table.tobytes() == value.tobytes(), name
             with pytest.raises(ValueError):
                 table[0, 0] = 0.5
+
+    def test_cut_count_is_the_clipped_inverse_cdf_draw(self):
+        """Counting a row's q-1 CDF cuts below u gives min(#{j < q : cdf_j < u}, q-1), also for a row that sums
+        to 1 - 1e-13 with u above that sum, and for one output."""
+        rng = np.random.default_rng(2)
+        for q in (1, 2, 5):
+            table = rng.dirichlet(np.ones(q), size=3)
+            table[0] *= 1 - 1e-13
+            a = rng.integers(0, 3, size=4000)
+            u = rng.random(a.size)
+            u[np.flatnonzero(a == 0)[:5]] = np.nextafter(1.0, 0.0)
+            want = np.minimum((np.cumsum(table, axis=1)[a] < u[:, None]).sum(axis=1), q - 1)
+            assert np.array_equal(wt._channel_outputs(wt._cdf_cuts(table), a, u), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_laws_rejected(self, bad):
@@ -125,14 +139,14 @@ class TestPrunedDistribution:
                                   ([0.1, 0.2, 0.3, 0.4], 12, 0.2, "-0x1.b881cfbe1aea7p-2")):
             pd = pruned_distribution(p, n, delta)
             assert pd.log2_acceptance.hex() == want
-            one_group = wt._ConditionalPruned(table=np.array([p]), x_seq=np.zeros(n, dtype=int), delta=delta)
+            one_group = wt.PrunedDistribution(table=np.array([p]), x_seq=np.zeros(n, dtype=int), delta=delta)
             assert one_group.log2_acceptance == pd.log2_acceptance
         for table, x, delta, want in (
                 ([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]], [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1], 0.4,
                  "-0x1.435138bf7bf4fp-3"),
                 ([[0.5, 0.5], [0.9, 0.1], [0.25, 0.75]], [2, 0, 1, 2, 2, 0, 1, 1, 0, 2], 0.15,
                  "-0x1.c99bcf3284743p-1")):
-            cp = wt._ConditionalPruned(table=np.array(table), x_seq=np.array(x), delta=delta)
+            cp = wt.PrunedDistribution(table=np.array(table), x_seq=np.array(x), delta=delta)
             assert cp.log2_acceptance.hex() == want
 
     def test_evaluator_normalizes(self):
@@ -448,6 +462,26 @@ class TestCodebookGeneration:
                 surpr = float(np.mean([-np.log2(cond[x[i], u[i]]) for i in range(8)]))
                 assert abs(surpr - center) <= 0.9 + 1e-12
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_a_1d_law_is_the_one_symbol_pair_law(self, monkeypatch, lazy):
+        """p and ([1], [p]) give the same codebook: records, words and decodes, eager and lazy."""
+        if lazy:
+            monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        ch = ClassicalWiretap.bsc_pair(0.1, 0.3)
+        cfg = CodeConfig(n=12, M=64, S=2, delta=0.4, seed=5)
+        p = np.array([0.7, 0.3])
+        one, pair = (generate_codebook(cfg, ch, law) for law in (p, ([1.0], [p])))
+        assert one.is_lazy == pair.is_lazy == lazy
+        assert one.record == pair.record and one.record.acceptance_outer == 1.0
+        assert np.array_equal(one.outer_words, pair.outer_words) and not one.outer_words.any()
+        assert np.array_equal(one.inner_block(0, 0, cfg.M), pair.inner_block(0, 0, cfg.M))
+        rng = np.random.default_rng(0)
+        for decoder in ("joint_typicality",) if lazy else wt.DECODERS:
+            dcfg = replace(cfg, decoder=decoder)
+            for _ in range(20):
+                b = wt._sample_channel_outputs(rng, ch.p_main, one.word(0, int(rng.integers(cfg.M))))
+                assert decode(b, one, dcfg, ch) == decode(b, pair, dcfg, ch)
+
     def test_pigeonhole_collisions_reported(self):
         # only 8 binary words of length 3 exist, so 20 codewords must collide
         cfg = CodeConfig(n=3, M=20, S=1, delta=2.0, seed=6)
@@ -544,8 +578,8 @@ class TestDecoding:
         cfg = CodeConfig(n=4, M=3, K_pub=2, delta=3.0, seed=0)
         words = np.array([[[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0]],
                           [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]]])
-        cb = Codebook(config=cfg, input_p=None, outer_p=UNIFORM2, cond_table=np.eye(2),
-                      outer_words=np.zeros((2, 4), dtype=np.intp), inner_words=words, seed=0,
+        cb = Codebook(config=cfg, outer_p=UNIFORM2, cond_table=np.eye(2),
+                      outer_words=np.zeros((2, 4), dtype=np.intp), inner_words=words,
                       record=wt.GenerationRecord(acceptance_inner=1.0))
         assert decode([0, 1, 1, 0], cb, cfg, ch) == (0, 0)
         assert decode([1, 1, 0, 0], cb, cfg, ch) == (0, 1)
@@ -562,8 +596,8 @@ class TestDecoding:
         assert ch.p_joint.min() == 0.0
         cfg = CodeConfig(n=3, M=3, K_pub=2, delta=3.0, seed=0)
         words = np.array([[[0, 0, 0], [1, 1, 1], [0, 1, 1]], [[0, 0, 1], [1, 0, 1], [0, 1, 0]]])
-        cb = Codebook(config=cfg, input_p=None, outer_p=UNIFORM2, cond_table=np.eye(2),
-                      outer_words=np.zeros((2, 3), dtype=np.intp), inner_words=words, seed=0,
+        cb = Codebook(config=cfg, outer_p=UNIFORM2, cond_table=np.eye(2),
+                      outer_words=np.zeros((2, 3), dtype=np.intp), inner_words=words,
                       record=wt.GenerationRecord(acceptance_inner=1.0))
         for b, want in (([2, 0, 2], (1, 1)), ([0, 0, 2], (1, 0)), ([0, 2, 2], (0, 2)),
                         ([2, 2, 2], (0, 1)), ([0, 0, 0], (0, 0))):
@@ -574,9 +608,9 @@ class TestDecoding:
         ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
         cfg = CodeConfig(n=4, M=2, S=1, delta=3.0, seed=0, decoder="joint_typicality")
         cb = generate_codebook(cfg, ch, UNIFORM2)
-        dup = Codebook(config=cfg, input_p=cb.input_p, outer_p=None, cond_table=None,
-                       outer_words=None, inner_words=np.repeat(cb.inner_words[:, :1], 2, axis=1),
-                       seed=cfg.seed, record=cb.record, _samplers=cb._samplers)
+        dup = Codebook(config=cfg, outer_p=cb.outer_p, cond_table=cb.cond_table,
+                       outer_words=cb.outer_words, inner_words=np.repeat(cb.inner_words[:, :1], 2, axis=1),
+                       record=cb.record, _samplers=cb._samplers)
         assert decode(dup.word(0, 0), dup, cfg, ch) is None
 
 
