@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from .qcore import (
     DensityOperator,
-    SystemLabel,
     maximally_correlated_state,
     partial_trace,
     tensor,
@@ -58,7 +57,7 @@ from .region import (
 
 __all__ = [
     "__version__",
-    "DensityOperator", "SystemLabel", "tensor", "partial_trace",
+    "DensityOperator", "tensor", "partial_trace",
     "von_neumann_entropy", "trace_norm_distance", "maximally_correlated_state",
     "QuantumChannel", "IsometricExtension", "isometric_extension", "zoo",
     "identity_channel", "dephasing_channel", "depolarizing_channel",

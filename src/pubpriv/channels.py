@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .qcore import DensityOperator, _as_stack, partial_trace
+from .qcore import DensityOperator, _as_stack, partial_trace, validate_probabilities
 
 COMPLETENESS_TOL = 1e-10
 
@@ -47,8 +47,9 @@ class QuantumChannel:
         object.__setattr__(self, "dim_in", shape[1])
         acc = sum(o.conj().T @ o for o in ops)
         residual = float(np.max(np.abs(acc - np.eye(self.dim_in))))
-        if residual > COMPLETENESS_TOL:
-            raise ValidationError(f"Kraus completeness violated: max |ΣK†K - I| = {residual:.3e}")
+        if not residual <= COMPLETENESS_TOL:  # a NaN or infinite entry fails too
+            what = "Kraus completeness violated" if np.isfinite(residual) else "non-finite Kraus entry"
+            raise ValidationError(f"{what}: max |ΣK†K - I| = {residual:.3e}")
 
     @classmethod
     def from_kraus(cls, kraus) -> "QuantumChannel":
@@ -73,7 +74,8 @@ class QuantumChannel:
 
 @dataclass(frozen=True, eq=False)
 class IsometricExtension:
-    """Canonical Stinespring isometry V: A' → B ⊗ E with V = Σ_i K_i ⊗ |i⟩."""
+    """Canonical Stinespring isometry V: A' → B ⊗ E with V = Σ_i K_i ⊗ |i⟩; its Gram matrix is
+    ΣK†K, which the channel has checked against the identity."""
 
     channel: QuantumChannel
     isometry: np.ndarray = field(init=False)
@@ -88,9 +90,6 @@ class IsometricExtension:
             v += np.kron(k, e_i)
         v.flags.writeable = False
         object.__setattr__(self, "isometry", v)
-        residual = float(np.max(np.abs(v.conj().T @ v - np.eye(ch.dim_in))))
-        if residual > COMPLETENESS_TOL:
-            raise ValidationError(f"V†V deviates from identity by {residual:.3e}")
 
     @property
     def dim_in(self) -> int:
@@ -126,16 +125,6 @@ class IsometricExtension:
 def isometric_extension(ch: QuantumChannel) -> IsometricExtension:
     """Canonical Stinespring dilation of a channel."""
     return IsometricExtension(ch)
-
-
-def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Functional alias for ch.apply(rho)."""
-    return ch.apply(rho)
-
-
-def complementary_apply(iso: IsometricExtension, rho: DensityOperator) -> DensityOperator:
-    """Functional alias for iso.complementary_apply(rho)."""
-    return iso.complementary_apply(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +211,7 @@ def cq_embedding_channel(p_b_given_a) -> QuantumChannel:
     t = np.asarray(p_b_given_a, dtype=float)
     if t.ndim != 2:
         raise DimensionError(f"p(b|a) must be a matrix, got shape {t.shape}")
-    if np.any(t < -1e-12) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-10:
-        raise ValidationError("p(b|a) rows must be probability distributions")
+    t = validate_probabilities(t, "p(b|a)", tol=1e-10)
     n_a, n_b = t.shape
     ops = []
     for a in range(n_a):

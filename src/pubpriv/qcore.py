@@ -1,7 +1,8 @@
 """Finite-dimensional density operators and the entropic primitives built on them.
 
 Everything here is exact dense linear algebra on small systems: density
-operators are validated Hermitian PSD unit-trace matrices, entropies are
+operators are validated Hermitian PSD unit-trace matrices, probability
+tables are validated once where they enter the library, entropies are
 base-2 von Neumann entropies from eigendecompositions, and the distance
 measure is the unnormalized trace norm (sum of singular values), which for
 two states ranges over [0, 2].
@@ -21,6 +22,9 @@ from .errors import CapacityError, DimensionError, ValidationError
 #: Default tolerance for the structural invariants of a density operator.
 VALIDATION_TOL = 1e-10
 
+#: Tolerance of a probability vector's entries and of its sum.
+PROB_TOL = 1e-12
+
 #: Eigenvalues below this are treated as exact zeros inside entropies.
 EIGENVALUE_CLIP = 1e-12
 
@@ -38,14 +42,32 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + _dagger(m)) / 2.0
 
 
-def validate_states(m: np.ndarray) -> None:
-    """Raise ValidationError unless every matrix of the (..., d, d) stack is Hermitian, of unit
-    trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack.
-    The checks are written so that NaN fails them: a NaN or infinite entry makes max |M - M†| NaN or inf."""
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise ValidationError unless max |M - M†| <= ``VALIDATION_TOL``; a NaN or inf entry fails too."""
     herm = np.max(np.abs(m - _dagger(m)))
     if not herm <= VALIDATION_TOL:
         what = "not Hermitian" if np.isfinite(herm) else "non-finite entry"
         raise ValidationError(f"{what}: max |M - M†| = {herm:.3e}")
+
+
+def validate_probabilities(table, what: str, tol: float = PROB_TOL) -> np.ndarray:
+    """A read-only float copy of ``table`` whose last axis holds probability vectors: entries >= -tol,
+    stored as 0 when below 0, summing to 1 within tol; else ValidationError naming ``what``. NaN and
+    -inf fail the minimum and +inf the sum, so no separate finiteness pass is needed."""
+    t = np.array(table, dtype=float)
+    if not (t.size and t.min() >= -tol and np.max(np.abs(t.sum(axis=-1) - 1.0)) <= tol):
+        raise ValidationError(f"{what} must hold finite probability vectors: entries >= 0, "
+                              f"each vector summing to 1 (within {tol:g})")
+    np.maximum(t, 0.0, out=t)
+    t.flags.writeable = False
+    return t
+
+
+def validate_states(m: np.ndarray) -> None:
+    """Raise ValidationError unless every matrix of the (..., d, d) stack is Hermitian, of unit
+    trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack.
+    The checks are written so that NaN fails them."""
+    _check_hermitian(m)
     traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     tr = traces[np.argmax(np.abs(traces - 1.0))]
     if not abs(tr - 1.0) <= VALIDATION_TOL:
@@ -53,29 +75,6 @@ def validate_states(m: np.ndarray) -> None:
     lo = float(np.linalg.eigvalsh(_hermitize(m)).min())
     if not lo >= -VALIDATION_TOL:
         raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
-
-
-@dataclass(frozen=True)
-class SystemLabel:
-    """A named subsystem with its dimension, e.g. SystemLabel("B", 2)."""
-
-    name: str
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"system {self.name!r} needs dim >= 1, got {self.dim}")
-
-
-def composite_dim(labels: list[SystemLabel]) -> int:
-    """Dimension of a composite system; label names must be unique."""
-    names = [s.name for s in labels]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate system labels in composite: {names}")
-    d = 1
-    for s in labels:
-        d *= s.dim
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +209,7 @@ def von_neumann_entropy(rho):
     (...); every matrix in it must be Hermitian within ``VALIDATION_TOL``.
     """
     m = _as_stack(rho)
-    herm = float(np.max(np.abs(m - _dagger(m))))
-    if herm > VALIDATION_TOL:
-        raise ValidationError(f"not Hermitian within {VALIDATION_TOL:g}: deviation {herm:.3e}")
+    _check_hermitian(m)
     lam = np.linalg.eigvalsh(_hermitize(m))
     lam = np.where(lam < EIGENVALUE_CLIP, 0.0, lam)
     s = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)

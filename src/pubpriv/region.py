@@ -49,7 +49,7 @@ class RateTriple:
     R_S: float
 
     def __post_init__(self):
-        if min(self.R, self.P, self.R_S) < -1e-12:
+        if not all(v >= -1e-12 for v in (self.R, self.P, self.R_S)):  # NaN fails too
             raise ValidationError(f"rates must be nonnegative, got {self}")
 
 
@@ -63,7 +63,7 @@ class RegionConstraints:
     ensemble: InputEnsemble | None = None
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < -1e-12:
+        if not all(v >= -1e-12 for v in (self.a, self.b, self.c)):  # NaN fails too
             raise ValidationError(f"constraints must be nonnegative, got ({self.a}, {self.b}, {self.c})")
 
 
@@ -115,7 +115,8 @@ def skp_constraints(ens: InputEnsemble, iso: IsometricExtension) -> SkpPair:
     """
     if ens.size_x != 1:
         raise DimensionError(f"skp_constraints needs |X| = 1, got {ens.size_x}")
-    flipped = InputEnsemble.over_x(ens.p_y_given_x[0], list(ens.rho_xy[0]))
+    flipped = InputEnsemble(p_x=ens.p_y_given_x[0], p_y_given_x=np.ones((ens.size_y, 1)),
+                            rho_xy=ens.states[0, :, None])
     s = build_cq_state(flipped, iso)
     return SkpPair(i_yb=mutual_info_XB(s), i_ye=mutual_info_XE(s))
 
@@ -191,7 +192,6 @@ class OptimizeResult:
     achieved: RateTriple
     objective: float
     converged: bool
-    restarts_used: int
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -213,9 +213,6 @@ class _Parametrization:
         self.sl_py = slice(n_px, n_px + n_py)
         self.sl_states = slice(n_px + n_py, n_px + n_py + n_states)
         self.total = n_px + n_py + n_states
-
-    def blocks(self) -> list[slice]:
-        return [self.sl_px, self.sl_py, self.sl_states]
 
     def decode(self, theta: np.ndarray) -> InputEnsemble:
         d = self.dim
@@ -288,8 +285,8 @@ def optimize_region(
     """
     from scipy.optimize import minimize  # deferred: scipy is slow to import and only the optimizer needs it
     w_r, w_p = float(weights[0]), float(weights[1])
-    if w_r < 0 or w_p < 0 or (w_r == 0 and w_p == 0):
-        raise ValidationError("weights must be nonnegative and not both zero")
+    if not (w_r >= 0 and w_p >= 0 and 0 < w_r + w_p < np.inf):  # NaN and inf fail too
+        raise ValidationError(f"weights must be finite, nonnegative and not both zero, got ({w_r}, {w_p})")
     if not (np.isfinite(r_s) and r_s >= 0):
         raise ValidationError(f"key rate must be finite and nonnegative, got {r_s}")
     nx, ny = cfg.resolve_alphabets(iso)
@@ -314,7 +311,7 @@ def optimize_region(
         converged = False
         while budget > 0:
             sweep_start = val
-            for sl in par.blocks():
+            for sl in (par.sl_px, par.sl_py, par.sl_states):
                 if budget <= 0:
                     break
                 x0 = theta[sl].copy()
@@ -358,7 +355,6 @@ def optimize_region(
         achieved=_achieved_triple(rc, r_s),
         objective=best_val,
         converged=best_converged,
-        restarts_used=cfg.restarts,
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import DensityOperator
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -71,7 +70,7 @@ def ensemble_to_json(ens) -> dict:
     return {
         "p_x": [float(v) for v in ens.p_x],
         "p_y_given_x": [[float(v) for v in row] for row in ens.p_y_given_x],
-        "rho_xy": [[matrix_to_json(ens.rho_xy[x][y].matrix) for y in range(ens.size_y)] for x in range(ens.size_x)],
+        "rho_xy": [[matrix_to_json(m) for m in row] for row in ens.states],
     }
 
 
@@ -83,5 +82,5 @@ def ensemble_from_json(data) -> "InputEnsemble":
     rows = json_field(data, "rho_xy", "ensemble JSON")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValidationError("ensemble JSON 'rho_xy' must be a list of lists of matrices")
-    rho = [[DensityOperator(matrix_from_json(m)) for m in row] for row in rows]
+    rho = [[matrix_from_json(m) for m in row] for row in rows]  # InputEnsemble validates the whole stack
     return InputEnsemble(p_x=p_x, p_y_given_x=p_y_given_x, rho_xy=rho)

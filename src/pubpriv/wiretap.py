@@ -40,8 +40,8 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, DimensionError, ValidationError
+from .qcore import validate_probabilities
 
-PROB_TOL = 1e-12
 #: Typicality acceptance probabilities below this are rejected as unusable.
 MIN_ACCEPTANCE = 1e-6
 #: Largest codeword count (K_pub · M) kept as an in-memory array.
@@ -75,15 +75,11 @@ class ClassicalWiretap:
     cuts_eve: np.ndarray = field(init=False, repr=False)  # (|E|-1, |A|) CDF cuts of p(e|a)
 
     def __post_init__(self):
-        t = np.array(self.p_joint, dtype=float)
+        t = np.asarray(self.p_joint, dtype=float)
         if t.ndim != 3:
             raise DimensionError(f"p(b,e|a) needs shape (|A|,|B|,|E|), got {t.shape}")
-        if not np.all(np.isfinite(t)) or np.any(t < -PROB_TOL):
-            raise ValidationError("p(b,e|a) must be finite and nonnegative")
-        sums = t.sum(axis=(1, 2))
-        if np.max(np.abs(sums - 1.0)) > PROB_TOL:
-            raise ValidationError(f"p(b,e|a) must sum to 1 for every a; sums {sums}")
-        np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 (say 1 - 0.9 - 0.1) would log to NaN
+        # entries just below 0 (say 1 - 0.9 - 0.1) are stored as 0: they would log to NaN
+        t = validate_probabilities(t.reshape(t.shape[0], t.shape[1] * t.shape[2]), "p(b,e|a)").reshape(t.shape)
         p_main, p_eve = t.sum(axis=2), t.sum(axis=1)
         for name, value in {"p_joint": t, "p_main": p_main, "p_eve": p_eve,
                             "cuts_main": _cdf_cuts(p_main), "cuts_eve": _cdf_cuts(p_eve)}.items():
@@ -93,10 +89,6 @@ class ClassicalWiretap:
     @property
     def size_a(self) -> int:
         return self.p_joint.shape[0]
-
-    @property
-    def size_b(self) -> int:
-        return self.p_joint.shape[1]
 
     @property
     def size_e(self) -> int:
@@ -259,16 +251,15 @@ class PrunedDistribution:
     thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
+        t = np.asarray(self.table, dtype=float)
         x = np.array(self.x_seq, dtype=np.intp)
-        if t.ndim != 2 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(t < -PROB_TOL) \
-                or np.max(np.abs(t.sum(axis=1) - 1.0)) > PROB_TOL:
-            raise ValidationError("every row of an input law must be a probability vector")
-        if self.delta <= 0:
+        if t.ndim != 2:
+            raise ValidationError(f"an input law must be a table p(a|x), got shape {t.shape}")
+        t = validate_probabilities(t, "the rows of an input law")  # entries just below 0 would log to NaN
+        if not self.delta > 0:  # NaN fails too
             raise ValidationError("delta must be positive")
         if x.ndim != 1 or x.size < 1:
             raise ValidationError("n must be >= 1")
-        np.maximum(t, 0.0, out=t)  # entries within PROB_TOL below 0 would log to NaN
         for name, value in (("table", t), ("x_seq", x)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -348,7 +339,7 @@ class CodeConfig:
             raise ValidationError(f"need 1 <= S <= M, got S={self.S}, M={self.M}")
         if self.K_pub < 1:
             raise ValidationError("K_pub must be >= 1")
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN fails too
             raise ValidationError("delta must be positive")
         if self.decoder not in DECODERS:
             raise ValidationError(f"decoder must be one of {DECODERS}")
@@ -729,11 +720,6 @@ def _binomial_ci(x: int, n: int, conf: float = 0.95):
     lo = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, alpha / 2.0))
     hi = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1.0 - alpha / 2.0))
     return lo, hi
-
-
-def _sample_channel_outputs(rng: np.random.Generator, table: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
-    """Outputs of the (|A|, q) channel ``table`` for the inputs a_seq, drawn as ``_run_trial`` draws Bob's."""
-    return _channel_outputs(_cdf_cuts(table), a_seq, rng.random(a_seq.size))
 
 
 def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: np.random.Generator,

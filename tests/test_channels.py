@@ -6,8 +6,6 @@ import pytest
 from pubpriv.channels import (
     IsometricExtension,
     QuantumChannel,
-    apply,
-    complementary_apply,
     cq_embedding_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -64,6 +62,14 @@ class TestFromKraus:
         with pytest.raises(ValidationError, match="completeness"):
             QuantumChannel.from_kraus([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_kraus_entry_is_rejected(self, entry):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = entry
+        with pytest.raises(ValidationError, match="non-finite Kraus entry"):
+            with np.errstate(invalid="ignore"):
+                QuantumChannel.from_kraus([k])
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             QuantumChannel.from_kraus([np.eye(2), np.eye(3)])
@@ -101,42 +107,42 @@ class TestIsometricExtension:
 class TestApply:
     def test_identity(self, rng):
         rho = rand_density(rng, 2)
-        assert np.allclose(apply(identity_channel(2), rho).matrix, rho.matrix)
+        assert np.allclose(identity_channel(2).apply(rho).matrix, rho.matrix)
 
     def test_completely_depolarizing(self, rng):
         ch = depolarizing_channel(1.0)
         for _ in range(5):
-            out = apply(ch, rand_density(rng, 2))
+            out = ch.apply(rand_density(rng, 2))
             assert np.max(np.abs(out.matrix - np.eye(2) / 2)) < 1e-12
 
     def test_dephasing_kills_coherence(self):
-        out = apply(dephasing_channel(1.0), plus_state())
+        out = dephasing_channel(1.0).apply(plus_state())
         assert np.max(np.abs(out.matrix - np.eye(2) / 2)) < 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            apply(identity_channel(2), DensityOperator.maximally_mixed(3))
+            identity_channel(2).apply(DensityOperator.maximally_mixed(3))
 
 
 class TestComplementary:
     def test_identity_gives_scalar(self):
         iso = isometric_extension(identity_channel(2))
-        out = complementary_apply(iso, DensityOperator.maximally_mixed(2))
+        out = iso.complementary_apply(DensityOperator.maximally_mixed(2))
         assert out.dim == 1
         assert np.allclose(out.matrix, [[1.0]])
 
     def test_dephasing_copies_basis(self):
         iso = isometric_extension(dephasing_channel(1.0))
-        e0 = complementary_apply(iso, DensityOperator.basis_state(0, 2))
+        e0 = iso.complementary_apply(DensityOperator.basis_state(0, 2))
         assert np.allclose(e0.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-        em = complementary_apply(iso, DensityOperator.maximally_mixed(2))
+        em = iso.complementary_apply(DensityOperator.maximally_mixed(2))
         assert np.allclose(em.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_unit_trace(self, rng):
         for ch in ZOO_SAMPLES:
             iso = isometric_extension(ch)
             rho = rand_density(rng, ch.dim_in)
-            assert abs(np.trace(complementary_apply(iso, rho).matrix) - 1.0) < 1e-10
+            assert abs(np.trace(iso.complementary_apply(rho).matrix) - 1.0) < 1e-10
 
 
 class TestZoo:

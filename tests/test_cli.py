@@ -308,6 +308,20 @@ class TestReplayContract:
         assert (tmp_path / "s.csv").read_bytes() == first
         assert "threads" not in json.loads((tmp_path / "s.csv.manifest.json").read_text())["options"]
 
+    def test_manifest_replays_from_another_directory(self, tmp_path, experiment_spec, run_cli):
+        """Relative paths are stored relative to the manifest's directory, so a sibling directory replays it."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "other").mkdir()
+        r = run_cli(["simulate", "--config", "exp.json", "--out", "sub/s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "sub" / "s.csv").read_bytes()
+        manifest = (tmp_path / "sub" / "s.csv.manifest.json").read_bytes()
+        (tmp_path / "sub" / "s.csv").unlink()
+        r = run_cli(["replay", "--manifest", "../sub/s.csv.manifest.json"], tmp_path / "other")
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "sub" / "s.csv").read_bytes() == first
+        assert (tmp_path / "sub" / "s.csv.manifest.json").read_bytes() == manifest
+
     @pytest.mark.parametrize("change", ["edited", "deleted"])
     def test_changed_input_is_refused(self, tmp_path, experiment_spec, run_cli, change):
         r = run_cli(["simulate", "--config", "exp.json", "--out", "s.csv"], tmp_path)
@@ -327,6 +341,9 @@ class TestReplayContract:
 
 VALID_CODE = {"n": 8, "M": 4, "delta": 0.5, "seed": 1, "trials": 5}
 CHANNEL = {"p_main": [[1.0, 0.0], [0.0, 1.0]], "p_eve": [[0.5, 0.5], [0.5, 0.5]]}
+KET = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+ENSEMBLE = {"p_x": [1.0], "p_y_given_x": [[0.5, 0.5]], "rho_xy": [KET]}  # |0> and |1>, each with weight 1/2
+NAN_KRAUS = {"kraus": [[[[1.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}  # json writes NaN
 MALFORMED = {
     # id: (files to write, argv, word the message must name, raw Python message it must not print)
     "spec-is-a-list": ({"spec.json": [1, 2]}, ["simulate", "--config", "spec.json", "--out", "s.csv"],
@@ -354,6 +371,18 @@ MALFORMED = {
                           + FAST_REGION, "key rate", "RuntimeWarning"),
     "nan-tolerance": ({}, ["region", "--zoo", "identity", "--tol", "nan", "--weights", "1,0", "--out", "r.csv"]
                       + FAST_REGION, "convergence_tol", "RuntimeWarning"),
+    "nan-kraus-region": ({"ch.json": NAN_KRAUS}, ["region", "--channel-json", "ch.json", "--weights", "1,0",
+                                                  "--out", "r.csv"] + FAST_REGION, "Kraus", "RuntimeWarning"),
+    "nan-kraus-entropy": ({"ch.json": NAN_KRAUS, "ens.json": ENSEMBLE},
+                          ["entropy", "--channel-json", "ch.json", "--ensemble", "ens.json"], "Kraus", "I_XB"),
+    "nan-p-x": ({"ens.json": {**ENSEMBLE, "p_x": [float("nan")]}},
+                ["entropy", "--zoo", "dephasing", "--p", "1.0", "--ensemble", "ens.json"], "p_x", "I_XB"),
+    "nan-p-y-given-x": ({"ens.json": {**ENSEMBLE, "p_y_given_x": [[float("nan"), 0.5]]}},
+                        ["entropy", "--zoo", "dephasing", "--p", "1.0", "--ensemble", "ens.json"],
+                        "p_y_given_x", "I_XB"),
+    "nan-cq-table": ({"t.json": [[float("nan"), 1.0], [0.5, 0.5]]},
+                     ["region", "--cq-table", "t.json", "--weights", "1,0", "--out", "r.csv"] + FAST_REGION,
+                     "p(b|a)", "RuntimeWarning"),
 }
 
 

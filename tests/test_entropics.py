@@ -43,10 +43,12 @@ class TestBuildCqState:
 
     def test_identity_two_blocks(self):
         ens = basis_ensemble_over_x([0.5, 0.5])
-        s = build_cq_state(ens, isometric_extension(identity_channel(2)))
+        iso = isometric_extension(identity_channel(2))
+        s = build_cq_state(ens, iso)
         assert s.dim_E == 1
-        assert np.allclose(s.blocks[0][0].matrix, ket(0).matrix)
-        assert np.allclose(s.blocks[1][0].matrix, ket(1).matrix)
+        joint = iso.evolve(ens.states)
+        assert np.allclose(joint[0, 0], ket(0).matrix)
+        assert np.allclose(joint[1, 0], ket(1).matrix)
 
     def test_weights_sum_on_random_ensembles(self, rng):
         for _ in range(10):
@@ -174,7 +176,7 @@ def reference_infos(ens, iso):
             sigma_x = np.zeros((d, d), dtype=complex)
             for y in range(ens.size_y):
                 if ens.p_x[x] * ens.p_y_given_x[x, y] > 0.0:
-                    m = partial_trace(iso.evolve(ens.rho_xy[x][y]), keep=[keep], dims=dims)
+                    m = partial_trace(iso.evolve(DensityOperator(ens.states[x, y])), keep=[keep], dims=dims)
                     s_xy[x, y] = von_neumann_entropy(m)
                     sigma_x += ens.p_y_given_x[x, y] * m.matrix
             if ens.p_x[x] > 0.0:
@@ -204,11 +206,11 @@ class TestStackedKernel:
             p_x[0], p_x[1] = 0.0, p_x[1] + p_x[0]  # a zero-weight x row
             pyx = ens.p_y_given_x.copy()
             pyx[1, 0], pyx[1, 1] = 0.0, pyx[1, 1] + pyx[1, 0]  # a zero-weight (x, y) entry
-            ens = InputEnsemble(p_x=p_x, p_y_given_x=pyx, rho_xy=ens.rho_xy)
+            ens = InputEnsemble(p_x=p_x, p_y_given_x=pyx, rho_xy=ens.states)
             ch = rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             iso = isometric_extension(ch)
             s = build_cq_state(ens, iso)
-            assert s.blocks[0][0] is None and s.blocks[1][0] is None
+            assert s.weights[0, 0] == 0.0 and s.weights[1, 0] == 0.0
             got = [f(s) for f in SIX]
             want = reference_infos(ens, iso)
             assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
@@ -220,7 +222,7 @@ class TestStackedKernel:
             ens = rand_ensemble(rng, 3, 2, d_in, pure=True)
             iso = isometric_extension(rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(2, 4))))
             s = build_cq_state(ens, iso)
-            avg = DensityOperator(sum(ens.p_x[x] * ens.p_y_given_x[x, y] * ens.rho_xy[x][y].matrix
+            avg = DensityOperator(sum(ens.p_x[x] * ens.p_y_given_x[x, y] * ens.states[x, y]
                                       for x in range(3) for y in range(2)), validate=False)
             want = von_neumann_entropy(iso.apply(avg)) - von_neumann_entropy(iso.complementary_apply(avg))
             assert abs(mutual_info_XYB(s) - mutual_info_XYE(s) - want) < 1e-12
@@ -252,6 +254,12 @@ class TestEnsembleValidation:
             InputEnsemble(p_x=[1.0], p_y_given_x=[[0.5, 0.6]],
                           rho_xy=((rand_density(rng, 2), rand_density(rng, 2)),))
 
+    @pytest.mark.parametrize("p_x, p_y_given_x", [([np.nan, 1.0], [[1.0], [1.0]]),
+                                                  ([0.5, 0.5], [[1.0], [np.nan]])])
+    def test_nan_laws_are_rejected(self, rng, p_x, p_y_given_x):
+        with pytest.raises(ValidationError, match="finite"):
+            InputEnsemble(p_x=p_x, p_y_given_x=p_y_given_x, rho_xy=((ket(0),), (ket(1),)))
+
     def test_ragged_states(self, rng):
         with pytest.raises(DimensionError):
             InputEnsemble(p_x=[0.5, 0.5], p_y_given_x=[[1.0], [1.0]],
@@ -261,7 +269,7 @@ class TestEnsembleValidation:
         for nx, ny, d_in in ((3, 2, 2), (1, 4, 3), (2, 3, 4)):
             nested = rand_ensemble(rng, nx, ny, d_in)
             stacked = InputEnsemble(p_x=nested.p_x, p_y_given_x=nested.p_y_given_x,
-                                    rho_xy=np.array([[st.matrix for st in row] for row in nested.rho_xy]))
+                                    rho_xy=nested.states.copy())
             assert np.array_equal(stacked.states, nested.states)
             iso = isometric_extension(rand_channel(rng, d_in, 2, 2))
             got = [f(build_cq_state(stacked, iso)) for f in SIX]
@@ -272,9 +280,6 @@ class TestEnsembleValidation:
         ens = rand_ensemble(rng, 2, 3, 2)
         assert ens.states.shape == (2, 3, 2, 2) and ens.states.dtype == np.complex128
         assert ens.dim_in == 2
-        for x in range(2):
-            for y in range(3):
-                assert np.array_equal(ens.rho_xy[x][y].matrix, ens.states[x, y])
         with pytest.raises(ValueError):
             ens.states[0, 0, 0, 0] = 1.0
 
@@ -298,4 +303,4 @@ class TestEnsembleValidation:
         assert np.allclose(back.p_y_given_x, ens.p_y_given_x)
         for x in range(2):
             for y in range(3):
-                assert np.max(np.abs(back.rho_xy[x][y].matrix - ens.rho_xy[x][y].matrix)) < 1e-15
+                assert np.max(np.abs(back.states[x, y] - ens.states[x, y])) < 1e-15

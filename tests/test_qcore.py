@@ -4,12 +4,11 @@ import pytest
 from pubpriv.errors import CapacityError, DimensionError, ValidationError
 from pubpriv.qcore import (
     DensityOperator,
-    SystemLabel,
-    composite_dim,
     maximally_correlated_state,
     partial_trace,
     tensor,
     trace_norm_distance,
+    validate_probabilities,
     validate_states,
     von_neumann_entropy,
 )
@@ -107,14 +106,29 @@ class TestValidateStates:
             validate_states(np.diag([1.0 + 5e-10, -5e-10])[None])
 
 
-class TestSystemLabel:
-    def test_composite_dims_multiply(self):
-        labels = [SystemLabel("B", 2), SystemLabel("E", 3)]
-        assert composite_dim(labels) == 6
+class TestValidateProbabilities:
+    """The one probability-table check: the last axis holds vectors with entries >= -1e-12 summing to 1 within
+    1e-12, and no separate finiteness pass is needed for NaN or ±inf to fail it."""
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValidationError):
-            composite_dim([SystemLabel("B", 2), SystemLabel("B", 2)])
+    @pytest.mark.parametrize("table", [
+        [[np.nan, 1.0], [0.5, 0.5]],
+        [[0.5, 0.5], [np.inf, 0.0]],
+        [[0.5, 0.5], [-np.inf, 1.0]],
+        [[-1e-11, 1.0 + 1e-11], [0.5, 0.5]],
+        [[0.5, 0.5 + 1e-11], [0.5, 0.5]],
+        [[], []],
+    ])
+    def test_rejects(self, table):
+        with pytest.raises(ValidationError, match="finite probability vectors"):
+            validate_probabilities(table, "the table")
+
+    def test_tiny_negative_entry_is_stored_as_zero_in_a_read_only_copy(self):
+        table = np.array([[-1e-13, 1.0 + 1e-13], [0.25, 0.75]])
+        t = validate_probabilities(table, "the table")
+        assert t[0, 0] == 0.0 and t[0, 1] == table[0, 1] and np.array_equal(t[1], table[1])
+        assert table[0, 0] == -1e-13
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.5
 
 
 class TestTensor:
@@ -215,6 +229,12 @@ class TestEntropy:
         bad = DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), validate=False)
         with pytest.raises(ValidationError):
             von_neumann_entropy(bad)
+
+    def test_rejects_a_non_finite_entry_in_a_stack(self, rng):
+        stack = np.array([rand_density(rng, 2).matrix for _ in range(3)])
+        stack[1, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            von_neumann_entropy(stack)
 
 
 class TestTraceNormDistance:

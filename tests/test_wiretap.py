@@ -76,6 +76,12 @@ class TestChannelModel:
 
 
 class TestPrunedDistribution:
+    def test_nan_delta_is_rejected(self):
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            pruned_distribution([0.5, 0.5], 8, np.nan)
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            CodeConfig(n=8, M=4, delta=np.nan)
+
     def test_uniform_binary_everything_typical(self):
         pd = pruned_distribution([0.5, 0.5], 8, 0.01)
         seqs = np.array(list(product(range(2), repeat=8)))
@@ -381,7 +387,8 @@ class TestLaneScores:
         rng = np.random.default_rng(seed)
         for _ in range(50):
             k, p = int(rng.integers(cfg.K_pub)), int(rng.integers(cfg.M))
-            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
+            a = cb.word(k, p)
+            b = wt._channel_outputs(ch.cuts_main, a, rng.random(a.size))
             assert decode(b, cb, cfg, ch) == self._brute_force_ml(cb, ch, b)
 
     def test_ml_decodes_match_brute_force(self):
@@ -479,7 +486,8 @@ class TestCodebookGeneration:
         for decoder in ("joint_typicality",) if lazy else wt.DECODERS:
             dcfg = replace(cfg, decoder=decoder)
             for _ in range(20):
-                b = wt._sample_channel_outputs(rng, ch.p_main, one.word(0, int(rng.integers(cfg.M))))
+                a = one.word(0, int(rng.integers(cfg.M)))
+                b = wt._channel_outputs(ch.cuts_main, a, rng.random(a.size))
                 assert decode(b, one, dcfg, ch) == decode(b, pair, dcfg, ch)
 
     def test_pigeonhole_collisions_reported(self):
@@ -559,7 +567,8 @@ class TestDecoding:
         rng = np.random.default_rng(0)
         for _ in range(60):
             k, p = int(rng.integers(4)), int(rng.integers(8))
-            b = wt._sample_channel_outputs(rng, ch.p_main, cb.word(k, p))
+            a = cb.word(k, p)
+            b = wt._channel_outputs(ch.cuts_main, a, rng.random(a.size))
             hits = []
             for kk in range(4):
                 x = cb.outer_words[kk]
