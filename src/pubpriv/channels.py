@@ -11,6 +11,7 @@ Kraus count of the given representation is used as dim_E directly.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,19 +224,25 @@ def cq_embedding_channel(p_b_given_a) -> QuantumChannel:
     return QuantumChannel.from_kraus(ops)
 
 
+#: The named channels of `zoo`, each built by its function from that function's own parameters.
+_ZOO = {
+    "identity": identity_channel,
+    "dephasing": dephasing_channel,
+    "depolarizing": depolarizing_channel,
+    "erasure": erasure_channel,
+}
+
+
 def zoo(name: str, **params) -> QuantumChannel:
-    """Build a named channel: identity(d), dephasing(p), depolarizing(p),
-    erasure(p[, d]), cq_embedding(table)."""
-    builders = {
-        "identity": lambda: identity_channel(int(params.get("d", params.get("dim", 2)))),
-        "dephasing": lambda: dephasing_channel(float(params["p"])),
-        "depolarizing": lambda: depolarizing_channel(float(params["p"])),
-        "erasure": lambda: erasure_channel(float(params["p"]), int(params.get("d", params.get("dim", 2)))),
-        "cq_embedding": lambda: cq_embedding_channel(params["table"]),
-    }
-    if name not in builders:
-        raise ValidationError(f"unknown zoo channel {name!r}; choose from {sorted(builders)}")
+    """Build a named channel: identity(d=2), dephasing(p), depolarizing(p) or erasure(p, d=2).
+
+    The parameters are bound to the builder's signature before it runs, so one
+    it does not take, or a missing one, is a ValidationError naming it."""
+    if name not in _ZOO:
+        raise ValidationError(f"unknown zoo channel {name!r}; choose from {sorted(_ZOO)}")
+    signature = inspect.signature(_ZOO[name])
     try:
-        return builders[name]()
-    except KeyError as exc:
-        raise ValidationError(f"zoo channel {name!r} missing parameter {exc}") from exc
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ValidationError(f"zoo channel {name!r} takes ({', '.join(signature.parameters)}): {exc}") from None
+    return _ZOO[name](**params)

@@ -7,14 +7,12 @@ the tool version and the SHA-256 digests of the input files it read; its
 relative paths are relative to its own directory, so it moves with its
 files. `replay` refuses a manifest whose inputs are missing or changed
 (exit 2, naming the path, nothing written), then re-runs its stored options
-as they are, ignoring PUBPRIV_* variables, and reproduces the outputs byte
-for byte.
+as they are and reproduces the outputs byte for byte.
 
---seed, --out, --zoo, --channel-json, --cq-table, --restarts, --max-iters
-and --tol can be defaulted through PUBPRIV_<FLAG> environment variables
-(e.g. PUBPRIV_SEED=7); explicit flags win. Exit codes:
-0 success, 2 input error (a malformed or missing file, flag or field),
-3 budget error (enumeration or decoder limits); a bug ends in a traceback.
+--zoo, --channel-json and --cq-table exclude each other; --p and --dim go
+with --zoo. Exit codes: 0 success, 2 input error (a malformed or missing
+file, flag or field), 3 budget error (enumeration or decoder limits); a bug
+ends in a traceback.
 
 Tabular output is RFC-4180 CSV with '.' decimals and no locale; structured
 output is JSON.
@@ -34,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import isometric_extension, zoo
+from .channels import cq_embedding_channel, isometric_extension, zoo
 from .errors import BudgetError, CapacityError, PubPrivError, ValidationError
 from .region import OptimizerConfig, PARETO_CSV_COLUMNS, pareto_csv_rows, pareto_surface
 from .resources import DERIVATIONS
@@ -54,11 +52,8 @@ from . import wiretap as wt
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 #: Options that name files; the manifest stores them, like its input_digests keys, by _rebase.
 _PATH_OPTIONS = ("config", "channel_json", "cq_table", "ensemble", "out")
-
-
-def _env(name: str, default):
-    """Environment override PUBPRIV_<NAME>; argparse parses a string default like the flag itself."""
-    return os.environ.get(f"PUBPRIV_{name.upper().replace('-', '_')}", default)
+#: Top-level keys of an experiment spec.
+_SPEC_KEYS = ("channel", "input_p", "input_law", "code", "sweep", "security")
 
 
 def _rebase(path, start: str, to: str):
@@ -139,41 +134,41 @@ def _dispatch(args: argparse.Namespace, digests: dict):
 
 
 def _load_channel(args, digests: dict):
+    for flag, value in (("--p", args.p), ("--dim", args.dim)):
+        if value is not None and not args.zoo:
+            raise ValidationError(f"{flag} sets a parameter of a --zoo channel; it needs --zoo")
     if args.channel_json:
         return channel_from_json(_read_json(args.channel_json, digests))
     if args.cq_table:
-        return zoo("cq_embedding", table=float_array(_read_json(args.cq_table, digests), "--cq-table JSON"))
+        return cq_embedding_channel(float_array(_read_json(args.cq_table, digests), "--cq-table JSON"))
     if args.zoo:
         return zoo(args.zoo, **{k: v for k, v in (("p", args.p), ("d", args.dim)) if v is not None})
     raise ValidationError("no channel given: use --zoo, --channel-json or --cq-table")
 
 
 def _add_channel_flags(p: argparse.ArgumentParser):
-    p.add_argument("--zoo", default=_env("zoo", None),
-                   help="named channel: identity | dephasing | depolarizing | erasure")
-    p.add_argument("--p", type=float, default=None, help="zoo channel noise parameter")
-    p.add_argument("--dim", type=int, default=None, help="zoo channel dimension (identity/erasure)")
-    p.add_argument("--channel-json", default=_env("channel_json", None),
-                   help="path to a Kraus-family channel JSON")
-    p.add_argument("--cq-table", default=_env("cq_table", None),
-                   help="path to a row-stochastic p(b|a) JSON for a classical embedding")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--zoo", help="named channel: identity | dephasing | depolarizing | erasure")
+    source.add_argument("--channel-json", help="path to a Kraus-family channel JSON")
+    source.add_argument("--cq-table", help="path to a row-stochastic p(b|a) JSON for a classical embedding")
+    p.add_argument("--p", type=float, default=None, help="zoo channel noise parameter p")
+    p.add_argument("--dim", type=int, default=None, help="zoo channel dimension d (identity/erasure)")
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser):
-    p.add_argument("--restarts", type=int, default=_env("restarts", 4))
-    p.add_argument("--max-iters", type=int, default=_env("max_iters", 300))
-    p.add_argument("--alphabet-x", type=int, default=None, help="|X| (default: cardinality ceiling)")
+    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--alphabet-y", type=int, default=None, help="|Y| (default: dim_in^2)")
     p.add_argument("--mixed-states", action="store_true", help="search mixed input states too")
-    p.add_argument("--tol", type=float, default=_env("tol", 1e-7), help="convergence tolerance")
+    p.add_argument("--tol", type=float, default=1e-7, help="convergence tolerance")
 
 
-def _optimizer_config(args) -> OptimizerConfig:
+def _optimizer_config(args, alphabet_x: int | None) -> OptimizerConfig:
     return OptimizerConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
-        alphabet_x=args.alphabet_x,
+        alphabet_x=alphabet_x,
         alphabet_y=args.alphabet_y,
         pure_states_only=not args.mixed_states,
         convergence_tol=args.tol,
@@ -198,15 +193,14 @@ def _parse_weights(items) -> list[tuple[float, float]]:
 
 def cmd_region(args, digests):
     iso = isometric_extension(_load_channel(args, digests))
-    cfg = _optimizer_config(args)
+    cfg = _optimizer_config(args, args.alphabet_x)
     samples = pareto_surface(iso, args.rs, _parse_weights(args.weights), cfg)
     _write_csv(args.out, PARETO_CSV_COLUMNS, pareto_csv_rows(samples, cfg))
 
 
 def cmd_skp(args, digests):
     iso = isometric_extension(_load_channel(args, digests))
-    # Private-only setting: trivial public register, maximize P.
-    cfg = dataclasses.replace(_optimizer_config(args), alphabet_x=1)
+    cfg = _optimizer_config(args, alphabet_x=1)  # private-only: trivial public register, maximize P
     samples = pareto_surface(iso, args.rs, [(0.0, 1.0)], cfg)
     header = ("R_S", "P", "I_YB", "I_YE", "seed", "restarts", "converged")
     rows = [(s.r_s, s.result.achieved.P, s.result.constraints.b, s.result.constraints.c,
@@ -231,8 +225,11 @@ def _code_config(keys: dict) -> wt.CodeConfig:
 
 
 def run_simulation_spec(spec: dict, seed_override: int | None = None):
-    """Execute an experiment spec; returns (header, rows)."""
+    """Execute an experiment spec, checked whole before the first codebook; returns (header, rows)."""
     chd = json_field(spec, "channel", "experiment spec")
+    unknown = sorted(set(spec) - set(_SPEC_KEYS))
+    if unknown:
+        raise ValidationError(f"experiment spec has unknown keys {unknown}; its keys are {', '.join(_SPEC_KEYS)}")
     if isinstance(chd, dict) and "p_joint" in chd:
         channel = wt.ClassicalWiretap(float_array(chd["p_joint"], "channel 'p_joint'"))
     elif isinstance(chd, dict) and "p_main" in chd and "p_eve" in chd:
@@ -245,17 +242,19 @@ def run_simulation_spec(spec: dict, seed_override: int | None = None):
         raise ValidationError("experiment spec 'code' must be an object and 'sweep' a list of objects")
     if seed_override is not None:
         base = {**base, "seed": seed_override}
+    if ("input_p" in spec) == ("input_law" in spec):
+        raise ValidationError("experiment spec needs exactly one of 'input_p' and 'input_law'")
     if "input_p" in spec:
         law = float_array(spec["input_p"], "experiment spec 'input_p'")
-    elif "input_law" in spec:
+    else:
         law = tuple(float_array(json_field(spec["input_law"], key, "experiment spec 'input_law'"),
                                 f"input_law '{key}'") for key in ("p_x", "p_a_given_x"))
-    else:
-        raise ValidationError("experiment spec needs 'input_p' or 'input_law'")
+    modes = ("none",) + wt.SECURITY_MODES
     security_mode = spec.get("security", "none")
+    if security_mode not in modes:
+        raise ValidationError(f"experiment spec 'security' must be one of {modes}, got {security_mode!r}")
     rows = []
-    for override in sweep:
-        cfg = _code_config({**base, **override})
+    for cfg in [_code_config({**base, **override}) for override in sweep]:
         codebook = wt.generate_codebook(cfg, channel, law)
         est = wt.estimate_error(cfg, channel, codebook)
         if security_mode == "none":
@@ -354,12 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, default_out, seed_default=0):
-        p.add_argument("--seed", type=int, default=_env("seed", seed_default))
-        p.add_argument("--out", default=_env("out", default_out))
+        """--seed and --out, for the subcommands that read a seed."""
+        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--out", default=default_out)
 
     p_region = sub.add_parser("region", help="optimizer sweep over the one-shot region")
     _add_channel_flags(p_region)
     _add_optimizer_flags(p_region)
+    p_region.add_argument("--alphabet-x", type=int, default=None, help="|X| (default: cardinality ceiling)")
     p_region.add_argument("--rs", type=float, nargs="+", default=[0.0], help="key-rate sweep")
     p_region.add_argument("--weights", nargs="+", default=["1,0", "0,1"],
                           help="objective weights wR,wP (repeatable)")
@@ -387,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--b", type=float, default=None, help="I(Y;B|X)")
     p_res.add_argument("--c", type=float, default=None, help="I(Y;E|X)")
     p_res.add_argument("--optimal-key", type=float, default=None, help="best-known key rate I(XY;E)")
-    common(p_res, None)
+    p_res.add_argument("--out", help="JSON path (default: stdout)")
     p_res.set_defaults(func=cmd_resources)
 
     p_ent = sub.add_parser("entropy", help="entropic quantities of an ensemble through a channel")
     _add_channel_flags(p_ent)
     p_ent.add_argument("--ensemble", required=True, help="ensemble JSON path")
-    common(p_ent, None)
+    p_ent.add_argument("--out", help="JSON path (default: stdout)")
     p_ent.set_defaults(func=cmd_entropy)
 
     p_rep = sub.add_parser("replay", help="check a manifest's input digests, then re-run it")

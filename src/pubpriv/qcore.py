@@ -139,14 +139,14 @@ class DensityOperator:
         return cls(np.diag(p.astype(np.complex128)))
 
 
-def tensor(a: DensityOperator, b: DensityOperator, max_dim: int = MAX_COMPOSITE_DIM) -> DensityOperator:
+def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product a ⊗ b.
 
-    Raises CapacityError if the composite dimension would exceed ``max_dim``.
+    Raises CapacityError if the composite dimension would exceed ``MAX_COMPOSITE_DIM``.
     """
     d = a.dim * b.dim
-    if d > max_dim:
-        raise CapacityError(f"composite dim {d} exceeds the ceiling {max_dim}")
+    if d > MAX_COMPOSITE_DIM:
+        raise CapacityError(f"composite dim {d} exceeds the ceiling {MAX_COMPOSITE_DIM}")
     return DensityOperator(np.kron(a.matrix, b.matrix))
 
 

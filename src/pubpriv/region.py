@@ -264,6 +264,14 @@ def _achieved_triple(rc: RegionConstraints, r_s: float) -> RateTriple:
     return RateTriple(R=rc.a, P=p, R_S=r_s)
 
 
+def _check_point(r_s: float, w_r: float, w_p: float):
+    """Reject a key rate or weight pair that no optimizer run accepts; NaN and inf fail too."""
+    if not (w_r >= 0 and w_p >= 0 and 0 < w_r + w_p < np.inf):
+        raise ValidationError(f"weights must be finite, nonnegative and not both zero, got ({w_r}, {w_p})")
+    if not (np.isfinite(r_s) and r_s >= 0):
+        raise ValidationError(f"key rate must be finite and nonnegative, got {r_s}")
+
+
 def optimize_region(
     iso: IsometricExtension,
     r_s: float,
@@ -285,10 +293,7 @@ def optimize_region(
     """
     from scipy.optimize import minimize  # deferred: scipy is slow to import and only the optimizer needs it
     w_r, w_p = float(weights[0]), float(weights[1])
-    if not (w_r >= 0 and w_p >= 0 and 0 < w_r + w_p < np.inf):  # NaN and inf fail too
-        raise ValidationError(f"weights must be finite, nonnegative and not both zero, got ({w_r}, {w_p})")
-    if not (np.isfinite(r_s) and r_s >= 0):
-        raise ValidationError(f"key rate must be finite and nonnegative, got {r_s}")
+    _check_point(r_s, w_r, w_p)
     nx, ny = cfg.resolve_alphabets(iso)
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 
@@ -377,13 +382,13 @@ def pareto_surface(
     weight_grid,
     cfg: OptimizerConfig,
 ) -> list[ParetoSample]:
-    """Optimizer sweep over key rates and weight vectors; rows are CSV-emittable."""
-    samples = []
-    for r_s in r_s_list:
-        for (w_r, w_p) in weight_grid:
-            res = optimize_region(iso, float(r_s), (float(w_r), float(w_p)), cfg)
-            samples.append(ParetoSample(r_s=float(r_s), w_r=float(w_r), w_p=float(w_p), result=res))
-    return samples
+    """Optimizer sweep over key rates and weight vectors; rows are CSV-emittable. Every (R_S, w)
+    pair is checked before the first point is optimized."""
+    points = [(float(r_s), float(w_r), float(w_p)) for r_s in r_s_list for (w_r, w_p) in weight_grid]
+    for point in points:
+        _check_point(*point)
+    return [ParetoSample(r_s=r_s, w_r=w_r, w_p=w_p, result=optimize_region(iso, r_s, (w_r, w_p), cfg))
+            for r_s, w_r, w_p in points]
 
 
 def pareto_csv_rows(samples: list[ParetoSample], cfg: OptimizerConfig) -> list[tuple]:

@@ -33,12 +33,12 @@ from .errors import RelativityError, RuleInapplicableError, ValidationError
 RATIONALIZE_MAX_DENOMINATOR = 10**9
 
 
-def rationalize(x, max_denominator: int = RATIONALIZE_MAX_DENOMINATOR) -> Fraction:
+def rationalize(x) -> Fraction:
     """Exact Fraction from int/str/Fraction; floats are snapped to a bounded denominator."""
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValidationError(f"cannot rationalize the non-finite value {x}")
-        return Fraction(x).limit_denominator(max_denominator)
+        return Fraction(x).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
     return Fraction(x)
 
 
@@ -392,6 +392,10 @@ class _Tracker:
                                self.expr, nxt))
         self.expr = nxt
 
+    def transcript(self, name: str, params: dict, efficiency: EfficiencyReport) -> DerivationTranscript:
+        return DerivationTranscript(name=name, params=params, initial=self.initial, steps=tuple(self.steps),
+                                    final=self.expr, efficiency=efficiency)
+
 
 def replay_transcript(t: DerivationTranscript) -> ResourceExpr:
     """Re-run a transcript's steps from its initial expression.
@@ -404,17 +408,16 @@ def replay_transcript(t: DerivationTranscript) -> ResourceExpr:
         if s.kind == "cancel_key":
             expr = cancel_key(expr, s.params["amount"], allow_sublinear=s.params["allow_sublinear"])
         else:
-            factory = _RULE_FACTORIES[s.name]
-            expr = apply_rule(expr, factory(**{k: v for k, v in s.params.items()}))
+            expr = apply_rule(expr, _RULE_FACTORIES[s.name](**s.params))
     return expr
 
 
 _RULE_FACTORIES = {
-    "one_time_pad": lambda rate: one_time_pad_rule(rate),
-    "secret_key_distribution": lambda rate: secret_key_distribution_rule(rate),
-    "public_private_father": lambda a, b, c: public_private_father_rule(a, b, c),
-    "private_coding": lambda i_xb, i_xe: private_coding_rule(i_xb, i_xe),
-    "keyed_private_coding": lambda i_yb, i_ye: keyed_private_coding_rule(i_yb, i_ye),
+    "one_time_pad": one_time_pad_rule,
+    "secret_key_distribution": secret_key_distribution_rule,
+    "public_private_father": public_private_father_rule,
+    "private_coding": private_coding_rule,
+    "keyed_private_coding": keyed_private_coding_rule,
 }
 
 
@@ -433,14 +436,8 @@ def derive_section3(i_xb, i_xe) -> DerivationTranscript:
     tr = _Tracker(ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_xe, ResourceKind.PRIVATE_KEY)))
     tr.rule(private_coding_rule(i_xb, i_xe))
     tr.rule(one_time_pad_rule(i_xe))
-    return DerivationTranscript(
-        name="section3",
-        params={"i_xb": i_xb, "i_xe": i_xe},
-        initial=tr.initial,
-        steps=tuple(tr.steps),
-        final=tr.expr,
-        efficiency=EfficiencyReport(key_consumed=i_xe, sublinear_residue=False),
-    )
+    return tr.transcript("section3", {"i_xb": i_xb, "i_xe": i_xe},
+                         EfficiencyReport(key_consumed=i_xe, sublinear_residue=False))
 
 
 def derive_ds03_child(a, b, c) -> DerivationTranscript:
@@ -462,14 +459,8 @@ def derive_ds03_child(a, b, c) -> DerivationTranscript:
     if not degenerate:
         tr.rule(secret_key_distribution_rule(c))
         tr.cancel(c, allow_sublinear=True)
-    return DerivationTranscript(
-        name="ds03",
-        params={"a": a, "b": b, "c": c},
-        initial=tr.initial,
-        steps=tuple(tr.steps),
-        final=tr.expr,
-        efficiency=EfficiencyReport(key_consumed=Fraction(0), sublinear_residue=not degenerate),
-    )
+    return tr.transcript("ds03", {"a": a, "b": b, "c": c},
+                         EfficiencyReport(key_consumed=Fraction(0), sublinear_residue=not degenerate))
 
 
 def derive_otp_combination(a, b, c, optimal_key_rate=None) -> DerivationTranscript:
@@ -487,14 +478,8 @@ def derive_otp_combination(a, b, c, optimal_key_rate=None) -> DerivationTranscri
     tr.rule(public_private_father_rule(a, b, c))
     tr.rule(one_time_pad_rule(a))
     opt = None if optimal_key_rate is None else rationalize(optimal_key_rate)
-    return DerivationTranscript(
-        name="otp_combination",
-        params={"a": a, "b": b, "c": c},
-        initial=tr.initial,
-        steps=tuple(tr.steps),
-        final=tr.expr,
-        efficiency=EfficiencyReport(key_consumed=c + a, sublinear_residue=False, optimal_key_rate=opt),
-    )
+    return tr.transcript("otp_combination", {"a": a, "b": b, "c": c},
+                         EfficiencyReport(key_consumed=c + a, sublinear_residue=False, optimal_key_rate=opt))
 
 
 DERIVATIONS = {

@@ -50,6 +50,8 @@ EAGER_WORD_LIMIT = 1 << 20
 ML_BUDGET = 1 << 20
 #: Exact security enumeration budget on |E|^n.
 SECURITY_BUDGET = 1 << 20
+#: The modes of `security_distance`.
+SECURITY_MODES = ("exact", "monte_carlo")
 #: Joint-typicality scan budget per decode on lazy codebooks.
 JT_SCAN_BUDGET = 1 << 21
 #: Type-class enumeration budget for exact acceptance probabilities.
@@ -831,8 +833,8 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     default all pairs are probed, which requires an eagerly materialized
     codebook.
     """
-    if mode not in ("exact", "monte_carlo"):
-        raise ValidationError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    if mode not in SECURITY_MODES:
+        raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
     p_eve = ch.p_eve
     n, M, S, K = cfg.n, cfg.M, cfg.S, cfg.K_pub
     if messages is None:

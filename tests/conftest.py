@@ -18,10 +18,9 @@ def cli_env(extra=None):
     The absolute `src` path goes first on PYTHONPATH, so the package is found even
     when an inherited relative entry (`PYTHONPATH=src`) resolves against the child's
     temporary working directory; empty entries, which would mean that directory, are
-    dropped. Inherited PUBPRIV_* variables are dropped too, since the CLI defaults
-    every flag from them; `extra` is applied after that filter.
+    dropped. `extra` is applied last.
     """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PUBPRIV_")}
+    env = dict(os.environ)
     paths = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + paths)
     env.update(extra or {})

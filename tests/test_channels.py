@@ -201,6 +201,13 @@ class TestZoo:
         with pytest.raises(ValidationError):
             zoo("dephasing", p=1.5)
 
+    @pytest.mark.parametrize("name, params, named", [("identity", {"p": 0.1}, "'p'"),
+                                                     ("dephasing", {"p": 0.5, "d": 3}, "'d'")],
+                             ids=["p-on-identity", "d-on-dephasing"])
+    def test_parameter_the_builder_does_not_take_is_named(self, name, params, named):
+        with pytest.raises(ValidationError, match=named):
+            zoo(name, **params)
+
     def test_out_of_range_params(self):
         for build in (dephasing_channel, depolarizing_channel, erasure_channel):
             with pytest.raises(ValidationError):

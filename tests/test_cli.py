@@ -1,14 +1,15 @@
 import csv
 import hashlib
 import json
-import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pubpriv import cli
+from pubpriv import cli, region
 from pubpriv.entropics import InputEnsemble
 from pubpriv.qcore import DensityOperator
 from pubpriv.serialize import ensemble_to_json
@@ -22,13 +23,6 @@ def run_process(args, cwd, env_extra=None):
     """`python -m pubpriv` in a child process: for the entry point and its real exit codes."""
     return subprocess.run([sys.executable, "-m", "pubpriv"] + [str(a) for a in args],
                           cwd=cwd, capture_output=True, text=True, env=cli_env(env_extra), timeout=600)
-
-
-@pytest.fixture(autouse=True)
-def no_inherited_env(monkeypatch):
-    """The CLI defaults some flags from PUBPRIV_* variables; the outer shell's must not count."""
-    for name in [k for k in os.environ if k.startswith("PUBPRIV_")]:
-        monkeypatch.delenv(name)
 
 
 @pytest.fixture
@@ -242,17 +236,11 @@ class TestReplay:
 
 
 class TestEnvOverrides:
-    def test_seed_env_var(self, tmp_path, experiment_spec, run_cli):
+    def test_environment_sets_no_option(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path,
                     env_extra={"PUBPRIV_SEED": "77"})
         assert r.returncode == 0, r.stderr
-        assert read_rows(tmp_path / "s.csv")[0]["seed"] == "77"
-
-
-    def test_malformed_env_default_is_exit_2(self, tmp_path, run_cli):
-        r = run_cli(["region", "--zoo", "identity", "--out", "r.csv"], tmp_path, env_extra={"PUBPRIV_RESTARTS": "x"})
-        assert r.returncode == 2
-        assert "--restarts" in r.stderr and "Traceback" not in r.stderr
+        assert read_rows(tmp_path / "s.csv")[0]["seed"] == "12"
 
 
 class TestManifestContents:
@@ -343,6 +331,7 @@ VALID_CODE = {"n": 8, "M": 4, "delta": 0.5, "seed": 1, "trials": 5}
 CHANNEL = {"p_main": [[1.0, 0.0], [0.0, 1.0]], "p_eve": [[0.5, 0.5], [0.5, 0.5]]}
 KET = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
 ENSEMBLE = {"p_x": [1.0], "p_y_given_x": [[0.5, 0.5]], "rho_xy": [KET]}  # |0> and |1>, each with weight 1/2
+IDENTITY_KRAUS = {"kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
 NAN_KRAUS = {"kraus": [[[[1.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}  # json writes NaN
 MALFORMED = {
     # id: (files to write, argv, word the message must name, raw Python message it must not print)
@@ -367,8 +356,9 @@ MALFORMED = {
                                     "non-finite", "integer ratio"),
     "nan-key-rate": ({}, ["region", "--zoo", "identity", "--rs", "nan", "--weights", "1,1", "--out", "r.csv"]
                      + FAST_REGION, "key rate", "RuntimeWarning"),
-    "infinite-key-rate": ({}, ["skp", "--zoo", "dephasing", "--p", "0.5", "--rs", "inf", "--out", "k.csv"]
-                          + FAST_REGION, "key rate", "RuntimeWarning"),
+    "infinite-key-rate": ({}, ["skp", "--zoo", "dephasing", "--p", "0.5", "--rs", "inf", "--out", "k.csv",
+                               "--alphabet-y", "2", "--restarts", "2", "--max-iters", "100"],
+                          "key rate", "RuntimeWarning"),
     "nan-tolerance": ({}, ["region", "--zoo", "identity", "--tol", "nan", "--weights", "1,0", "--out", "r.csv"]
                       + FAST_REGION, "convergence_tol", "RuntimeWarning"),
     "nan-kraus-region": ({"ch.json": NAN_KRAUS}, ["region", "--channel-json", "ch.json", "--weights", "1,0",
@@ -383,6 +373,22 @@ MALFORMED = {
     "nan-cq-table": ({"t.json": [[float("nan"), 1.0], [0.5, 0.5]]},
                      ["region", "--cq-table", "t.json", "--weights", "1,0", "--out", "r.csv"] + FAST_REGION,
                      "p(b|a)", "RuntimeWarning"),
+    "p-on-identity": ({}, ["region", "--zoo", "identity", "--p", "0.9", "--weights", "1,0", "--out", "r.csv"]
+                      + FAST_REGION, "'p'", "TypeError"),
+    "dim-on-dephasing": ({}, ["region", "--zoo", "dephasing", "--p", "0.5", "--dim", "3", "--weights", "1,0",
+                              "--out", "r.csv"] + FAST_REGION, "'d'", "TypeError"),
+    "p-without-zoo": ({"ch.json": IDENTITY_KRAUS}, ["region", "--channel-json", "ch.json", "--p", "0.5",
+                                                    "--weights", "1,0", "--out", "r.csv"] + FAST_REGION,
+                      "--p", "TypeError"),
+    "unknown-spec-key": ({"spec.json": {"channel": CHANNEL, "input_p": [0.5, 0.5], "code": VALID_CODE,
+                                        "securty": "exact"}},
+                         ["simulate", "--config", "spec.json", "--out", "s.csv"], "securty", "KeyError"),
+    "both-input-laws": ({"spec.json": {"channel": CHANNEL, "input_p": [0.5, 0.5], "code": VALID_CODE,
+                                       "input_law": {"p_x": [1.0], "p_a_given_x": [[0.5, 0.5]]}}},
+                        ["simulate", "--config", "spec.json", "--out", "s.csv"], "input_law", "KeyError"),
+    "unknown-security-mode": ({"spec.json": {"channel": CHANNEL, "input_p": [0.5, 0.5], "code": VALID_CODE,
+                                             "security": "exakt"}},
+                              ["simulate", "--config", "spec.json", "--out", "s.csv"], "'security'", "KeyError"),
 }
 
 
@@ -394,6 +400,41 @@ def test_malformed_input_is_exit_2_with_a_message(tmp_path, run_cli, files, argv
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and names in r.stderr
     assert raw not in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["region", "--zoo", "identity", "--channel-json", "ch.json", "--out", "r.csv"], "--channel-json"),
+    (["skp", "--zoo", "identity", "--alphabet-x", "2", "--out", "k.csv"], "--alphabet-x"),
+    (["resources", "derive", "ds03", "--a", "1", "--b", "1", "--c", "0", "--seed", "5"], "--seed"),
+    (["entropy", "--zoo", "identity", "--ensemble", "ens.json", "--seed", "1"], "--seed"),
+], ids=["zoo-and-channel-json", "skp-alphabet-x", "resources-seed", "entropy-seed"])
+def test_parser_rejects_an_option_the_run_ignores(tmp_path, run_cli, argv, named):
+    (tmp_path / "ch.json").write_text(json.dumps(IDENTITY_KRAUS))
+    (tmp_path / "ens.json").write_text(json.dumps(ENSEMBLE))
+    r = run_cli(argv, tmp_path)
+    assert r.returncode == 2
+    assert named in r.stderr and "Traceback" not in r.stderr
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_bad_weight_late_in_a_grid_fails_before_any_point(tmp_path, run_cli, monkeypatch):
+    calls = []
+    monkeypatch.setattr(region, "optimize_region", lambda *args: calls.append(args))
+    r = run_cli(["region", "--zoo", "identity", "--weights", "1,0", "nan,1", "--out", "r.csv"], tmp_path)
+    assert r.returncode == 2 and "weights" in r.stderr
+    assert calls == []
+
+
+def test_readme_commands_parse():
+    """Every `pubpriv` line of the README's "Command line" block parses; none is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pubpriv ")]
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_library_type_error_propagates(tmp_path, monkeypatch):
