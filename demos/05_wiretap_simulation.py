@@ -53,7 +53,7 @@ print("  (the full criterion keeps the key register: an index pad cannot"
 law = (np.array([0.5, 0.5]), np.array([[0.85, 0.15], [0.15, 0.85]]))
 cfg = CodeConfig(n=12, M=4, S=2, K_pub=4, delta=0.6, seed=5, trials=100)
 cb = generate_codebook(cfg, ch, law)
-pub, priv = per_message_errors(cfg, ch, cb, trials_per_message=100)
+pub, priv = per_message_errors(cfg, ch, cb)
 print("\ntwo-layer code, per-public-message error (pub, priv):")
 for k in range(4):
     print(f"  k={k}: {pub[k]:.3f}, {priv[k]:.3f}")

@@ -115,12 +115,12 @@ class IsometricExtension:
         return DensityOperator(out) if isinstance(rho, DensityOperator) else out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
-        """Bob's marginal Tr_E(VρV†); equals the Kraus-sum channel output."""
-        return partial_trace(self.evolve(rho), keep=[0], dims=[self.dim_B, self.dim_E])
+        """Bob's marginal Tr_E(VρV†); equals the Kraus-sum channel output. Only the marginal is validated."""
+        return DensityOperator(partial_trace(self.evolve(rho.matrix), keep=[0], dims=[self.dim_B, self.dim_E]))
 
     def complementary_apply(self, rho: DensityOperator) -> DensityOperator:
         """Eve's marginal Tr_B(VρV†) — the full purification handed to the eavesdropper."""
-        return partial_trace(self.evolve(rho), keep=[1], dims=[self.dim_B, self.dim_E])
+        return DensityOperator(partial_trace(self.evolve(rho.matrix), keep=[1], dims=[self.dim_B, self.dim_E]))
 
 
 def isometric_extension(ch: QuantumChannel) -> IsometricExtension:

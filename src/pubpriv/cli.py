@@ -54,6 +54,9 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (boo
 _PATH_OPTIONS = ("config", "channel_json", "cq_table", "ensemble", "out")
 #: Top-level keys of an experiment spec.
 _SPEC_KEYS = ("channel", "input_p", "input_law", "code", "sweep", "security")
+#: Each derivation's flags, in the order of its arguments; all but --optimal-key are required.
+_DERIVATION_FLAGS = {"section3": ("--ib", "--ie"), "ds03": ("--a", "--b", "--c"),
+                     "otp_combination": ("--a", "--b", "--c", "--optimal-key")}
 
 
 def _rebase(path, start: str, to: str):
@@ -278,12 +281,15 @@ def cmd_resources(args, digests):
     name = args.name
     if name not in DERIVATIONS:
         raise ValidationError(f"unknown derivation {name!r}; available: {', '.join(sorted(DERIVATIONS))}")
-    flags = ("ib", "ie") if name == "section3" else ("a", "b", "c")
-    values = [getattr(args, flag) for flag in flags]
-    if None in values:
-        raise ValidationError(f"{name} needs {', '.join('--' + flag for flag in flags)}")
-    extra = {"optimal_key_rate": args.optimal_key} if name == "otp_combination" else {}
-    _write_json(args.out, DERIVATIONS[name](*values, **extra).as_dict())
+    flags = _DERIVATION_FLAGS[name]
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for fs in _DERIVATION_FLAGS.values() for flag in fs}
+    foreign = [flag for flag, value in values.items() if value is not None and flag not in flags]
+    if foreign:
+        raise ValidationError(f"{name} does not take {', '.join(foreign)}; it takes {', '.join(flags)}")
+    required = [flag for flag in flags if flag != "--optimal-key"]
+    if any(values[flag] is None for flag in required):
+        raise ValidationError(f"{name} needs {', '.join(required)}")
+    _write_json(args.out, DERIVATIONS[name](*(values[flag] for flag in flags)).as_dict())
 
 
 def cmd_entropy(args, digests):

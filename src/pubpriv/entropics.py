@@ -13,8 +13,8 @@ marginals σ_{x,y}, their averages σ_x = Σ_y p(y|x) σ_{x,y} and
 σ = Σ_x p(x) σ_x go through one batched eigensolve into the table
 ``CqState.entropies[K]`` = (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an
 |X| array, S(σ)). The six mutual informations are weighted sums over it.
-The ensemble exposes arrays only; its laws are validated once, and
-weights within ``PROB_TOL`` below 0 are stored there as exact zeros.
+An ensemble is checked where it enters the library (``InputEnsemble``) and where it
+leaves (the optimizer's witness); ``build_cq_state`` reads p_x, p_y_given_x, states.
 
 All quantities are in bits. Tiny negative values (float noise) are clamped
 to zero; anything below -1e-6, or NaN, raises, because that signals a real
@@ -110,9 +110,7 @@ class CqState:
 
 
 def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
-    """Evolve every ensemble state at once and tabulate the entropies of both marginals."""
-    if ens.dim_in != iso.dim_in:
-        raise DimensionError(f"ensemble states have dim {ens.dim_in}, channel expects {iso.dim_in}")
+    """Evolve every state at once and tabulate both marginals' entropies; reads p_x, p_y_given_x, states."""
     joint = iso.evolve(ens.states)
     nx, ny = ens.p_y_given_x.shape
     dims = [iso.dim_B, iso.dim_E]

@@ -22,6 +22,7 @@ scope, so every reported point is a one-shot lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -87,14 +88,10 @@ class DevetakRates(NamedTuple):
 
 
 def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension) -> RegionConstraints:
-    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble."""
+    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate."""
     s = build_cq_state(ens, iso)
-    return RegionConstraints(
-        a=mutual_info_XB(s),
-        b=cond_mutual_info_YB_given_X(s),
-        c=cond_mutual_info_YE_given_X(s),
-        ensemble=ens,
-    )
+    return RegionConstraints(a=mutual_info_XB(s), b=cond_mutual_info_YB_given_X(s), c=cond_mutual_info_YE_given_X(s),
+                             ensemble=ens)
 
 
 def is_in_one_shot_region(t: RateTriple, rc: RegionConstraints, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -115,8 +112,8 @@ def skp_constraints(ens: InputEnsemble, iso: IsometricExtension) -> SkpPair:
     """
     if ens.size_x != 1:
         raise DimensionError(f"skp_constraints needs |X| = 1, got {ens.size_x}")
-    flipped = InputEnsemble(p_x=ens.p_y_given_x[0], p_y_given_x=np.ones((ens.size_y, 1)),
-                            rho_xy=ens.states[0, :, None])
+    flipped = SimpleNamespace(p_x=ens.p_y_given_x[0], p_y_given_x=np.ones((ens.size_y, 1)),
+                              states=ens.states[0, :, None])
     s = build_cq_state(flipped, iso)
     return SkpPair(i_yb=mutual_info_XB(s), i_ye=mutual_info_XE(s))
 
@@ -201,7 +198,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class _Parametrization:
-    """Flat real vector <-> InputEnsemble, split into three coordinate blocks."""
+    """Flat real vector <-> ensemble arrays, split into three coordinate blocks."""
 
     def __init__(self, nx: int, ny: int, dim: int, pure: bool):
         self.nx, self.ny, self.dim, self.pure = nx, ny, dim, pure
@@ -214,7 +211,8 @@ class _Parametrization:
         self.sl_states = slice(n_px + n_py, n_px + n_py + n_states)
         self.total = n_px + n_py + n_states
 
-    def decode(self, theta: np.ndarray) -> InputEnsemble:
+    def decode(self, theta: np.ndarray) -> SimpleNamespace:
+        """A candidate's p_x, p_y_given_x and states: valid by construction, so left unchecked."""
         d = self.dim
         p_x = _softmax(theta[self.sl_px])
         p_y_given_x = _softmax(theta[self.sl_py].reshape(self.nx, self.ny))
@@ -230,7 +228,7 @@ class _Parametrization:
             m = a @ np.swapaxes(a, -1, -2).conj()
             tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
             states = np.where(tr < 1e-12, np.eye(d) / d, m / np.where(tr < 1e-12, 1.0, tr))
-        return InputEnsemble(p_x=p_x, p_y_given_x=p_y_given_x, rho_xy=states)
+        return SimpleNamespace(p_x=p_x, p_y_given_x=p_y_given_x, states=states)
 
     def structured_start(self) -> np.ndarray:
         """Uniform weights with computational-basis states |x+y mod d⟩.
@@ -348,7 +346,8 @@ def optimize_region(
         if val > best_val:
             best_val, best_theta, best_converged = val, theta, converged
 
-    ens = par.decode(best_theta)
+    best = par.decode(best_theta)
+    ens = InputEnsemble(p_x=best.p_x, p_y_given_x=best.p_y_given_x, rho_xy=best.states)  # the witness is checked
     rc = one_shot_constraints(ens, iso)
     if r_s + rc.b - rc.c < 0.0:
         rho_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, ens.states)

@@ -392,7 +392,6 @@ class GenerationRecord:
     acceptance_inner: float
     acceptance_outer: float = 1.0  # 1.0 for the one-symbol outer law of a 1-D input law
     collision_count: int | None = None
-    lazy: bool = False
     expurgation: dict | None = None
 
 
@@ -516,7 +515,7 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
             _generate_words(sampler, cfg.seed, _TAG_INNER, k, np.arange(M, dtype=np.int64), out=inner[k])
         collisions = sum(M - _distinct_rows(words, ch.size_a) for words in inner)
     rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers),
-                           acceptance_outer=outer_pd.acceptance, collision_count=collisions, lazy=lazy)
+                           acceptance_outer=outer_pd.acceptance, collision_count=collisions)
     return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=samplers[0].table, outer_words=outer_words,
                     inner_words=inner, record=rec, _samplers=samplers)
 
@@ -750,25 +749,23 @@ def estimate_error(cfg: CodeConfig, ch: ClassicalWiretap, codebook: Codebook) ->
                          trials=cfg.trials, failures=failures)
 
 
-def per_message_errors(cfg: CodeConfig, ch: ClassicalWiretap, codebook: Codebook,
-                       trials_per_message: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(p_e_pub[k], p_e_priv[k]) estimated with dedicated trials per public message.
+def per_message_errors(cfg: CodeConfig, ch: ClassicalWiretap, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """(p_e_pub[k], p_e_priv[k]) estimated with ``cfg.trials`` dedicated trials per public message.
 
     Public error: decoded public index differs (or outright failure).
     Private error: public index right but the inner index wrong.
     """
-    t_per = trials_per_message if trials_per_message is not None else cfg.trials
     pub = np.zeros(cfg.K_pub)
     priv = np.zeros(cfg.K_pub)
     for k in range(cfg.K_pub):
-        for t in range(t_per):
+        for t in range(cfg.trials):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_PERMSG, k, t]))
             _, p, got = _run_trial(codebook, cfg, ch, rng, k=k)
             if got is None or got[0] != k:
                 pub[k] += 1
             elif got[1] != p:
                 priv[k] += 1
-    return pub / t_per, priv / t_per
+    return pub / cfg.trials, priv / cfg.trials
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +817,9 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                       mode: str = "exact", messages=None) -> SecurityReport:
     """Exact (enumerated) or importance-sampled secrecy distances.
 
-    Exact mode enumerates Eve's |E|^n outcomes (budget 2^20, with a
-    secondary M·|E|^n memory guard) in one (M + S - 1, |E|^n) table per
-    public message, filled in place.
+    Exact mode enumerates Eve's |E|^n outcomes (budget 2^20) in one
+    (M + S - 1, |E|^n) table per public message, filled in place; that
+    table's (M + S - 1)·|E|^n entries must not exceed the 2^24 memory guard.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
@@ -848,8 +845,8 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         size = ch.size_e ** n
         if size > SECURITY_BUDGET:
             raise BudgetError(f"exact security needs |E|^n <= {SECURITY_BUDGET}, got {size}")
-        if M * size > (1 << 24):
-            raise BudgetError(f"exact security table M*|E|^n = {M * size} exceeds memory guard {1 << 24}")
+        if (M + S - 1) * size > (1 << 24):
+            raise BudgetError(f"exact security table (M+S-1)*|E|^n = {(M + S - 1) * size} exceeds memory guard 2^24")
         best_full = best_msg = 0.0
         rows = max(1, min(M, _BLOCK_SYMBOLS // size))
         blk = np.empty((rows, size))  # scratch: |w_p − p̄| for a block of rows

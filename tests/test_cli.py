@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pubpriv.serialize import ensemble_to_json
 from conftest import cli_env
 
 FAST_REGION = ["--alphabet-x", "2", "--alphabet-y", "2", "--restarts", "2", "--max-iters", "100"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_process(args, cwd, env_extra=None):
@@ -407,7 +409,16 @@ def test_malformed_input_is_exit_2_with_a_message(tmp_path, run_cli, files, argv
     (["skp", "--zoo", "identity", "--alphabet-x", "2", "--out", "k.csv"], "--alphabet-x"),
     (["resources", "derive", "ds03", "--a", "1", "--b", "1", "--c", "0", "--seed", "5"], "--seed"),
     (["entropy", "--zoo", "identity", "--ensemble", "ens.json", "--seed", "1"], "--seed"),
-], ids=["zoo-and-channel-json", "skp-alphabet-x", "resources-seed", "entropy-seed"])
+    (["resources", "derive", "section3", "--ib", "1", "--ie", "0.4", "--a", "3", "--out", "s.json"], "--a"),
+    (["resources", "derive", "section3", "--ib", "1", "--ie", "0.4", "--optimal-key", "1", "--out", "s.json"],
+     "--optimal-key"),
+    (["resources", "derive", "ds03", "--a", "1", "--b", "1", "--c", "0", "--ib", "1", "--out", "d.json"], "--ib"),
+    (["resources", "derive", "ds03", "--a", "1", "--b", "1", "--c", "0", "--optimal-key", "1", "--out", "d.json"],
+     "--optimal-key"),
+    (["resources", "derive", "otp_combination", "--a", "1", "--b", "1", "--c", "0", "--ie", "0.4",
+      "--out", "o.json"], "--ie"),
+], ids=["zoo-and-channel-json", "skp-alphabet-x", "resources-seed", "entropy-seed", "section3-a",
+        "section3-optimal-key", "ds03-ib", "ds03-optimal-key", "otp-combination-ie"])
 def test_parser_rejects_an_option_the_run_ignores(tmp_path, run_cli, argv, named):
     (tmp_path / "ch.json").write_text(json.dumps(IDENTITY_KRAUS))
     (tmp_path / "ens.json").write_text(json.dumps(ENSEMBLE))
@@ -427,7 +438,7 @@ def test_bad_weight_late_in_a_grid_fails_before_any_point(tmp_path, run_cli, mon
 
 def test_readme_commands_parse():
     """Every `pubpriv` line of the README's "Command line" block parses; none is run."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("pubpriv ")]
@@ -435,6 +446,16 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_experiment_spec_runs(tmp_path, run_cli):
+    """The "experiment (simulate)" object of the README's file formats, `//` comments stripped, runs."""
+    block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
+    spec = json.loads(re.sub(r"//[^\n]*", "", block.split("// experiment (simulate)\n", 1)[1]))
+    (tmp_path / "experiment.json").write_text(json.dumps(spec))
+    r = run_cli(["simulate", "--config", "experiment.json", "--out", "sim.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert len(read_rows(tmp_path / "sim.csv")) == len(spec["sweep"])
 
 
 def test_library_type_error_propagates(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pubpriv import entropics, region
 from pubpriv.channels import (
     dephasing_channel,
     depolarizing_channel,
@@ -11,7 +12,7 @@ from pubpriv.channels import (
 )
 from pubpriv.entropics import InputEnsemble
 from pubpriv.errors import DimensionError, ValidationError
-from pubpriv.qcore import DensityOperator
+from pubpriv.qcore import DensityOperator, validate_probabilities, validate_states
 from pubpriv.region import (
     PARETO_CSV_COLUMNS,
     OptimizerConfig,
@@ -344,6 +345,20 @@ class TestDecode:
         assert np.array_equal(ens.states[1, 2], want)
         assert not np.array_equal(ens.states[0, 0], want)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_candidates_are_valid_ensembles(self, d, pure):
+        """decode runs no check, so its candidates are checked here, for random and all-zero thetas:
+        they pass both checks unchanged, so the witness built from one holds the same arrays."""
+        rng = np.random.default_rng(9)
+        par = _Parametrization(5, 4, d, pure)
+        for theta in [np.zeros(par.total)] + [par.random_start(rng) * scale for scale in (1e-3, 1.0, 30.0)]:
+            cand = par.decode(theta)
+            assert np.array_equal(validate_probabilities(cand.p_x, "p_x"), cand.p_x)
+            assert np.array_equal(validate_probabilities(cand.p_y_given_x, "p_y_given_x"), cand.p_y_given_x)
+            assert cand.states.shape == (5, 4, d, d) and cand.states.dtype == np.complex128
+            validate_states(cand.states)
+
     def test_rows_of_p_y_given_x_are_softmaxes(self):
         par = _Parametrization(3, 4, 2, True)
         theta = par.random_start(np.random.default_rng(5))
@@ -384,3 +399,50 @@ class TestCertificates:
         assert (res.constraints.b, res.constraints.c) == (0.0, 0.0)
         assert res.objective > 0.05
         assert abs(res.constraints.a - res.objective) < 1e-12
+
+
+class TestChecksAtTheBoundary:
+    """An ensemble is checked where it enters or leaves the library, not once per candidate."""
+
+    @staticmethod
+    def _checked_shapes(monkeypatch):
+        """The shape of every stack `validate_states` checks from now on."""
+        shapes = []
+        check = entropics.validate_states
+
+        def counted(m):
+            shapes.append(m.shape)
+            check(m)
+
+        monkeypatch.setattr(entropics, "validate_states", counted)
+        return shapes
+
+    def test_optimizer_checks_only_its_witness(self, monkeypatch):
+        shapes = self._checked_shapes(monkeypatch)
+        evals = []
+        score = region.one_shot_constraints
+
+        def counted(*args):
+            evals.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(region, "one_shot_constraints", counted)
+        cfg = OptimizerConfig(restarts=1, max_iters=20, alphabet_x=2, alphabet_y=2)
+        res = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 0.0), cfg)
+        assert len(evals) > 1
+        assert shapes == [(2, 2, 2, 2)]
+        assert isinstance(res.ensemble, InputEnsemble) and res.constraints.ensemble is res.ensemble
+
+    def test_y_collapse_checks_both_witnesses(self, monkeypatch):
+        shapes = self._checked_shapes(monkeypatch)
+        res = optimize_region(ISO_DEPOL_03, 0.0, (0.0, 1.0),
+                              OptimizerConfig(restarts=2, max_iters=25, seed=1, alphabet_x=1))
+        assert shapes == [(1, 4, 2, 2), (1, 1, 2, 2)]
+        assert isinstance(res.ensemble, InputEnsemble)
+
+    def test_skp_constraints_checks_nothing(self, monkeypatch):
+        ens = InputEnsemble.over_y([0.25, 0.75], [ket(0), ket(1)])
+        shapes = self._checked_shapes(monkeypatch)
+        pair = skp_constraints(ens, ISO_ID)
+        assert shapes == []
+        assert abs(pair.i_yb - 0.8112781244591328) < 1e-12 and pair.i_ye == 0.0

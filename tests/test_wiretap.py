@@ -846,6 +846,14 @@ class TestSecurity:
         with pytest.raises(BudgetError):
             security_distance(cb, cfg, ch, mode="exact")
 
+    def test_exact_memory_guard_counts_the_key_rows(self):
+        """The table has M + S - 1 = 17 rows of 2^20 entries, past the 2^24 guard; M·2^20 is not."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
+        cfg = CodeConfig(n=20, M=16, S=2, delta=0.5, seed=1)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        with pytest.raises(BudgetError, match="memory guard"):
+            security_distance(cb, cfg, ch, mode="exact")
+
     def test_monte_carlo_consistency(self):
         """|exact - estimate| <= 3 standard errors in >= 95% of seeded cases."""
         ch = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.75, 0.25], [0.2, 0.8]]))
@@ -936,6 +944,7 @@ class TestExpurgation:
 
     def test_per_message_errors_feed_expurgation(self):
         cfg, cb = self._codebook()
-        pub, priv = per_message_errors(cfg, NOISY, cb, trials_per_message=20)
+        cfg = replace(cfg, trials=20)
+        pub, priv = per_message_errors(cfg, NOISY, cb)
         out = expurgate(cb, pub + priv)
         assert out.config.K_pub == 2
