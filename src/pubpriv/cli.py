@@ -163,7 +163,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--alphabet-y", type=int, default=None, help="|Y| (default: dim_in^2)")
     p.add_argument("--mixed-states", action="store_true", help="search mixed input states too")
-    p.add_argument("--tol", type=float, default=1e-7, help="convergence tolerance")
 
 
 def _optimizer_config(args, alphabet_x: int | None) -> OptimizerConfig:
@@ -174,7 +173,6 @@ def _optimizer_config(args, alphabet_x: int | None) -> OptimizerConfig:
         alphabet_x=alphabet_x,
         alphabet_y=args.alphabet_y,
         pure_states_only=not args.mixed_states,
-        convergence_tol=args.tol,
     )
 
 

@@ -24,6 +24,7 @@ bug rather than rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -125,11 +126,12 @@ def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
     return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E, entropies=entropies)
 
 
-def _fold(first, terms: np.ndarray) -> np.ndarray:
-    """first - t_0 - t_1 - ... along the last axis, strictly left to right, as a loop over
-    blocks would do it: near flat spots the optimizer's path turns on the last bit."""
-    first = np.broadcast_to(first, terms.shape[:-1])[..., None]
-    return np.subtract.reduce(np.concatenate([first, terms], axis=-1), axis=-1)
+def _fold(first, terms: np.ndarray):
+    """first - t_0 - t_1 - ... along the last axis, strictly left to right in Python floats, as a loop over blocks
+    would do it: near flat spots the optimizer's path turns on the last bit. Row r of 2-D terms folds from first[r]."""
+    if terms.ndim == 1:
+        return reduce(float.__sub__, terms.tolist(), float(first))
+    return np.array([reduce(float.__sub__, row, f) for f, row in zip(first.tolist(), terms.tolist())])
 
 
 def _holevo(s: CqState, system: str) -> float:

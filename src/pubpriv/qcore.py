@@ -13,6 +13,7 @@ function, so the module keeps no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +179,8 @@ def partial_trace(rho, keep, dims):
     m = _as_stack(rho)
     dims = [int(d) for d in dims]
     n = len(dims)
-    if int(np.prod(dims)) != m.shape[-1]:
-        raise DimensionError(f"prod(dims)={int(np.prod(dims))} does not match dim {m.shape[-1]}")
+    if math.prod(dims) != m.shape[-1]:
+        raise DimensionError(f"prod(dims)={math.prod(dims)} does not match dim {m.shape[-1]}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
@@ -195,7 +196,7 @@ def partial_trace(rho, keep, dims):
         pos = cur.index(idx)
         t = np.trace(t, axis1=nb + pos, axis2=nb + pos + len(cur))
         cur.pop(pos)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     out = t.reshape(batch + (d_keep, d_keep))
     return DensityOperator(out) if isinstance(rho, DensityOperator) else out
 

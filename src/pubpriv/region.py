@@ -39,6 +39,7 @@ from .entropics import (
 from .errors import DimensionError, ValidationError
 
 MEMBERSHIP_TOL = 1e-9
+CONVERGENCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,6 @@ class OptimizerConfig:
     alphabet_x: int | None = None
     alphabet_y: int | None = None
     pure_states_only: bool = True
-    convergence_tol: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -168,8 +168,6 @@ class OptimizerConfig:
             raise ValidationError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if not (np.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
-            raise ValidationError(f"convergence_tol must be finite and nonnegative, got {self.convergence_tol}")
 
     def resolve_alphabets(self, iso: IsometricExtension) -> tuple[int, int]:
         ceiling = min(iso.dim_in, iso.dim_B) ** 2 + 1
@@ -281,7 +279,7 @@ def optimize_region(
     Multi-start coordinate-block refinement: restart 0 starts from the
     structured basis ensemble, the rest from seeded random draws; each
     restart cycles Nelder-Mead over the probability and state blocks until
-    the improvement per sweep drops below ``convergence_tol`` or the
+    the improvement per sweep drops below ``CONVERGENCE_TOL`` or the
     iteration budget runs out. ``converged`` reports the winning restart:
     False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
@@ -331,7 +329,7 @@ def optimize_region(
                     options={
                         "maxiter": min(budget, 40 * max(1, sl.stop - sl.start)),
                         "xatol": 1e-7,
-                        "fatol": cfg.convergence_tol / 10.0,
+                        "fatol": CONVERGENCE_TOL / 10.0,
                         "adaptive": True,
                     },
                 )
@@ -340,7 +338,7 @@ def optimize_region(
                     val = -res.fun
                     theta = theta.copy()
                     theta[sl] = res.x
-            if val - sweep_start < cfg.convergence_tol:
+            if val - sweep_start < CONVERGENCE_TOL:
                 converged = True
                 break
         if val > best_val:

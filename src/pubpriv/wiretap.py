@@ -44,10 +44,8 @@ from .qcore import validate_probabilities
 
 #: Typicality acceptance probabilities below this are rejected as unusable.
 MIN_ACCEPTANCE = 1e-6
-#: Largest codeword count (K_pub · M) kept as an in-memory array.
+#: Largest codeword count (K_pub · M) kept in memory; ML, Monte-Carlo security and expurgation need the words there.
 EAGER_WORD_LIMIT = 1 << 20
-#: ML decoding budget on K_pub · M.
-ML_BUDGET = 1 << 20
 #: Exact security enumeration budget on |E|^n.
 SECURITY_BUDGET = 1 << 20
 #: The modes of `security_distance`.
@@ -391,7 +389,6 @@ class GenerationRecord:
 
     acceptance_inner: float
     acceptance_outer: float = 1.0  # 1.0 for the one-symbol outer law of a 1-D input law
-    collision_count: int | None = None
     expurgation: dict | None = None
 
 
@@ -401,8 +398,8 @@ class Codebook:
 
     A 1-D input law p is the one-symbol outer law: ``outer_p`` = [1], ``cond_table`` = [p]
     and the outer word 0^n. When the total word count exceeds ``EAGER_WORD_LIMIT`` the inner
-    words are not materialized; ``word``/``inner_block`` regenerate them on demand from the
-    seed (bit-identical to eager generation).
+    words are not materialized (``is_lazy``); ``word``/``inner_block`` regenerate them on demand from the
+    seed and the samplers only a lazy codebook keeps (bit-identical to eager generation).
     """
 
     config: CodeConfig
@@ -411,7 +408,7 @@ class Codebook:
     outer_words: np.ndarray  # (K, n)
     inner_words: np.ndarray | None  # (K, M, n) or None when lazy
     record: GenerationRecord
-    _samplers: tuple = field(default=(), repr=False, compare=False)
+    _samplers: tuple = field(default=(), repr=False, compare=False)  # () when eager
 
     @property
     def is_lazy(self) -> bool:
@@ -426,6 +423,12 @@ class Codebook:
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
         return self.inner_block(k, p, p + 1)[0]
+
+    @cached_property
+    def collision_count(self) -> int | None:
+        """Repeated inner words, M minus the distinct words of each public message, summed; None when lazy."""
+        q, M = self.cond_table.shape[1], self.config.M
+        return None if self.is_lazy else sum(M - _distinct_rows(words, q) for words in self.inner_words)
 
     @cached_property
     def _lanes(self) -> "_Lanes":
@@ -508,16 +511,14 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     outer_pd = pruned_distribution(p_x, cfg.n, cfg.delta)
     outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
     samplers = tuple(PrunedDistribution(table=cond, x_seq=x, delta=cfg.delta) for x in outer_words)
-    inner, collisions = None, None
+    inner = None
     if not lazy:
         inner = np.empty((K, M, cfg.n), dtype=np.intp)
         for k, sampler in enumerate(samplers):
             _generate_words(sampler, cfg.seed, _TAG_INNER, k, np.arange(M, dtype=np.int64), out=inner[k])
-        collisions = sum(M - _distinct_rows(words, ch.size_a) for words in inner)
-    rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers),
-                           acceptance_outer=outer_pd.acceptance, collision_count=collisions)
+    rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers), acceptance_outer=outer_pd.acceptance)
     return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=samplers[0].table, outer_words=outer_words,
-                    inner_words=inner, record=rec, _samplers=samplers)
+                    inner_words=inner, record=rec, _samplers=samplers if lazy else ())
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +637,14 @@ def _lane_scores(tables: np.ndarray, lanes: _Lanes) -> np.ndarray:
     return out
 
 
+def _check_config(cfg: CodeConfig, codebook: Codebook) -> None:
+    """Reject a cfg whose n, M or K_pub differ from the codebook's; S, δ, seed, decoder and trials are run settings."""
+    diff = [f"{name}={getattr(cfg, name)} (the codebook has {getattr(codebook.config, name)})"
+            for name in ("n", "M", "K_pub") if getattr(cfg, name) != getattr(codebook.config, name)]
+    if diff:
+        raise ValidationError(f"cfg does not match the codebook: {', '.join(diff)}")
+
+
 def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
     """Per-symbol surprisal of the generating law q(x, a, b) and its entropy; a candidate gathers (x_i, u_i, b_i)."""
     q = codebook.outer_p[:, None, None] * codebook.cond_table[:, :, None] * ch.p_main[None, :, :]
@@ -661,11 +670,12 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     once per received word (``_lane_scores``: this replays numpy's pairwise
     row sum). JT gathers each chunk's words directly (``_row_scores``).
     """
+    _check_config(cfg, codebook)
     b = np.asarray(b_seq, dtype=np.intp)
     K, M = cfg.K_pub, cfg.M
     if cfg.decoder == "ML":
-        if K * M > ML_BUDGET:
-            raise BudgetError(f"ML decoding budget exceeded: K_pub*M = {K * M} > {ML_BUDGET}")
+        if codebook.is_lazy:
+            raise BudgetError(f"ML decoding needs the words in memory, but this codebook of {K * M} words is lazy")
         lanes = codebook._lanes
         with np.errstate(divide="ignore"):
             cols = np.log(ch.p_main)[:, b].T  # the whole table, as one contiguous log
@@ -738,6 +748,7 @@ def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: n
 
 def estimate_error(cfg: CodeConfig, ch: ClassicalWiretap, codebook: Codebook) -> ErrorEstimate:
     """Fraction of seeded trials where the decoder misses (k, f(m,s))."""
+    _check_config(cfg, codebook)
     failures = 0
     for t in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_TRIAL, t]))
@@ -755,6 +766,7 @@ def per_message_errors(cfg: CodeConfig, ch: ClassicalWiretap, codebook: Codebook
     Public error: decoded public index differs (or outright failure).
     Private error: public index right but the inner index wrong.
     """
+    _check_config(cfg, codebook)
     pub = np.zeros(cfg.K_pub)
     priv = np.zeros(cfg.K_pub)
     for k in range(cfg.K_pub):
@@ -832,6 +844,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     """
     if mode not in SECURITY_MODES:
         raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
+    _check_config(cfg, codebook)
     p_eve = ch.p_eve
     n, M, S, K = cfg.n, cfg.M, cfg.S, cfg.K_pub
     if messages is None:
@@ -939,5 +952,4 @@ def expurgate(codebook: Codebook, per_message_error) -> Codebook:
     rec = replace(codebook.record,
                   expurgation={"kept": [int(i) for i in kept], "rate_loss_public": rate_loss})
     return replace(codebook, config=new_cfg, outer_words=codebook.outer_words[kept],
-                   inner_words=codebook.inner_words[kept], record=rec,
-                   _samplers=tuple(codebook._samplers[i] for i in kept))
+                   inner_words=codebook.inner_words[kept], record=rec)

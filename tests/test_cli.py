@@ -298,6 +298,21 @@ class TestReplayContract:
         assert (tmp_path / "s.csv").read_bytes() == first
         assert "threads" not in json.loads((tmp_path / "s.csv.manifest.json").read_text())["options"]
 
+    def test_replays_region_manifest_with_tol_option(self, tmp_path, run_cli):
+        # the manifest layout written before the --tol flag became the constant region.CONVERGENCE_TOL
+        r = run_cli(["region", "--zoo", "identity", "--weights", "1,0", "--out", "r.csv", "--alphabet-x", "2",
+                     "--alphabet-y", "2", "--restarts", "1", "--max-iters", "20"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "r.csv").read_bytes()
+        (tmp_path / "r.csv").unlink()
+        old = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        old["options"]["tol"] = 1e-5
+        (tmp_path / "old.manifest.json").write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "r.csv").read_bytes() == first
+        assert "tol" not in json.loads((tmp_path / "r.csv.manifest.json").read_text())["options"]
+
     def test_manifest_replays_from_another_directory(self, tmp_path, experiment_spec, run_cli):
         """Relative paths are stored relative to the manifest's directory, so a sibling directory replays it."""
         (tmp_path / "sub").mkdir()
@@ -361,8 +376,6 @@ MALFORMED = {
     "infinite-key-rate": ({}, ["skp", "--zoo", "dephasing", "--p", "0.5", "--rs", "inf", "--out", "k.csv",
                                "--alphabet-y", "2", "--restarts", "2", "--max-iters", "100"],
                           "key rate", "RuntimeWarning"),
-    "nan-tolerance": ({}, ["region", "--zoo", "identity", "--tol", "nan", "--weights", "1,0", "--out", "r.csv"]
-                      + FAST_REGION, "convergence_tol", "RuntimeWarning"),
     "nan-kraus-region": ({"ch.json": NAN_KRAUS}, ["region", "--channel-json", "ch.json", "--weights", "1,0",
                                                   "--out", "r.csv"] + FAST_REGION, "Kraus", "RuntimeWarning"),
     "nan-kraus-entropy": ({"ch.json": NAN_KRAUS, "ens.json": ENSEMBLE},
@@ -417,8 +430,9 @@ def test_malformed_input_is_exit_2_with_a_message(tmp_path, run_cli, files, argv
      "--optimal-key"),
     (["resources", "derive", "otp_combination", "--a", "1", "--b", "1", "--c", "0", "--ie", "0.4",
       "--out", "o.json"], "--ie"),
+    (["region", "--zoo", "identity", "--tol", "1e-5", "--weights", "1,0", "--out", "r.csv"] + FAST_REGION, "--tol"),
 ], ids=["zoo-and-channel-json", "skp-alphabet-x", "resources-seed", "entropy-seed", "section3-a",
-        "section3-optimal-key", "ds03-ib", "ds03-optimal-key", "otp-combination-ie"])
+        "section3-optimal-key", "ds03-ib", "ds03-optimal-key", "otp-combination-ie", "region-tol"])
 def test_parser_rejects_an_option_the_run_ignores(tmp_path, run_cli, argv, named):
     (tmp_path / "ch.json").write_text(json.dumps(IDENTITY_KRAUS))
     (tmp_path / "ens.json").write_text(json.dumps(ENSEMBLE))

@@ -192,7 +192,7 @@ class TestCodewordKernel:
         cb = generate_codebook(cfg, ch, ([0.5, 0.5], [[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]))
         assert _digest(cb.outer_words) == "7353a146054bc5d7bbf180cdd3fb6d6da046e1c3ff35d493144d5fe07909e4cf"
         assert _digest(cb.inner_words) == "0ebf1ba77b8cee4941ffa49459bfe21902bf406ee04e2f39388fc451bee7763d"
-        assert cb.record.collision_count == 76
+        assert cb.collision_count == 76
 
     def test_lazy_block_near_2_to_36_is_pinned(self):
         cfg = CodeConfig(n=40, M=2 ** 36 + 64, delta=0.5, seed=7, decoder="joint_typicality")
@@ -455,6 +455,10 @@ class TestCodebookGeneration:
         assert lazy.is_lazy
         assert np.array_equal(lazy.inner_block(0, 0, 64), eager.inner_words[0])
         assert np.array_equal(lazy.word(0, 17), eager.inner_words[0][17])
+        # only the lazy codebook keeps the sampler that regenerates its words, and only eager words are counted
+        assert eager._samplers == () and len(lazy._samplers) == 1
+        assert eager.collision_count == 64 - len(np.unique(eager.inner_words[0], axis=0))
+        assert lazy.collision_count is None
 
     def test_two_layer_conditionally_typical(self):
         cfg = CodeConfig(n=8, M=2, S=1, K_pub=2, delta=0.9, seed=4)
@@ -494,7 +498,7 @@ class TestCodebookGeneration:
         # only 8 binary words of length 3 exist, so 20 codewords must collide
         cfg = CodeConfig(n=3, M=20, S=1, delta=2.0, seed=6)
         cb = generate_codebook(cfg, NOISY, UNIFORM2)
-        assert cb.record.collision_count > 0
+        assert cb.collision_count > 0
 
     def test_two_layer_needs_pair_law(self):
         cfg = CodeConfig(n=8, M=2, S=1, K_pub=2, delta=0.9, seed=4)
@@ -512,7 +516,7 @@ class TestDecoding:
         ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
         cfg = CodeConfig(n=10, M=8, S=2, delta=0.5, seed=13)
         cb = generate_codebook(cfg, ch, UNIFORM2)
-        assert cb.record.collision_count == 0
+        assert cb.collision_count == 0
         for p in range(8):
             got = decode(cb.word(0, p), cb, cfg, ch)
             assert got == (0, p)
@@ -531,6 +535,18 @@ class TestDecoding:
         assert cb.is_lazy
         with pytest.raises(BudgetError, match="ML"):
             decode(np.zeros(30, dtype=np.intp), cb, cfg, NOISY)
+
+    def test_ml_on_a_lazy_codebook_is_a_budget_error(self, monkeypatch):
+        """The in-memory limit alone decides: 20 words past a limit of 16 leave ML nothing to score."""
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        cfg = CodeConfig(n=8, M=20, S=1, delta=0.5, seed=9, trials=5)
+        cb = generate_codebook(cfg, NOISY, UNIFORM2)
+        assert cb.is_lazy
+        with pytest.raises(BudgetError, match="ML"):
+            decode(cb.word(0, 3), cb, cfg, NOISY)
+        with pytest.raises(BudgetError, match="ML"):
+            estimate_error(cfg, NOISY, cb)
+        assert decode(cb.word(0, 3), cb, replace(cfg, decoder="joint_typicality"), NOISY) in ((0, 3), None)
 
     def test_jt_decoder_recovers_below_capacity(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.02), bsc(0.5))
@@ -942,9 +958,56 @@ class TestExpurgation:
             out = expurgate(cb, [0.5])
         assert out is cb
 
+    def test_collisions_are_counted_from_the_kept_words(self):
+        cfg = CodeConfig(n=5, M=16, S=1, K_pub=4, delta=0.9, seed=2)
+        cb = generate_codebook(cfg, NOISY, (np.full(2, 0.5), np.array([[0.8, 0.2], [0.2, 0.8]])))
+        assert cb.collision_count == 27
+        out = expurgate(cb, [0.0, 1.0, 1.0, 0.0])
+        assert out.record.expurgation["kept"] == [0, 3]
+        assert out.collision_count == 15
+        assert out.collision_count == sum(cfg.M - np.unique(w, axis=0).shape[0] for w in out.inner_words)
+
     def test_per_message_errors_feed_expurgation(self):
         cfg, cb = self._codebook()
         cfg = replace(cfg, trials=20)
         pub, priv = per_message_errors(cfg, NOISY, cb)
         out = expurgate(cb, pub + priv)
         assert out.config.K_pub == 2
+
+
+class TestConfigMatchesCodebook:
+    """n, M and K_pub index the codebook, so a cfg that differs in them is rejected; S, δ, seed, decoder
+    and trials are settings of the run (``TestSecurity.test_key_monotonicity`` runs an S = 1 codebook at S = 4)."""
+
+    def _codebook(self):
+        cfg = CodeConfig(n=8, M=64, S=1, delta=0.5, seed=3, trials=10)
+        return cfg, generate_codebook(cfg, NOISY, UNIFORM2)
+
+    def test_decode_with_fewer_messages(self):
+        cfg, cb = self._codebook()
+        with pytest.raises(ValidationError, match="M=32"):
+            decode(cb.word(0, 40), cb, replace(cfg, M=32), NOISY)
+
+    def test_estimate_error_on_an_expurgated_codebook(self):
+        cfg = CodeConfig(n=8, M=2, S=1, K_pub=4, delta=0.9, seed=31, trials=10)
+        cb = generate_codebook(cfg, NOISY, (np.full(2, 0.5), np.array([[0.8, 0.2], [0.2, 0.8]])))
+        kept = expurgate(cb, [0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValidationError, match="K_pub=4"):
+            estimate_error(cfg, NOISY, kept)
+        assert estimate_error(kept.config, NOISY, kept).trials == 10
+
+    @pytest.mark.parametrize("field, value", [("n", 9), ("M", 65), ("K_pub", 2)])
+    def test_every_entry_point_names_the_field(self, field, value):
+        cfg, cb = self._codebook()
+        bad = replace(cfg, **{field: value})
+        for call in (lambda: per_message_errors(bad, NOISY, cb), lambda: estimate_error(bad, NOISY, cb),
+                     lambda: security_distance(cb, bad, NOISY, mode="exact"),
+                     lambda: decode(cb.word(0, 0), cb, bad, NOISY)):
+            with pytest.raises(ValidationError, match=f"{field}={value}"):
+                call()
+
+    def test_run_settings_may_differ(self):
+        cfg, cb = self._codebook()
+        run = replace(cfg, S=4, delta=0.7, seed=5, decoder="joint_typicality", trials=3)
+        assert estimate_error(run, NOISY, cb).trials == 3
+        assert security_distance(cb, run, NOISY, mode="monte_carlo").messages_probed == 64
