@@ -5,8 +5,9 @@ stands in for the quantum channel, so that random-coding machinery —
 pruned (typical-set-conditioned) codeword generation, index one-time-pad
 encryption, two-layer code pasting, maximum-likelihood and joint-typicality
 decoding, expurgation, and the trace-norm security criterion — is exactly
-computable at n ≤ ~12 and Monte-Carlo-estimable beyond. The quantum region
-computation and this simulator meet only through shared rate formulas.
+computable (secrecy distances up to |E|^n ≤ 2^20, so n ≤ 20 for a binary
+Eve) and Monte-Carlo-estimable beyond. The quantum region computation and
+this simulator meet only through shared rate formulas.
 
 Every codebook is a two-layer codebook: K_pub outer words x^n(k) from the
 pruned p(x)^n, each carrying M inner words from the pruned Π_i p(·|x_i). A
@@ -645,6 +646,18 @@ def _check_config(cfg: CodeConfig, codebook: Codebook) -> None:
         raise ValidationError(f"cfg does not match the codebook: {', '.join(diff)}")
 
 
+def _check_messages(messages, cfg: CodeConfig) -> list[tuple[int, int]]:
+    """The (k, m) pairs as ints; a pair with k outside [0, K_pub), m outside [0, M) or a fractional index names
+    no message."""
+    pairs = []
+    for k, m in messages:
+        if not (0 <= k < cfg.K_pub and 0 <= m < cfg.M and k == int(k) and m == int(m)):
+            raise ValidationError(f"message pair (k, m) = ({k}, {m}) does not exist: "
+                                  f"need integers 0 <= k < K_pub = {cfg.K_pub} and 0 <= m < M = {cfg.M}")
+        pairs.append((int(k), int(m)))
+    return pairs
+
+
 def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
     """Per-symbol surprisal of the generating law q(x, a, b) and its entropy; a candidate gathers (x_i, u_i, b_i)."""
     q = codebook.outer_p[:, None, None] * codebook.cond_table[:, :, None] * ch.p_main[None, :, :]
@@ -658,8 +671,11 @@ def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
 def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     """Estimate (k, p) from a received word.
 
-    ML: argmax of the main-channel likelihood over every (k, p), ties broken
-    by the smallest (k, p) lexicographically. joint_typicality: the unique
+    ML: argmax of the main-channel log-likelihood over every (k, p), as the
+    float row sum below. Ties are float ties of that sum, broken by the
+    smallest (k, p) lexicographically. Words of equal likelihood whose sums
+    round differently are not tied: ML picks the one whose sum rounds
+    highest, which need not be the first. joint_typicality: the unique
     candidate whose pair (or triple, two-layer) surprisal rate falls within
     the δ-window; zero or several candidates is a decode failure, returned
     as None and counted as an error by the callers.
@@ -804,16 +820,18 @@ class SecurityReport:
     messages_probed: int | None = None
 
 
-def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(R, |E|^n) product laws ((1·p_0)·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
+def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray, start=None) -> np.ndarray:
+    """(R, |E|^n) product laws ((s·p_0)·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
 
-    One table filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of
-    about ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
+    s is ``start`` (one value per row, 1.0 by default), so a block of columns that share a prefix extends that
+    prefix's column over the remaining positions and gets the same left fold as the whole table. One table
+    filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of about
+    ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
     (rows, n), q = words.shape, p_eve.shape[1]
     out = np.empty((rows, q ** n))
-    out[:, 0] = 1.0
+    out[:, 0] = 1.0 if start is None else start
     chunk = max(1, _BLOCK_SYMBOLS // rows)
-    src = np.empty((rows, min(chunk, q ** (n - 1))))
+    src = np.empty((rows, min(chunk, q ** n // q)))
     for i in range(n):
         p_i = p_eve[words[:, i]]
         for lo in range((q ** i - 1) // chunk * chunk, -1, -chunk):
@@ -825,13 +843,57 @@ def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exact_distances(p_eve: np.ndarray, words: np.ndarray, S: int, lo: int, hi: int):
+    """Σ|w_p − p̄| for each of the M rows, and Σ|mean(w_m .. w_{m+S-1}) − p̄| for m in [lo, hi] (S > 1).
+
+    w_p is Eve's product law given word p and p̄ their mean. Columns go in blocks of |E|^t that share their
+    first n − t symbols: the largest t with (M + S - 1)·|E|^t ≤ ``_BLOCK_SYMBOLS``, but |E|^t ≥ 128 unless the
+    whole row is shorter. Each block's p̄, row sums and key mixtures are formed while it is in cache, with the
+    whole-row operations' order; the block sums then meet in a binary tree, which for |E| a power of two is
+    numpy's pairwise tree over the whole row, so every value equals the whole-table formula's bit for bit."""
+    (M, n), q = words.shape, p_eve.shape[1]
+    rows = words[np.arange(M + S - 1) % M]  # rows M .. M+S-2 repeat words 0 .. S-2: the pad rows of m are m .. m+S-1
+    t = n
+    while t > 0 and len(rows) * q ** t > _BLOCK_SYMBOLS:
+        t -= 1
+    while t < n and q ** t < 128:
+        t += 1
+    prefix = _eve_product_rows(p_eve, rows[:, : n - t])
+    span = hi - lo + 1 if S > 1 else 0
+    tmp, pbar = np.empty((M, q ** t)), np.empty(q ** t)
+    parts = np.empty((prefix.shape[1], M + span))  # per block: the M row sums, then the span's mixture sums
+    for j, part in enumerate(parts):
+        blk = _eve_product_rows(p_eve, rows[:, n - t:], start=prefix[:, j])
+        np.add.reduce(blk[:M], axis=0, out=pbar)
+        pbar /= M  # as w[:M].mean(axis=0)
+        np.subtract(blk[:M], pbar, out=tmp)
+        np.abs(tmp, out=tmp).sum(axis=1, out=part[:M])
+        if span:
+            mix = tmp[:span]
+            np.copyto(mix, blk[lo: hi + 1])
+            for s in range(1, S):  # row m, then m+1 .. m+S-1 in order, as w[m: m+S].mean(axis=0) adds them
+                mix += blk[lo + s: hi + 1 + s]
+            mix /= S
+            mix -= pbar
+            np.abs(mix, out=mix).sum(axis=1, out=part[M:])
+    while len(parts) > 1:  # adjacent pairs meet level by level; an odd last block moves up unpaired
+        even = len(parts) // 2 * 2
+        parts = np.concatenate((parts[0: even: 2] + parts[1: even: 2], parts[even:]))
+    return parts[0, :M], parts[0, M:]
+
+
 def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                       mode: str = "exact", messages=None) -> SecurityReport:
     """Exact (enumerated) or importance-sampled secrecy distances.
 
-    Exact mode enumerates Eve's |E|^n outcomes (budget 2^20) in one
-    (M + S - 1, |E|^n) table per public message, filled in place; that
-    table's (M + S - 1)·|E|^n entries must not exceed the 2^24 memory guard.
+    Exact mode enumerates Eve's |E|^n outcomes (budget 2^20, so n ≤ 20 for
+    a binary Eve) over the M + S - 1 rows of each public message, in blocks
+    of columns that stay in cache (``_exact_distances``): no
+    (M + S - 1, |E|^n) table is built, and (M + S - 1)·|E|^n ≤ 2^24 bounds
+    one call's work. For |E| a power of two the blocks change no bit of the
+    whole-table formulas |w - p̄| and w[m: m + S].mean(axis=0); otherwise
+    only the order in which block sums meet differs (a few ulps). Each
+    distinct (k, m) is probed once.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
@@ -840,7 +902,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     alone. Each (k, m) scores its trials in blocks, drawn in trial order from
     its own seeded stream. ``messages`` restricts the (k, m) pairs probed; by
     default all pairs are probed, which requires an eagerly materialized
-    codebook.
+    codebook; a pair outside [0, K_pub) × [0, M) is a ``ValidationError``.
     """
     if mode not in SECURITY_MODES:
         raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
@@ -851,7 +913,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         if codebook.is_lazy:
             raise BudgetError("probing all (k, m) pairs needs an eager codebook; pass `messages`")
         messages = [(k, m) for k in range(K) for m in range(M)]
-    messages = [(int(k), int(m)) for k, m in messages]
+    messages = _check_messages(messages, cfg)
     probed = len(set(messages))
 
     if mode == "exact":
@@ -859,27 +921,18 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         if size > SECURITY_BUDGET:
             raise BudgetError(f"exact security needs |E|^n <= {SECURITY_BUDGET}, got {size}")
         if (M + S - 1) * size > (1 << 24):
-            raise BudgetError(f"exact security table (M+S-1)*|E|^n = {(M + S - 1) * size} exceeds memory guard 2^24")
+            raise BudgetError(f"exact security work (M+S-1)*|E|^n = {(M + S - 1) * size} exceeds the per-call "
+                              "budget 2^24")
+        by_k = {}
+        for k, m in sorted(set(messages)):
+            by_k.setdefault(k, []).append(m)
         best_full = best_msg = 0.0
-        rows = max(1, min(M, _BLOCK_SYMBOLS // size))
-        blk = np.empty((rows, size))  # scratch: |w_p − p̄| for a block of rows
-        table_k = None
-        # One public message's table at a time, so messages go by k; the maxima do not depend on the order.
-        for k, m in sorted(messages, key=lambda km: km[0]):
-            if k != table_k:
-                w = None  # drop the previous table before building the next
-                # Rows M .. M+S-2 repeat words 0 .. S-2, so the pad rows f(m, 0 .. S-1) are the slice w[m: m+S].
-                w = _eve_product_rows(p_eve, codebook.inner_block(k, 0, M)[np.arange(M + S - 1) % M])
-                table_k, pbar, d_p = k, w[:M].mean(axis=0), np.empty(M)
-                for lo in range(0, M, rows):
-                    t = blk[: min(rows, M - lo)]
-                    np.subtract(w[lo: lo + len(t)], pbar, out=t)
-                    np.abs(t, out=t).sum(axis=1, out=d_p[lo: lo + rows])
-            best_full = max(best_full, float(d_p[(m + np.arange(S)) % M].mean()))
-            if S > 1:  # with S = 1 the key mixture of m is row m itself, whose distance is d_p[m]
-                mix = w[m: m + S].mean(axis=0)
-                mix -= pbar
-                best_msg = max(best_msg, float(np.abs(mix, out=mix).sum()))
+        for k, ms in by_k.items():
+            d_p, d_mix = _exact_distances(p_eve, codebook.inner_block(k, 0, M), S, ms[0], ms[-1])
+            for m in ms:
+                best_full = max(best_full, float(d_p[(m + np.arange(S)) % M].mean()))
+                if S > 1:  # with S = 1 the key mixture of m is row m itself, whose distance is d_p[m]
+                    best_msg = max(best_msg, float(d_mix[m - ms[0]]))
         return SecurityReport(full_criterion=best_full, message_secrecy=best_msg if S > 1 else best_full,
                               mode="exact", messages_probed=probed)
 

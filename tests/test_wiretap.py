@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -745,6 +746,32 @@ def mc_hex(case):
     return tuple(v.hex() for v in (rep.full_criterion, rep.message_secrecy, rep.std_err_full, rep.std_err_message))
 
 
+# Exact (seed, n, M, S, full, message) hex values on BSC(0.05)/BSC(0.2), recorded with the whole-table formulas.
+EXACT_PINS = [
+    (1, 16, 64, 64, "0x1.a3f33cdba73b6p+0", "0x1.6bc1880000000p-52"),
+    (7, 16, 64, 1, "0x1.b45f0af703cdfp+0", "0x1.b45f0af703cdfp+0"),
+    (1, 12, 32, 8, "0x1.887251c9b8608p+0", "0x1.e01f977763e5cp-1"),
+    (7, 10, 64, 5, "0x1.70e1cae798a0fp+0", "0x1.2559aeb4114c0p+0"),
+    # S not a power of two: the last bit shows how the key mixture is divided by S
+    (1, 12, 32, 3, "0x1.8d71adfa472c4p+0", "0x1.4e352be1a84cep+0"),
+    (2, 14, 12, 11, "0x1.830a2981c0e99p+0", "0x1.265e39a4bb302p-3"),
+]
+
+
+def whole_row_distances(cb, cfg, ch):
+    """(full, message) maxima from whole (M + S - 1, |E|^n) tables: |w - p̄| and w[m: m + S].mean(axis=0)."""
+    M, S = cfg.M, cfg.S
+    best_full = best_msg = 0.0
+    for k in range(cfg.K_pub):
+        w = broadcast_chain(ch.p_eve, cb.inner_block(k, 0, M)[np.arange(M + S - 1) % M])
+        pbar = w[:M].mean(axis=0)
+        d = np.abs(w[:M] - pbar).sum(axis=1)
+        for m in range(M):
+            best_full = max(best_full, float(d[(m + np.arange(S)) % M].mean()))
+            best_msg = max(best_msg, float(np.abs(w[m: m + S].mean(axis=0) - pbar).sum()))
+    return best_full, best_msg
+
+
 class TestEveProductRows:
     @pytest.mark.parametrize("block", [None, 1, 9 * 5, 9 * 64])
     def test_equals_the_broadcast_chain_for_three_outputs(self, monkeypatch, block):
@@ -806,15 +833,7 @@ class TestSecurity:
         assert abs(rep.full_criterion - want_full) < 1e-12
         assert abs(rep.message_secrecy - want_msg) < 1e-12
 
-    @pytest.mark.parametrize("seed, n, M, S, full, msg", [
-        (1, 16, 64, 64, "0x1.a3f33cdba73b6p+0", "0x1.6bc1880000000p-52"),
-        (7, 16, 64, 1, "0x1.b45f0af703cdfp+0", "0x1.b45f0af703cdfp+0"),
-        (1, 12, 32, 8, "0x1.887251c9b8608p+0", "0x1.e01f977763e5cp-1"),
-        (7, 10, 64, 5, "0x1.70e1cae798a0fp+0", "0x1.2559aeb4114c0p+0"),
-        # S not a power of two: the last bit shows how the key mixture is divided by S
-        (1, 12, 32, 3, "0x1.8d71adfa472c4p+0", "0x1.4e352be1a84cep+0"),
-        (2, 14, 12, 11, "0x1.830a2981c0e99p+0", "0x1.265e39a4bb302p-3"),
-    ])
+    @pytest.mark.parametrize("seed, n, M, S, full, msg", EXACT_PINS)
     def test_exact_distances_are_pinned(self, seed, n, M, S, full, msg):
         """Hex values recorded with the whole-table formulas |w - p̄| and w[idx].mean(axis=0)."""
         ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
@@ -829,21 +848,74 @@ class TestSecurity:
         rep = security_distance(cb, cfg, ch, mode="exact")
         assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == ("0x1.27304039abf36p+0", "0x1.28fefccac15a0p-1")
 
-    def test_exact_mode_holds_one_table(self):
-        """Peak traced memory stays below 1.25 (M, |E|^n) tables: the table is filled in place."""
+    @pytest.mark.parametrize("n, M, S", [(20, 16, 1), (16, 64, 64)])
+    def test_exact_mode_is_bounded_by_blocks(self, n, M, S):
+        """Peak traced memory stays below 8 MiB where the whole (M + S - 1, 2^n) table would take 128 or 63.5 MiB."""
         import tracemalloc
 
         ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
-        cfg = CodeConfig(n=18, M=16, S=1, delta=0.5, seed=3)
+        cfg = CodeConfig(n=n, M=M, S=S, delta=0.5, seed=3)
         cb = generate_codebook(cfg, ch, UNIFORM2)
-        table = cfg.M * 2 ** cfg.n * 8
         tracemalloc.start()
         try:
             security_distance(cb, cfg, ch, mode="exact")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table <= peak < 1.25 * table
+        assert peak < 8 << 20 < (M + S - 1) * 2 ** n * 8 / 7
+
+    @pytest.mark.parametrize("blocks", ["128 columns", "a quarter row", "the whole row"])
+    def test_block_size_changes_no_bit(self, monkeypatch, blocks):
+        """The exact pins hold, bit for bit, whatever the column blocks of a binary Eve."""
+        widths, kernel = [], wt._eve_product_rows
+
+        def spy(p_eve, words, start=None):
+            table = kernel(p_eve, words, start)
+            if start is not None:  # a block, not the prefix table
+                widths.append(table.shape[1])
+            return table
+
+        monkeypatch.setattr(wt, "_eve_product_rows", spy)
+        for case in [*EXACT_PINS, None]:
+            n, M, S, K = case[1:4] + (1,) if case else (10, 8, 4, 4)
+            width = {"128 columns": 128, "a quarter row": 2 ** (n - 2), "the whole row": 2 ** n}[blocks]
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", (M + S - 1) * width)
+            widths.clear()
+            if case:
+                self.test_exact_distances_are_pinned(*case)
+            else:
+                self.test_exact_two_layer_distances_are_pinned()
+            assert widths == [width] * (K * 2 ** n // width)
+
+    @pytest.mark.parametrize("block, exact", [(1, False), (None, False), (1 << 30, True)])
+    def test_blocks_of_a_three_output_eve(self, monkeypatch, block, exact):
+        """|E| = 3: blocks of 243 columns, of the default size, and one whole-row block. Block sums meet in
+        another tree than numpy's pairwise row sum, so blocked values agree with the whole-row formula within
+        1e-12, and one block holding the row gives it exactly."""
+        cfg = CodeConfig(n=10, M=8, S=3, delta=0.9, seed=4)
+        cb = generate_codebook(cfg, EVE3, UNIFORM2)
+        want = whole_row_distances(cb, cfg, EVE3)
+        if block is not None:
+            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", block)
+        rep = security_distance(cb, cfg, EVE3, mode="exact")
+        got = (rep.full_criterion, rep.message_secrecy)
+        if exact:
+            assert got == want
+        else:
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("K, pair", [(1, (0, 11)), (1, (0, -1)), (1, (3, 0)), (3, (3, 1)), (3, (-1, 2)),
+                                         (1, (0, 1.5))],
+                             ids=["m past M", "negative m", "k past K_pub 1", "k past K_pub 3", "negative k",
+                                  "fractional m"])
+    def test_pairs_that_name_no_message_are_rejected(self, mode, K, pair):
+        """A pad past M, a negative or fractional index or a public message past K_pub is not a message of the
+        codebook."""
+        ch, cfg = ClassicalWiretap.bsc_pair(0.05, 0.2), CodeConfig(n=8, M=8, S=2, K_pub=K, delta=0.9, seed=1, trials=20)
+        cb = generate_codebook(cfg, ch, UNIFORM2 if K == 1 else TWO_LAYER_LAW)
+        with pytest.raises(ValidationError, match=re.escape(f"{pair} does not exist")):
+            security_distance(cb, cfg, ch, mode=mode, messages=[(0, 0), pair])
 
     def test_key_monotonicity(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.8, 0.2], [0.25, 0.75]]))
@@ -863,11 +935,11 @@ class TestSecurity:
             security_distance(cb, cfg, ch, mode="exact")
 
     def test_exact_memory_guard_counts_the_key_rows(self):
-        """The table has M + S - 1 = 17 rows of 2^20 entries, past the 2^24 guard; M·2^20 is not."""
+        """The work counts M + S - 1 = 17 rows of 2^20 entries, past the 2^24 budget; M·2^20 is not."""
         ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
         cfg = CodeConfig(n=20, M=16, S=2, delta=0.5, seed=1)
         cb = generate_codebook(cfg, ch, UNIFORM2)
-        with pytest.raises(BudgetError, match="memory guard"):
+        with pytest.raises(BudgetError, match="per-call budget 2\\^24"):
             security_distance(cb, cfg, ch, mode="exact")
 
     def test_monte_carlo_consistency(self):
