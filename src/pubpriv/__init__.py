@@ -47,7 +47,6 @@ from .region import (
     OptimizerConfig,
     RateTriple,
     RegionConstraints,
-    devetak_rates,
     is_in_one_shot_region,
     one_shot_constraints,
     optimize_region,
@@ -67,5 +66,5 @@ __all__ = [
     "cond_mutual_info_YE_given_X", "mutual_info_XYB", "mutual_info_XYE",
     "RateTriple", "RegionConstraints", "OptimizerConfig",
     "one_shot_constraints", "is_in_one_shot_region", "skp_constraints",
-    "devetak_rates", "optimize_region", "pareto_surface",
+    "optimize_region", "pareto_surface",
 ]

@@ -66,12 +66,6 @@ class QuantumChannel:
             out += k @ rho.matrix @ k.conj().T
         return DensityOperator(out)
 
-    def compose_after(self, other: "QuantumChannel") -> "QuantumChannel":
-        """The channel self ∘ other (other feeds into self)."""
-        if other.dim_out != self.dim_in:
-            raise DimensionError(f"cannot compose: {other.dim_out} -> {self.dim_in}")
-        return QuantumChannel.from_kraus([a @ b for a in self.kraus for b in other.kraus])
-
 
 @dataclass(frozen=True, eq=False)
 class IsometricExtension:

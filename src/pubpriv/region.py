@@ -76,18 +76,6 @@ class SkpPair(NamedTuple):
     i_ye: float
 
 
-class DevetakRates(NamedTuple):
-    """Rates of the unassisted private-coding protocol.
-
-    ``public_relative`` is usable only when the public variable is uniformly
-    distributed (it doubles as the randomization that scrambles the
-    eavesdropper); ``private`` is the net private rate, clamped at zero.
-    """
-
-    public_relative: float
-    private: float
-
-
 def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension) -> RegionConstraints:
     """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate."""
     s = build_cq_state(ens, iso)
@@ -117,24 +105,6 @@ def skp_constraints(ens: InputEnsemble, iso: IsometricExtension) -> SkpPair:
                               states=ens.states[0, :, None])
     s = build_cq_state(flipped, iso)
     return SkpPair(i_yb=mutual_info_XB(s), i_ye=mutual_info_XE(s))
-
-
-def devetak_rates(ens: InputEnsemble, iso: IsometricExtension) -> DevetakRates:
-    """Public (relative) and private rates of the unassisted private protocol.
-
-    Requires a trivial Y register (|Y| = 1): the ensemble is {p(x), σ_x}.
-    Nominally the protocol emits I(X;E) bits of uniform public randomization
-    and I(X;B) - I(X;E) private bits; since every emitted bit must also be
-    decodable by the receiver, the public rate is capped at I(X;B) (a channel
-    whose receiver sees nothing transmits nothing, however much leaks to the
-    eavesdropper) and the private rate is clamped at zero.
-    """
-    if ens.size_y != 1:
-        raise DimensionError(f"devetak_rates needs |Y| = 1, got {ens.size_y}")
-    s = build_cq_state(ens, iso)
-    i_xb = mutual_info_XB(s)
-    i_xe = mutual_info_XE(s)
-    return DevetakRates(public_relative=min(i_xb, i_xe), private=max(0.0, i_xb - i_xe))
 
 
 # ---------------------------------------------------------------------------

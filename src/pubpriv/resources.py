@@ -136,9 +136,6 @@ class ResourceExpr:
             return "0"
         return " + ".join(t.render() for t in self.terms)
 
-    def as_dict(self) -> dict:
-        return {t.render(): str(t.coefficient) for t in self.terms}
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -224,6 +221,14 @@ def cancel_key(expr: ResourceExpr, amount, allow_sublinear: bool = False) -> Res
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative(*values) -> tuple[Fraction, ...]:
+    """The channel quantities as exact Fractions; a negative one is a ValidationError."""
+    out = tuple(rationalize(v) for v in values)
+    if min(out) < 0:
+        raise ValidationError("channel quantities must be nonnegative")
+    return out
+
+
 def one_time_pad_rule(rate=1) -> Rule:
     """rate·[c→c]_pub + rate·[cc]_priv ≥ rate·[c→c]_priv.
 
@@ -258,9 +263,7 @@ def public_private_father_rule(a, b, c) -> Rule:
     c = I(Y;E|X) for the witness ensemble. Its public output is an absolute
     resource (no uniformity requirement on the public variable).
     """
-    a, b, c = rationalize(a), rationalize(b), rationalize(c)
-    if min(a, b, c) < 0:
-        raise ValidationError("channel quantities must be nonnegative")
+    a, b, c = _nonnegative(a, b, c)
     return Rule(
         name="public_private_father",
         consumes=ResourceExpr.of((1, ResourceKind.CHANNEL_N), (c, ResourceKind.PRIVATE_KEY)),
@@ -292,9 +295,7 @@ def private_coding_rule(i_xb, i_xe) -> Rule:
 
 def keyed_private_coding_rule(i_yb, i_ye) -> Rule:
     """⟨N⟩ + i_ye·[cc]_priv ≥ i_yb·[c→c]_priv (key-assisted private coding)."""
-    i_yb, i_ye = rationalize(i_yb), rationalize(i_ye)
-    if min(i_yb, i_ye) < 0:
-        raise ValidationError("rates must be nonnegative")
+    i_yb, i_ye = _nonnegative(i_yb, i_ye)
     return Rule(
         name="keyed_private_coding",
         consumes=ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_ye, ResourceKind.PRIVATE_KEY)),
@@ -374,44 +375,6 @@ class DerivationTranscript:
         }
 
 
-class _Tracker:
-    def __init__(self, initial: ResourceExpr):
-        self.initial = initial
-        self.expr = initial
-        self.steps: list[Step] = []
-
-    def rule(self, rule: Rule):
-        nxt = apply_rule(self.expr, rule)
-        self.steps.append(Step("rule", rule.name, rule.params, self.expr, nxt))
-        self.expr = nxt
-
-    def cancel(self, amount, allow_sublinear: bool):
-        nxt = cancel_key(self.expr, amount, allow_sublinear=allow_sublinear)
-        self.steps.append(Step("cancel_key", "cancel_key",
-                               {"amount": rationalize(amount), "allow_sublinear": allow_sublinear},
-                               self.expr, nxt))
-        self.expr = nxt
-
-    def transcript(self, name: str, params: dict, efficiency: EfficiencyReport) -> DerivationTranscript:
-        return DerivationTranscript(name=name, params=params, initial=self.initial, steps=tuple(self.steps),
-                                    final=self.expr, efficiency=efficiency)
-
-
-def replay_transcript(t: DerivationTranscript) -> ResourceExpr:
-    """Re-run a transcript's steps from its initial expression.
-
-    Returns the reconstructed final expression; raises if any step no longer
-    applies. Equality with t.final certifies the transcript.
-    """
-    expr = t.initial
-    for s in t.steps:
-        if s.kind == "cancel_key":
-            expr = cancel_key(expr, s.params["amount"], allow_sublinear=s.params["allow_sublinear"])
-        else:
-            expr = apply_rule(expr, _RULE_FACTORIES[s.name](**s.params))
-    return expr
-
-
 _RULE_FACTORIES = {
     "one_time_pad": one_time_pad_rule,
     "secret_key_distribution": secret_key_distribution_rule,
@@ -419,6 +382,31 @@ _RULE_FACTORIES = {
     "private_coding": private_coding_rule,
     "keyed_private_coding": keyed_private_coding_rule,
 }
+
+
+def _run(initial: ResourceExpr, steps) -> tuple[tuple[Step, ...], ResourceExpr]:
+    """Apply the (name, params) steps in turn: "cancel_key" cancels key, any other name rebuilds its rule
+    from ``_RULE_FACTORIES``. Returns the recorded steps and the final expression; raises if a step does
+    not apply."""
+    done, expr = [], initial
+    for name, params in steps:
+        if name == "cancel_key":
+            kind, nxt = name, cancel_key(expr, **params)
+        else:
+            rule = _RULE_FACTORIES[name](**params)
+            kind, nxt, params = "rule", apply_rule(expr, rule), rule.params
+        done.append(Step(kind, name, params, expr, nxt))
+        expr = nxt
+    return tuple(done), expr
+
+
+def replay_transcript(t: DerivationTranscript) -> ResourceExpr:
+    """Re-run a transcript's steps from its initial expression, as the derivation ran them.
+
+    Returns the reconstructed final expression; raises if any step no longer
+    applies. Equality with t.final certifies the transcript.
+    """
+    return _run(t.initial, [(s.name, s.params) for s in t.steps])[1]
 
 
 def derive_section3(i_xb, i_xe) -> DerivationTranscript:
@@ -433,11 +421,11 @@ def derive_section3(i_xb, i_xe) -> DerivationTranscript:
     i_xb, i_xe = rationalize(i_xb), rationalize(i_xe)
     if not (i_xb >= i_xe >= 0):
         raise ValidationError(f"need I(X;B) >= I(X;E) >= 0, got ({i_xb}, {i_xe})")
-    tr = _Tracker(ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_xe, ResourceKind.PRIVATE_KEY)))
-    tr.rule(private_coding_rule(i_xb, i_xe))
-    tr.rule(one_time_pad_rule(i_xe))
-    return tr.transcript("section3", {"i_xb": i_xb, "i_xe": i_xe},
-                         EfficiencyReport(key_consumed=i_xe, sublinear_residue=False))
+    params = {"i_xb": i_xb, "i_xe": i_xe}
+    initial = ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_xe, ResourceKind.PRIVATE_KEY))
+    steps = [("private_coding", params), ("one_time_pad", {"rate": i_xe})]
+    return DerivationTranscript("section3", params, initial, *_run(initial, steps),
+                                EfficiencyReport(key_consumed=i_xe, sublinear_residue=False))
 
 
 def derive_ds03_child(a, b, c) -> DerivationTranscript:
@@ -448,19 +436,17 @@ def derive_ds03_child(a, b, c) -> DerivationTranscript:
     input key leaves ⟨N⟩ + o[cc]_priv ≥ (b-c)·[c→c]_priv + a·[c→c]_pub.
     Requires b ≥ c so the net private rate is nonnegative.
     """
-    a, b, c = rationalize(a), rationalize(b), rationalize(c)
-    if min(a, b, c) < 0:
-        raise ValidationError("channel quantities must be nonnegative")
+    a, b, c = _nonnegative(a, b, c)
     if b < c:
         raise ValidationError(f"needs b >= c to regenerate the key, got b={b}, c={c}")
-    tr = _Tracker(ResourceExpr.of((1, ResourceKind.CHANNEL_N), (c, ResourceKind.PRIVATE_KEY)))
-    tr.rule(public_private_father_rule(a, b, c))
+    params = {"a": a, "b": b, "c": c}
+    initial = ResourceExpr.of((1, ResourceKind.CHANNEL_N), (c, ResourceKind.PRIVATE_KEY))
+    steps = [("public_private_father", params)]
     degenerate = a == 0 and b == 0
     if not degenerate:
-        tr.rule(secret_key_distribution_rule(c))
-        tr.cancel(c, allow_sublinear=True)
-    return tr.transcript("ds03", {"a": a, "b": b, "c": c},
-                         EfficiencyReport(key_consumed=Fraction(0), sublinear_residue=not degenerate))
+        steps += [("secret_key_distribution", {"rate": c}), ("cancel_key", {"amount": c, "allow_sublinear": True})]
+    return DerivationTranscript("ds03", params, initial, *_run(initial, steps),
+                                EfficiencyReport(key_consumed=Fraction(0), sublinear_residue=not degenerate))
 
 
 def derive_otp_combination(a, b, c, optimal_key_rate=None) -> DerivationTranscript:
@@ -471,15 +457,13 @@ def derive_otp_combination(a, b, c, optimal_key_rate=None) -> DerivationTranscri
     the witness ensemble), the report flags this construction as
     inefficient whenever c + a exceeds it.
     """
-    a, b, c = rationalize(a), rationalize(b), rationalize(c)
-    if min(a, b, c) < 0:
-        raise ValidationError("channel quantities must be nonnegative")
-    tr = _Tracker(ResourceExpr.of((1, ResourceKind.CHANNEL_N), (c + a, ResourceKind.PRIVATE_KEY)))
-    tr.rule(public_private_father_rule(a, b, c))
-    tr.rule(one_time_pad_rule(a))
+    a, b, c = _nonnegative(a, b, c)
+    params = {"a": a, "b": b, "c": c}
+    initial = ResourceExpr.of((1, ResourceKind.CHANNEL_N), (c + a, ResourceKind.PRIVATE_KEY))
+    steps = [("public_private_father", params), ("one_time_pad", {"rate": a})]
     opt = None if optimal_key_rate is None else rationalize(optimal_key_rate)
-    return tr.transcript("otp_combination", {"a": a, "b": b, "c": c},
-                         EfficiencyReport(key_consumed=c + a, sublinear_residue=False, optimal_key_rate=opt))
+    return DerivationTranscript("otp_combination", params, initial, *_run(initial, steps),
+                                EfficiencyReport(key_consumed=c + a, sublinear_residue=False, optimal_key_rate=opt))
 
 
 DERIVATIONS = {

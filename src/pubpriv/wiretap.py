@@ -27,7 +27,8 @@ agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index)
 Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``.
 ML scores replay numpy's pairwise row sum from per-lane lookup tables: lane
 codes are encoded once per codebook, the tables once per received word
-(``_lane_scores``; ``TestLaneScores`` guards the sum order).
+(``_lane_scores``; ``TestLaneScores`` guards the sum order). JT scores and the
+Monte-Carlo log-likelihoods share one gather, ``_row_scores``.
 """
 
 from __future__ import annotations
@@ -528,25 +529,28 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
 
 
 def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Σ_i cols[i, words[r, i]] for every row r of the (R, n) words; cols is (n, |A|).
+    """Σ_i cols[..., i, words[r, i]] for every row r of the (R, n) words; cols is (n, |A|), giving (R,), or
+    (T, n, |A|), giving (T, R).
 
     With cols = table[:, b].T this sums the values of ``table[words, b[None, :]].sum(axis=1)`` in the
     same order, so scores are bit-identical to that gather (JT window edges turn on the last bit). Rows go
-    in blocks of about ``_BLOCK_SYMBOLS`` symbols through one flat ``np.take``.
+    in blocks of about ``_BLOCK_SYMBOLS`` symbols over all T, each through one ``np.take`` of words + offsets
+    from the T flattened column tables.
     """
     count, n = words.shape
-    flat = cols.ravel()
-    offsets = np.arange(n) * cols.shape[1]
-    rows = max(1, min(count, _BLOCK_SYMBOLS // n))
+    tables = cols.reshape(-1, n * cols.shape[-1])  # row t is cols[t] flattened
+    T = len(tables)
+    offsets = np.arange(n) * cols.shape[-1]
+    rows = max(1, min(count, _BLOCK_SYMBOLS // (n * T)))
     idx = np.empty((rows, n), dtype=np.intp)
-    g = np.empty((rows, n))
-    out = np.empty(count)
+    g = np.empty((T, rows, n))
+    out = np.empty((T, count))
     for lo in range(0, count, rows):
         m = min(rows, count - lo)
         np.add(words[lo: lo + m], offsets, out=idx[:m])
-        np.take(flat, idx[:m], out=g[:m], mode="clip")  # "raise" would buffer out; indices are in range
-        g[:m].sum(axis=1, out=out[lo: lo + m])
-    return out
+        np.take(tables, idx[:m], axis=1, out=g[:, :m], mode="clip")  # "raise" would buffer out; indices are in range
+        g[:, :m].sum(axis=2, out=out[:, lo: lo + m])
+    return out.reshape(cols.shape[:-2] + (count,))
 
 
 #: Entries of the largest lookup table of the lane scorer.
@@ -655,6 +659,8 @@ def _check_messages(messages, cfg: CodeConfig) -> list[tuple[int, int]]:
             raise ValidationError(f"message pair (k, m) = ({k}, {m}) does not exist: "
                                   f"need integers 0 <= k < K_pub = {cfg.K_pub} and 0 <= m < M = {cfg.M}")
         pairs.append((int(k), int(m)))
+    if not pairs:
+        raise ValidationError("messages is empty: a secrecy distance needs at least one (k, m) pair")
     return pairs
 
 
@@ -685,9 +691,19 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     words' lane codes, encoded once per codebook, and lookup tables built
     once per received word (``_lane_scores``: this replays numpy's pairwise
     row sum). JT gathers each chunk's words directly (``_row_scores``).
+
+    ``b_seq`` must be a 1-D integer word of length n with symbols in
+    [0, |B|): another shape is a ``DimensionError``, another dtype or an
+    out-of-range symbol a ``ValidationError``.
     """
     _check_config(cfg, codebook)
-    b = np.asarray(b_seq, dtype=np.intp)
+    b = np.asarray(b_seq)
+    if b.shape != (cfg.n,):
+        raise DimensionError(f"the received word must have shape ({cfg.n},), got {b.shape}")
+    size_b = ch.p_joint.shape[1]
+    if b.dtype.kind not in "iu" or b.min() < 0 or b.max() >= size_b:
+        raise ValidationError(f"the received word must hold integer symbols in [0, {size_b}), got {b}")
+    b = b.astype(np.intp, copy=False)
     K, M = cfg.K_pub, cfg.M
     if cfg.decoder == "ML":
         if codebook.is_lazy:
@@ -900,9 +916,11 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     upward, more so the more messages are probed (the report's
     ``messages_probed``), and its standard error is that of the winning mean
     alone. Each (k, m) scores its trials in blocks, drawn in trial order from
-    its own seeded stream. ``messages`` restricts the (k, m) pairs probed; by
-    default all pairs are probed, which requires an eagerly materialized
-    codebook; a pair outside [0, K_pub) × [0, M) is a ``ValidationError``.
+    its own seeded stream, and sums each block's log-likelihoods with the
+    decoders' ``_row_scores``. ``messages`` restricts the (k, m) pairs
+    probed; by default all pairs are probed, which requires an eagerly
+    materialized codebook; an empty list, or a pair outside
+    [0, K_pub) × [0, M), is a ``ValidationError``.
     """
     if mode not in SECURITY_MODES:
         raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
@@ -940,12 +958,11 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         raise BudgetError("Monte-Carlo security needs every inner word for the reference mixture; "
                           "lazy codebooks are not supported")
     with np.errstate(divide="ignore"):
-        log_eve = np.log(p_eve).ravel()  # log_eve[a·|E| + e] = log p(e | a)
-    q, T = ch.size_e, cfg.trials
+        log_eve = np.log(p_eve).T  # log_eve[e, a] = log p(e | a)
+    T = cfg.trials
     per = max(1, min(T, _BLOCK_SYMBOLS // (M * n)))  # trials per block: one gather of about _BLOCK_SYMBOLS
     keys, refs = np.empty((2, per), dtype=np.intp)
-    u, ll = np.empty((per, n)), np.empty((per, M))
-    idx, g = np.empty((per, M, n), dtype=np.intp), np.empty((per, M, n))
+    u = np.empty((per, n))
     best_full = best_msg = (-np.inf, 0.0)
     for k, m in messages:
         words = codebook.inner_block(k, 0, M)
@@ -958,11 +975,9 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                 keys[t], refs[t] = rng.integers(S), rng.integers(M)
                 rng.random(out=u[t])
             e_seq = _channel_outputs(ch.cuts_eve, words[refs[:c]], u[:c])
-            np.add(words * q, e_seq[:, None, :], out=idx[:c])
-            np.take(log_eve, idx[:c], out=g[:c], mode="clip")  # "raise" would buffer out; indices are in range
-            g[:c].sum(axis=2, out=ll[:c])
-            log_pbar = np.logaddexp.reduce(ll[:c], axis=1) - math.log(M)
-            ll_pad = ll[:c, pad]
+            ll = _row_scores(log_eve[e_seq], words)  # ll[t, p] = log p(e_t | word p)
+            log_pbar = np.logaddexp.reduce(ll, axis=1) - math.log(M)
+            ll_pad = ll[:, pad]
             log_q = np.logaddexp.reduce(ll_pad, axis=1) - math.log(S)
             # math.exp, not np.exp: numpy's SIMD exp differs from libm's in the last bit on some inputs
             r_full[lo: lo + c] = list(map(math.exp, (ll_pad[np.arange(c), keys[:c]] - log_pbar).tolist()))

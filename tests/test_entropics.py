@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pubpriv.channels import (
+    QuantumChannel,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -141,7 +142,8 @@ class TestDataProcessing:
             post = rand_channel(rng, 2, 2, 2)
             ens = rand_ensemble(rng, 3, 1, 2)
             before = mutual_info_XB(build_cq_state(ens, isometric_extension(ch)))
-            after = mutual_info_XB(build_cq_state(ens, isometric_extension(post.compose_after(ch))))
+            composed = QuantumChannel.from_kraus([a @ b for a in post.kraus for b in ch.kraus])  # post ∘ ch
+            after = mutual_info_XB(build_cq_state(ens, isometric_extension(composed)))
             assert after <= before + 1e-9
 
 

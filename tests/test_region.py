@@ -19,7 +19,6 @@ from pubpriv.region import (
     RateTriple,
     RegionConstraints,
     _Parametrization,
-    devetak_rates,
     is_in_one_shot_region,
     one_shot_constraints,
     optimize_region,
@@ -141,28 +140,6 @@ class TestSkpReduction:
     def test_requires_trivial_x(self, rng):
         with pytest.raises(DimensionError):
             skp_constraints(rand_ensemble(rng, 2, 2, 2), ISO_ID)
-
-
-class TestDevetakRates:
-    def test_identity(self):
-        ens = InputEnsemble.over_x([0.5, 0.5], [ket(0), ket(1)])
-        assert devetak_rates(ens, ISO_ID) == (0.0, 1.0)
-
-    def test_completely_dephasing(self):
-        ens = InputEnsemble.over_x([0.5, 0.5], [ket(0), ket(1)])
-        got = devetak_rates(ens, ISO_DEPH)
-        assert abs(got.public_relative - 1.0) < 1e-12
-        assert got.private == 0.0
-
-    def test_depolarizing(self):
-        # I(X;E) = 1 here, but nothing Bob can decode -> both usable rates vanish
-        ens = InputEnsemble.over_x([0.5, 0.5], [ket(0), ket(1)])
-        got = devetak_rates(ens, ISO_DEPOL)
-        assert got.public_relative < 1e-9 and got.private < 1e-9
-
-    def test_requires_trivial_y(self, rng):
-        with pytest.raises(DimensionError):
-            devetak_rates(rand_ensemble(rng, 2, 2, 2), ISO_ID)
 
 
 class TestOptimizer:

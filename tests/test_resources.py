@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,24 @@ class TestTranscripts:
                       lambda: derive_otp_combination(1, Fraction(5, 4), Fraction(1, 4))):
             t = maker()
             assert replay_transcript(t) == t.final
+
+    def test_a_step_with_altered_parameters_fails_replay(self):
+        """Each parameter of each step, lowered by 1/7 (a flag flipped), either no longer applies or ends away
+        from the transcript's final expression."""
+        altered = 0
+        for t in (derive_section3(2, Fraction(3, 4)), derive_ds03_child(Fraction(1, 3), 2, Fraction(1, 2)),
+                  derive_otp_combination(1, Fraction(5, 4), Fraction(1, 4))):
+            for i, step in enumerate(t.steps):
+                for key, value in step.params.items():
+                    params = {**step.params, key: not value if isinstance(value, bool) else value - Fraction(1, 7)}
+                    steps = t.steps[:i] + (replace(step, params=params),) + t.steps[i + 1:]
+                    altered += 1
+                    try:
+                        got = replay_transcript(replace(t, steps=steps))
+                    except (RuleInapplicableError, RelativityError, ValidationError):
+                        continue
+                    assert got != t.final, (t.name, step.name, key)
+        assert altered == 13  # 3 + 6 + 4 parameters
 
     def test_as_dict_is_json_friendly(self):
         import json

@@ -34,7 +34,8 @@ def test_tracer_counts_one_score_span_per_evaluation(tmp_path):
     assert metrics["region.score_evals"] == metrics["entropics.build_cq_state.calls"] > 1
 
 
-# An eager ML codebook through estimate_error and an exact security distance, then a lazy JT codebook.
+# An eager ML codebook through estimate_error and an exact and a Monte-Carlo security distance, then a lazy JT
+# codebook.
 TRACED_WIRETAP = f"""
 import json, sys
 sys.path.insert(0, {str(PERFBENCH)!r})
@@ -47,6 +48,7 @@ eager_cfg = wt.CodeConfig(n=12, M=64, delta=0.5, seed=1, decoder="ML", trials=25
 eager = wt.generate_codebook(eager_cfg, ch, [0.5, 0.5])
 wt.estimate_error(eager_cfg, ch, eager)
 wt.security_distance(eager, eager_cfg, ch, mode="exact")
+wt.security_distance(eager, eager_cfg, ch, mode="monte_carlo", messages=[(0, 0), (0, 1)])
 wt.EAGER_WORD_LIMIT = 16
 lazy_cfg = wt.CodeConfig(n=12, M=40, delta=0.5, seed=2, decoder="joint_typicality", trials=5)
 lazy = wt.generate_codebook(lazy_cfg, ch, [0.5, 0.5])
@@ -64,4 +66,5 @@ def test_tracer_counts_wiretap_words_decodes_and_security(tmp_path):
     assert metrics["wiretap.codegen.words"] >= 64
     assert metrics["wiretap.decode.calls"] == 25 + 5
     assert metrics["wiretap.security.exact_s"] > 0
+    assert metrics["wiretap.security.mc_s"] > 0
     assert 0 < metrics["wiretap.codegen.distinct_frac"] <= 1

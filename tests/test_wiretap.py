@@ -281,6 +281,20 @@ class TestRowScores:
             monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", n * block_rows)
             assert np.array_equal(wt._row_scores(table[:, b].T, words), want)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 50, 64])
+    def test_a_trial_axis_equals_stacked_2d_calls(self, monkeypatch, block_rows):
+        """(T, n, |A|) columns, as Monte-Carlo security passes them, score like T separate (n, |A|) calls, over
+        1-row blocks, 7-row blocks with a short tail, one block and one clipped block of the 50 rows."""
+        rng = np.random.default_rng(6)
+        T, n = 3, 9
+        words = rng.integers(0, 3, size=(50, n))
+        cols = rng.standard_normal((T, n, 3)) * np.exp(rng.uniform(-30, 30, (T, n, 3)))  # order-sensitive sums
+        cols[1, 4, 2] = -np.inf
+        want = np.stack([wt._row_scores(c, words) for c in cols])
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", n * T * block_rows)
+        got = wt._row_scores(cols, words)
+        assert got.shape == (T, 50) and got.tobytes() == want.tobytes()
+
 
 def _pairwise_row_sum(row) -> float:
     """numpy's row sum of n <= 128 values, one float add at a time: the reduction's 0.0 plus the pairwise sum,
@@ -639,6 +653,21 @@ class TestDecoding:
                        record=cb.record, _samplers=cb._samplers)
         assert decode(dup.word(0, 0), dup, cfg, ch) is None
 
+    @pytest.mark.parametrize("decoder", wt.DECODERS)
+    def test_malformed_received_words_are_rejected(self, decoder):
+        """A word with a tail, a short or 2-D word, fractional symbols and symbols outside [0, |B|) name no
+        channel output: none is decoded by truncation, and none is a raw IndexError."""
+        cfg = CodeConfig(n=16, M=64, delta=0.5, seed=2, decoder=decoder)
+        cb = generate_codebook(cfg, NOISY, UNIFORM2)
+        w = cb.word(0, 5)
+        assert decode(w, cb, cfg, NOISY) in ((0, 5), None)
+        for bad in (np.concatenate([w, w[:8]]), w[:-1], w[None], np.array([], dtype=np.intp)):
+            with pytest.raises(DimensionError, match="received word"):
+                decode(bad, cb, cfg, NOISY)
+        for bad in (w + 0.5, w.astype(float), np.where(np.arange(16) == 3, 2, w), np.where(np.arange(16) == 3, -1, w)):
+            with pytest.raises(ValidationError, match="received word"):
+                decode(bad, cb, cfg, NOISY)
+
 
 class TestEstimateError:
     def test_noiseless_is_exactly_zero(self):
@@ -966,6 +995,14 @@ class TestSecurity:
         """97 trials scored one at a time, in 7-trial blocks with a short tail, and in one block."""
         monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", per * 12 * 10)  # M·n = 120 symbols per trial
         assert mc_hex("S=3") == MC_CASES["S=3"][-1]
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_an_empty_message_list_is_rejected(self, mode):
+        """No pair probed is no maximum: not a perfect 0.0 (exact) nor -inf (Monte-Carlo)."""
+        ch, cfg = ClassicalWiretap.bsc_pair(0.05, 0.2), CodeConfig(n=8, M=8, S=2, delta=0.9, seed=1, trials=20)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        with pytest.raises(ValidationError, match="messages is empty"):
+            security_distance(cb, cfg, ch, mode=mode, messages=[])
 
     @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
     def test_reports_the_messages_probed(self, mode):
