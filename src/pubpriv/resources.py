@@ -261,7 +261,8 @@ def public_private_father_rule(a, b, c) -> Rule:
 
     The keyed public/private coding step: a = I(X;B), b = I(Y;B|X),
     c = I(Y;E|X) for the witness ensemble. Its public output is an absolute
-    resource (no uniformity requirement on the public variable).
+    resource (no uniformity requirement on the public variable). At a = 0
+    it is key-assisted private coding, ⟨N⟩ + c·[cc]_priv ≥ b·[c→c]_priv.
     """
     a, b, c = _nonnegative(a, b, c)
     return Rule(
@@ -290,17 +291,6 @@ def private_coding_rule(i_xb, i_xe) -> Rule:
             (i_xb - i_xe, ResourceKind.PRIVATE_CC),
         ),
         params={"i_xb": i_xb, "i_xe": i_xe},
-    )
-
-
-def keyed_private_coding_rule(i_yb, i_ye) -> Rule:
-    """⟨N⟩ + i_ye·[cc]_priv ≥ i_yb·[c→c]_priv (key-assisted private coding)."""
-    i_yb, i_ye = _nonnegative(i_yb, i_ye)
-    return Rule(
-        name="keyed_private_coding",
-        consumes=ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_ye, ResourceKind.PRIVATE_KEY)),
-        produces=ResourceExpr.of((i_yb, ResourceKind.PRIVATE_CC)),
-        params={"i_yb": i_yb, "i_ye": i_ye},
     )
 
 
@@ -380,7 +370,6 @@ _RULE_FACTORIES = {
     "secret_key_distribution": secret_key_distribution_rule,
     "public_private_father": public_private_father_rule,
     "private_coding": private_coding_rule,
-    "keyed_private_coding": keyed_private_coding_rule,
 }
 
 
@@ -418,10 +407,8 @@ def derive_section3(i_xb, i_xe) -> DerivationTranscript:
     key converts it into private bits, landing exactly on
     I(X;B)·[c→c]_priv. Requires I(X;B) ≥ I(X;E) ≥ 0.
     """
-    i_xb, i_xe = rationalize(i_xb), rationalize(i_xe)
-    if not (i_xb >= i_xe >= 0):
-        raise ValidationError(f"need I(X;B) >= I(X;E) >= 0, got ({i_xb}, {i_xe})")
-    params = {"i_xb": i_xb, "i_xe": i_xe}
+    params = dict(private_coding_rule(i_xb, i_xe).params)  # rationalized and checked
+    i_xe = params["i_xe"]
     initial = ResourceExpr.of((1, ResourceKind.CHANNEL_N), (i_xe, ResourceKind.PRIVATE_KEY))
     steps = [("private_coding", params), ("one_time_pad", {"rate": i_xe})]
     return DerivationTranscript("section3", params, initial, *_run(initial, steps),

@@ -21,7 +21,7 @@ typical for any δ > 0.)
 
 Determinism: codewords are a pure function of (seed, layer, k, m, rejection
 round, position) through a counter-based hash compared with integer CDF
-thresholds (no float rounding), so lazy, eager, serial and parallel generation
+thresholds (no float rounding), so lazy and eager generation, at any block size,
 agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index).
 
 Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -56,6 +56,8 @@ SECURITY_MODES = ("exact", "monte_carlo")
 JT_SCAN_BUDGET = 1 << 21
 #: Type-class enumeration budget for exact acceptance probabilities.
 TYPE_ENUM_BUDGET = 2_000_000
+#: Acceptance probabilities remembered by ``_window_mass_log2``, one per (type, window center, δ).
+_WINDOW_MASS_CACHE = 4096
 
 _TAG_OUTER, _TAG_INNER, _TAG_TRIAL, _TAG_SECURITY, _TAG_PERMSG = 3, 5, 7, 11, 13
 
@@ -141,7 +143,7 @@ def noiseless(q: int = 2) -> np.ndarray:
 # Counter-based codeword randomness
 # ---------------------------------------------------------------------------
 # Rejection sampling must give the same word no matter whether words are
-# generated one at a time, in batches, or in parallel; numpy Generator
+# generated one at a time or in batches; numpy Generator
 # streams cannot be vectorized across millions of independent streams, so
 # symbols come from a splitmix64 hash of (seed, layer, k, m, round, i).
 
@@ -209,15 +211,16 @@ def _log2_multinomial(n: int, counts) -> float:
     return v / math.log(2.0)
 
 
-def _window_mass_log2(groups, center: float, delta: float) -> float:
+@lru_cache(maxsize=_WINDOW_MASS_CACHE)
+def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
     """log2 of the probability that the empirical surprisal rate lands within delta of center.
 
-    ``groups`` lists (count, probs) for the positions that share one law p(·|x); the surprisal sum
-    splits by group, so the type classes of all groups are enumerated together (i.i.d. is one group).
-    Exact by enumeration of type classes.
+    ``groups`` is a tuple of (count, probs tuple) for the positions that share one law p(·|x); the surprisal
+    sum splits by group, so the type classes of all groups are enumerated together (i.i.d. is one group).
+    Exact by enumeration of type classes; cached per (type, window center, δ), which outer words share.
     """
     n = sum(cnt for cnt, _ in groups)
-    groups = [(cnt, np.log2(probs[probs > 0])) for cnt, probs in groups]
+    groups = [(cnt, np.log2(np.array([v for v in probs if v > 0]))) for cnt, probs in groups]
     if math.prod(math.comb(cnt + logs.size - 1, logs.size - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
         raise ConfigurationError(f"type enumeration at n={n} is too large for an exact acceptance probability")
     total = -np.inf
@@ -270,7 +273,7 @@ class PrunedDistribution:
             object.__setattr__(self, "surprisal", -np.log2(t))
         h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
         object.__setattr__(self, "entropy", float(h_rows[x].sum() / self.n))
-        groups = [(int((x == xv).sum()), t[xv]) for xv in np.unique(x)]
+        groups = tuple((c, tuple(t[xv].tolist())) for xv, c in enumerate(np.bincount(x).tolist()) if c)
         acc = _window_mass_log2(groups, self.entropy, self.delta)
         object.__setattr__(self, "log2_acceptance", acc)
         if acc < np.log2(MIN_ACCEPTANCE):
@@ -399,9 +402,9 @@ class Codebook:
     """Seeded random two-layer codebook: outer words x^n(k) and per-k inner words u_p^n.
 
     A 1-D input law p is the one-symbol outer law: ``outer_p`` = [1], ``cond_table`` = [p]
-    and the outer word 0^n. When the total word count exceeds ``EAGER_WORD_LIMIT`` the inner
-    words are not materialized (``is_lazy``); ``word``/``inner_block`` regenerate them on demand from the
-    seed and the samplers only a lazy codebook keeps (bit-identical to eager generation).
+    and the outer word 0^n. When K_pub·M exceeds ``EAGER_WORD_LIMIT``, for any K_pub, the inner words
+    are not materialized (``is_lazy``, JT decoding only); ``word``/``inner_block`` regenerate them on demand
+    from the seed, ``cond_table``, the outer word and δ (bit-identical to eager generation).
     """
 
     config: CodeConfig
@@ -410,7 +413,6 @@ class Codebook:
     outer_words: np.ndarray  # (K, n)
     inner_words: np.ndarray | None  # (K, M, n) or None when lazy
     record: GenerationRecord
-    _samplers: tuple = field(default=(), repr=False, compare=False)  # () when eager
 
     @property
     def is_lazy(self) -> bool:
@@ -420,7 +422,8 @@ class Codebook:
         """Inner words u_p^n(k) for p in [lo, hi)."""
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
-        return _generate_words(self._samplers[k], self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+        sampler = PrunedDistribution(table=self.cond_table, x_seq=self.outer_words[k], delta=self.config.delta)
+        return _generate_words(sampler, self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
 
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
@@ -486,7 +489,7 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     input alphabet, for K_pub = 1 only, read as the pair ([1], [p]). K_pub outer words come
     from the pruned p(x)^n and each carries M inner words drawn from the conditionally pruned
     law given its outer word. The inner words are regenerated on demand (lazy) when
-    K_pub·M > ``EAGER_WORD_LIMIT``, which needs K_pub = 1.
+    K_pub·M > ``EAGER_WORD_LIMIT``, for any K_pub; a lazy codebook decodes by joint typicality only.
     """
     try:
         p = np.asarray(law, dtype=float)
@@ -506,21 +509,17 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     if cond.shape[1] != ch.size_a:
         raise DimensionError(f"input law over {cond.shape[1]} symbols, channel expects {ch.size_a}")
     K, M = cfg.K_pub, cfg.M
-    lazy = K * M > EAGER_WORD_LIMIT
-    if lazy and K > 1:
-        raise BudgetError(f"codebooks with K_pub > 1 are materialized eagerly; K_pub*M = {K * M} "
-                          f"exceeds {EAGER_WORD_LIMIT}")
     outer_pd = pruned_distribution(p_x, cfg.n, cfg.delta)
     outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
     samplers = tuple(PrunedDistribution(table=cond, x_seq=x, delta=cfg.delta) for x in outer_words)
     inner = None
-    if not lazy:
+    if K * M <= EAGER_WORD_LIMIT:
         inner = np.empty((K, M, cfg.n), dtype=np.intp)
         for k, sampler in enumerate(samplers):
             _generate_words(sampler, cfg.seed, _TAG_INNER, k, np.arange(M, dtype=np.int64), out=inner[k])
     rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers), acceptance_outer=outer_pd.acceptance)
     return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=samplers[0].table, outer_words=outer_words,
-                    inner_words=inner, record=rec, _samplers=samplers if lazy else ())
+                    inner_words=inner, record=rec)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +696,10 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     out-of-range symbol a ``ValidationError``.
     """
     _check_config(cfg, codebook)
-    b = np.asarray(b_seq)
+    try:
+        b = np.asarray(b_seq)
+    except ValueError as exc:  # ragged
+        raise DimensionError(f"the received word must have shape ({cfg.n},), got the ragged {b_seq!r}") from exc
     if b.shape != (cfg.n,):
         raise DimensionError(f"the received word must have shape ({cfg.n},), got {b.shape}")
     size_b = ch.p_joint.shape[1]

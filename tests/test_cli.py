@@ -371,6 +371,10 @@ MALFORMED = {
                            "weights", "not subscriptable"),
     "non-finite-derivation-input": ({}, ["resources", "derive", "ds03", "--a", "inf", "--b", "1", "--c", "0"],
                                     "non-finite", "integer ratio"),
+    "section3-negative-ie": ({}, ["resources", "derive", "section3", "--ib", "0.3", "--ie", "-0.1"],
+                             "need I(X;B) >= I(X;E) >= 0, got (3/10, -1/10)", "Traceback"),
+    "section3-ie-above-ib": ({}, ["resources", "derive", "section3", "--ib", "0.3", "--ie", "0.5"],
+                             "need I(X;B) >= I(X;E) >= 0, got (3/10, 1/2)", "Traceback"),
     "nan-key-rate": ({}, ["region", "--zoo", "identity", "--rs", "nan", "--weights", "1,1", "--out", "r.csv"]
                      + FAST_REGION, "key rate", "RuntimeWarning"),
     "infinite-key-rate": ({}, ["skp", "--zoo", "dephasing", "--p", "0.5", "--rs", "inf", "--out", "k.csv",

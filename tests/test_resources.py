@@ -15,7 +15,6 @@ from pubpriv.resources import (
     derive_ds03_child,
     derive_otp_combination,
     derive_section3,
-    keyed_private_coding_rule,
     one_time_pad_rule,
     private_coding_rule,
     public_private_father_rule,
@@ -251,7 +250,7 @@ class TestTranscripts:
 
 class TestKeyedPrivateCoding:
     def test_rule_shape(self):
-        rule = keyed_private_coding_rule(Fraction(3, 2), Fraction(1, 2))
+        rule = public_private_father_rule(0, Fraction(3, 2), Fraction(1, 2))  # a = 0: key-assisted private coding
         start = expr((1, K.CHANNEL_N), (Fraction(1, 2), K.PRIVATE_KEY))
         assert apply_rule(start, rule) == expr((Fraction(3, 2), K.PRIVATE_CC))
 

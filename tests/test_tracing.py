@@ -35,7 +35,7 @@ def test_tracer_counts_one_score_span_per_evaluation(tmp_path):
 
 
 # An eager ML codebook through estimate_error and an exact and a Monte-Carlo security distance, then a lazy JT
-# codebook.
+# codebook and a lazy two-layer JT codebook, whose words are regenerated per public message.
 TRACED_WIRETAP = f"""
 import json, sys
 sys.path.insert(0, {str(PERFBENCH)!r})
@@ -53,7 +53,10 @@ wt.EAGER_WORD_LIMIT = 16
 lazy_cfg = wt.CodeConfig(n=12, M=40, delta=0.5, seed=2, decoder="joint_typicality", trials=5)
 lazy = wt.generate_codebook(lazy_cfg, ch, [0.5, 0.5])
 wt.estimate_error(lazy_cfg, ch, lazy)
-print(json.dumps({{"lazy": [eager.is_lazy, lazy.is_lazy], **tracer.layer_metrics()}}))
+two_cfg = wt.CodeConfig(n=12, M=10, K_pub=2, delta=0.5, seed=3, decoder="joint_typicality", trials=6)
+two = wt.generate_codebook(two_cfg, ch, ([0.5, 0.5], [[0.85, 0.15], [0.15, 0.85]]))
+wt.estimate_error(two_cfg, ch, two)
+print(json.dumps({{"lazy": [eager.is_lazy, lazy.is_lazy, two.is_lazy], **tracer.layer_metrics()}}))
 """
 
 
@@ -62,9 +65,9 @@ def test_tracer_counts_wiretap_words_decodes_and_security(tmp_path):
                        env=cli_env(), timeout=300)
     assert r.returncode == 0, r.stderr
     metrics = json.loads(r.stdout.splitlines()[-1])
-    assert metrics["lazy"] == [False, True]
+    assert metrics["lazy"] == [False, True, True]
     assert metrics["wiretap.codegen.words"] >= 64
-    assert metrics["wiretap.decode.calls"] == 25 + 5
+    assert metrics["wiretap.decode.calls"] == 25 + 5 + 6
     assert metrics["wiretap.security.exact_s"] > 0
     assert metrics["wiretap.security.mc_s"] > 0
     assert 0 < metrics["wiretap.codegen.distinct_frac"] <= 1

@@ -470,8 +470,7 @@ class TestCodebookGeneration:
         assert lazy.is_lazy
         assert np.array_equal(lazy.inner_block(0, 0, 64), eager.inner_words[0])
         assert np.array_equal(lazy.word(0, 17), eager.inner_words[0][17])
-        # only the lazy codebook keeps the sampler that regenerates its words, and only eager words are counted
-        assert eager._samplers == () and len(lazy._samplers) == 1
+        # only eager words are counted
         assert eager.collision_count == 64 - len(np.unique(eager.inner_words[0], axis=0))
         assert lazy.collision_count is None
 
@@ -508,6 +507,32 @@ class TestCodebookGeneration:
                 a = one.word(0, int(rng.integers(cfg.M)))
                 b = wt._channel_outputs(ch.cuts_main, a, rng.random(a.size))
                 assert decode(b, one, dcfg, ch) == decode(b, pair, dcfg, ch)
+
+    def test_window_mass_runs_once_per_type(self):
+        """The acceptance of an outer word depends on its type and window center only: 256 binary outer words
+        at n = 40, whose rows share one entropy, need at most 41 inner enumerations plus the outer law's."""
+        law = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
+        cfg = CodeConfig(n=40, M=1, K_pub=256, delta=0.2, seed=1)
+        wt._window_mass_log2.cache_clear()
+        generate_codebook(cfg, NOISY, law)
+        info = wt._window_mass_log2.cache_info()
+        assert info.misses <= 42 and info.hits + info.misses == 257
+
+    def test_lazy_two_layer_matches_eager(self, monkeypatch):
+        """A lazy two-layer codebook regenerates each public message's words from its outer word: the same
+        words, record and joint-typicality error estimate as the eager one."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.3))
+        law = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
+        cfg = CodeConfig(n=16, M=8, K_pub=4, delta=0.25, seed=3, decoder="joint_typicality", trials=40)
+        eager = generate_codebook(cfg, ch, law)
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, law)
+        assert lazy.is_lazy and not eager.is_lazy
+        assert np.array_equal(lazy.outer_words, eager.outer_words) and lazy.record == eager.record
+        for k in range(cfg.K_pub):
+            assert np.array_equal(lazy.inner_block(k, 0, cfg.M), eager.inner_words[k])
+        est = estimate_error(cfg, ch, lazy)
+        assert est == estimate_error(cfg, ch, eager) and 0 < est.failures < cfg.trials
 
     def test_pigeonhole_collisions_reported(self):
         # only 8 binary words of length 3 exist, so 20 codewords must collide
@@ -650,18 +675,18 @@ class TestDecoding:
         cb = generate_codebook(cfg, ch, UNIFORM2)
         dup = Codebook(config=cfg, outer_p=cb.outer_p, cond_table=cb.cond_table,
                        outer_words=cb.outer_words, inner_words=np.repeat(cb.inner_words[:, :1], 2, axis=1),
-                       record=cb.record, _samplers=cb._samplers)
+                       record=cb.record)
         assert decode(dup.word(0, 0), dup, cfg, ch) is None
 
     @pytest.mark.parametrize("decoder", wt.DECODERS)
     def test_malformed_received_words_are_rejected(self, decoder):
         """A word with a tail, a short or 2-D word, fractional symbols and symbols outside [0, |B|) name no
-        channel output: none is decoded by truncation, and none is a raw IndexError."""
+        channel output: none is decoded by truncation, and none is a raw IndexError or a ragged-array ValueError."""
         cfg = CodeConfig(n=16, M=64, delta=0.5, seed=2, decoder=decoder)
         cb = generate_codebook(cfg, NOISY, UNIFORM2)
         w = cb.word(0, 5)
         assert decode(w, cb, cfg, NOISY) in ((0, 5), None)
-        for bad in (np.concatenate([w, w[:8]]), w[:-1], w[None], np.array([], dtype=np.intp)):
+        for bad in (np.concatenate([w, w[:8]]), w[:-1], w[None], np.array([], dtype=np.intp), [[0, 1], [1]]):
             with pytest.raises(DimensionError, match="received word"):
                 decode(bad, cb, cfg, NOISY)
         for bad in (w + 0.5, w.astype(float), np.where(np.arange(16) == 3, 2, w), np.where(np.arange(16) == 3, -1, w)):
