@@ -5,9 +5,9 @@ stands in for the quantum channel, so that random-coding machinery —
 pruned (typical-set-conditioned) codeword generation, index one-time-pad
 encryption, two-layer code pasting, maximum-likelihood and joint-typicality
 decoding, expurgation, and the trace-norm security criterion — is exactly
-computable (secrecy distances up to |E|^n ≤ 2^20, so n ≤ 20 for a binary
-Eve) and Monte-Carlo-estimable beyond. The quantum region computation and
-this simulator meet only through shared rate formulas.
+computable (secrecy distances while (M + S − 1)·|E|^n ≤ 2^24) and
+Monte-Carlo-estimable beyond. The quantum region computation and this
+simulator meet only through shared rate formulas.
 
 Every codebook is a two-layer codebook: K_pub outer words x^n(k) from the
 pruned p(x)^n, each carrying M inner words from the pruned Π_i p(·|x_i). A
@@ -48,8 +48,8 @@ from .qcore import validate_probabilities
 MIN_ACCEPTANCE = 1e-6
 #: Largest codeword count (K_pub · M) kept in memory; ML, Monte-Carlo security and expurgation need the words there.
 EAGER_WORD_LIMIT = 1 << 20
-#: Exact security enumeration budget on |E|^n.
-SECURITY_BUDGET = 1 << 20
+#: Exact security work budget per call on (M + S - 1)·|E|^n.
+EXACT_WORK_BUDGET = 1 << 24
 #: The modes of `security_distance`.
 SECURITY_MODES = ("exact", "monte_carlo")
 #: Joint-typicality scan budget per decode on lazy codebooks.
@@ -69,14 +69,14 @@ _TAG_OUTER, _TAG_INNER, _TAG_TRIAL, _TAG_SECURITY, _TAG_PERMSG = 3, 5, 7, 11, 13
 
 @dataclass(frozen=True, eq=False)
 class ClassicalWiretap:
-    """Joint conditional law p(b, e | a) on finite alphabets; the marginals and their CDF cuts are computed
-    once, read-only."""
+    """Joint conditional law p(b, e | a) on finite alphabets; the marginals and the integer thresholds of their
+    CDFs are computed once, read-only."""
 
     p_joint: np.ndarray  # (|A|, |B|, |E|)
     p_main: np.ndarray = field(init=False, repr=False)  # Bob's marginal p(b|a)
     p_eve: np.ndarray = field(init=False, repr=False)  # Eve's marginal p(e|a)
-    cuts_main: np.ndarray = field(init=False, repr=False)  # (|B|-1, |A|) CDF cuts of p(b|a), see _channel_outputs
-    cuts_eve: np.ndarray = field(init=False, repr=False)  # (|E|-1, |A|) CDF cuts of p(e|a)
+    cuts_main: np.ndarray = field(init=False, repr=False)  # (max(|B|-1, 1), |A|) _thresholds of p(b|a)
+    cuts_eve: np.ndarray = field(init=False, repr=False)  # (max(|E|-1, 1), |A|) _thresholds of p(e|a)
 
     def __post_init__(self):
         t = np.asarray(self.p_joint, dtype=float)
@@ -85,8 +85,8 @@ class ClassicalWiretap:
         # entries just below 0 (say 1 - 0.9 - 0.1) are stored as 0: they would log to NaN
         t = validate_probabilities(t.reshape(t.shape[0], t.shape[1] * t.shape[2]), "p(b,e|a)").reshape(t.shape)
         p_main, p_eve = t.sum(axis=2), t.sum(axis=1)
-        for name, value in {"p_joint": t, "p_main": p_main, "p_eve": p_eve,
-                            "cuts_main": _cdf_cuts(p_main), "cuts_eve": _cdf_cuts(p_eve)}.items():
+        for name, value in {"p_joint": t, "p_main": p_main, "p_eve": p_eve, "cuts_main": _thresholds(p_main.cumsum(1)),
+                            "cuts_eve": _thresholds(p_eve.cumsum(1))}.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -113,18 +113,10 @@ class ClassicalWiretap:
         return cls.from_marginals(bsc(flip_main), bsc(flip_eve))
 
 
-def _cdf_cuts(table: np.ndarray) -> np.ndarray:
-    """(q-1, |A|) cuts of each row's CDF: all but its last partial sum."""
-    return np.cumsum(table, axis=1)[:, :-1].T
-
-
 def _channel_outputs(cuts: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outputs for the inputs ``a`` and the uniforms ``u`` of a's shape: how many CDF cuts of p(·|a) lie below u.
-
-    This is the inverse-CDF draw min(#{j < q : cdf_j < u}, q-1): a cumsum of nonnegative entries never
-    decreases, so when its last entry lies below u, so do all q-1 cuts. One output (q = 1) has no cuts.
-    """
-    return (cuts[:, a] < u).sum(axis=0)
+    """Outputs for the inputs ``a`` and the ``Generator.random`` uniforms ``u`` of a's shape: the codewords'
+    inverse-CDF draw ``_symbols`` on the thresholds of p(·|a). u = k·2^-53, so u·2^53 is the integer k exactly."""
+    return _symbols((u * 2.0 ** 53).astype(np.uint64), cuts[:, a], np.empty(np.shape(a), dtype=np.intp))
 
 
 def bsc(flip: float) -> np.ndarray:
@@ -222,7 +214,7 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
     n = sum(cnt for cnt, _ in groups)
     groups = [(cnt, np.log2(np.array([v for v in probs if v > 0]))) for cnt, probs in groups]
     if math.prod(math.comb(cnt + logs.size - 1, logs.size - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
-        raise ConfigurationError(f"type enumeration at n={n} is too large for an exact acceptance probability")
+        raise BudgetError(f"type enumeration at n={n} is too large for an exact acceptance probability")
     total = -np.inf
     for combo in _iproduct(*[list(_compositions(cnt, logs.size)) for cnt, logs in groups]):
         surp = 0.0
@@ -257,7 +249,7 @@ class PrunedDistribution:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
-        x = np.array(self.x_seq, dtype=np.intp)
+        x = np.asarray(self.x_seq)
         if t.ndim != 2:
             raise ValidationError(f"an input law must be a table p(a|x), got shape {t.shape}")
         t = validate_probabilities(t, "the rows of an input law")  # entries just below 0 would log to NaN
@@ -265,10 +257,13 @@ class PrunedDistribution:
             raise ValidationError("delta must be positive")
         if x.ndim != 1 or x.size < 1:
             raise ValidationError("n must be >= 1")
+        if x.dtype.kind not in "iuf" or not ((0 <= x) & (x < len(t)) & (x == np.floor(x))).all():
+            raise ValidationError(f"outer word symbols must be integers in [0, {len(t)}), got {x.tolist()}")
+        x = x.astype(np.intp)
         for name, value in (("table", t), ("x_seq", x)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1)[x]))
+        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1))[:, x])
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "surprisal", -np.log2(t))
         h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
@@ -904,14 +899,14 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                       mode: str = "exact", messages=None) -> SecurityReport:
     """Exact (enumerated) or importance-sampled secrecy distances.
 
-    Exact mode enumerates Eve's |E|^n outcomes (budget 2^20, so n ≤ 20 for
-    a binary Eve) over the M + S - 1 rows of each public message, in blocks
-    of columns that stay in cache (``_exact_distances``): no
-    (M + S - 1, |E|^n) table is built, and (M + S - 1)·|E|^n ≤ 2^24 bounds
-    one call's work. For |E| a power of two the blocks change no bit of the
-    whole-table formulas |w - p̄| and w[m: m + S].mean(axis=0); otherwise
-    only the order in which block sums meet differs (a few ulps). Each
-    distinct (k, m) is probed once.
+    Exact mode enumerates Eve's |E|^n outcomes over the M + S - 1 rows of
+    each public message, in blocks of columns that stay in cache
+    (``_exact_distances``): no (M + S - 1, |E|^n) table is built. Its one
+    limit, (M + S - 1)·|E|^n ≤ ``EXACT_WORK_BUDGET`` = 2^24, bounds one
+    call's work (n ≤ 23 for a binary Eve and M = 2). For |E| a power of two
+    the blocks change no bit of the whole-table formulas |w - p̄| and
+    w[m: m + S].mean(axis=0); otherwise only the order in which block sums
+    meet differs (a few ulps). Each distinct (k, m) is probed once.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
@@ -937,12 +932,10 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     probed = len(set(messages))
 
     if mode == "exact":
-        size = ch.size_e ** n
-        if size > SECURITY_BUDGET:
-            raise BudgetError(f"exact security needs |E|^n <= {SECURITY_BUDGET}, got {size}")
-        if (M + S - 1) * size > (1 << 24):
-            raise BudgetError(f"exact security work (M+S-1)*|E|^n = {(M + S - 1) * size} exceeds the per-call "
-                              "budget 2^24")
+        work = (M + S - 1) * ch.size_e ** n
+        if work > EXACT_WORK_BUDGET:
+            raise BudgetError(f"exact security work (M+S-1)*|E|^n = {work} exceeds the per-call "
+                              f"budget 2^{EXACT_WORK_BUDGET.bit_length() - 1}")
         by_k = {}
         for k, m in sorted(set(messages)):
             by_k.setdefault(k, []).append(m)

@@ -141,6 +141,15 @@ class TestSimulateCommand:
         assert r.returncode == 3, r.stderr
         assert "security" in r.stderr
 
+    def test_type_enumeration_budget_maps_to_exit_3(self, tmp_path, run_cli):
+        """An 8-symbol input law at n = 40 has more type classes than the exact acceptance may enumerate."""
+        spec = {"channel": {"p_main": np.eye(8).tolist(), "p_eve": np.full((8, 8), 1 / 8).tolist()},
+                "input_p": [1 / 8] * 8, "code": {"n": 40, "M": 4, "delta": 0.5, "seed": 1, "trials": 5}}
+        (tmp_path / "types.json").write_text(json.dumps(spec))
+        r = run_cli(["simulate", "--config", "types.json", "--out", "t.csv"], tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert "type enumeration at n=40" in r.stderr
+
     def test_nan_channel_is_validation_error(self, tmp_path, run_cli):
         # json reads the bare token NaN; a NaN entry fails no <, > or sum check
         (tmp_path / "nan.json").write_text(

@@ -50,8 +50,8 @@ class TestChannelModel:
                 table[0, 0] = 0.5
 
     def test_cut_count_is_the_clipped_inverse_cdf_draw(self):
-        """Counting a row's q-1 CDF cuts below u gives min(#{j < q : cdf_j < u}, q-1), also for a row that sums
-        to 1 - 1e-13 with u above that sum, and for one output."""
+        """Counting a row's q-1 CDF cuts at or below u gives min(#{j < q : cdf_j <= u}, q-1), also for a row that
+        sums to 1 - 1e-13 with u above that sum, and for one output."""
         rng = np.random.default_rng(2)
         for q in (1, 2, 5):
             table = rng.dirichlet(np.ones(q), size=3)
@@ -59,8 +59,20 @@ class TestChannelModel:
             a = rng.integers(0, 3, size=4000)
             u = rng.random(a.size)
             u[np.flatnonzero(a == 0)[:5]] = np.nextafter(1.0, 0.0)
-            want = np.minimum((np.cumsum(table, axis=1)[a] < u[:, None]).sum(axis=1), q - 1)
-            assert np.array_equal(wt._channel_outputs(wt._cdf_cuts(table), a, u), want)
+            want = np.minimum((np.cumsum(table, axis=1)[a] <= u[:, None]).sum(axis=1), q - 1)
+            assert np.array_equal(wt._channel_outputs(wt._thresholds(np.cumsum(table, axis=1)), a, u), want)
+
+    @pytest.mark.parametrize("side, a, u", [("main", 1, 0.0), ("eve", 0, 0.5)],
+                             ids=["zero-probability-first-output", "dyadic-cut"])
+    def test_a_uniform_on_a_cut_draws_as_the_codewords_do(self, side, a, u):
+        """u on a CDF cut counts that cut, as ``_symbols`` does for codeword symbols: a noiseless input 1 at
+        u = 0.0 gives 1, never the output 0 of probability 0, and u = 0.5 on the cut of [1/2, 1/2] gives 1."""
+        ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
+        law = getattr(ch, f"p_{side}")
+        assert wt._channel_outputs(getattr(ch, f"cuts_{side}"), np.array([a]), np.array([u])).tolist() == [1]
+        code = wt._symbols(np.array([[int(u * 2 ** 53)]], dtype=np.uint64),
+                           pruned_distribution(law[a], 1, 10.0).thresholds, np.empty((1, 1), dtype=np.intp))
+        assert code.tolist() == [[1]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_laws_rejected(self, bad):
@@ -130,6 +142,18 @@ class TestPrunedDistribution:
         # at n=7 no type class of p=(0.9, 0.1) lands within 0.01 of the entropy
         with pytest.raises(ConfigurationError):
             pruned_distribution([0.9, 0.1], 7, 0.01)
+
+    def test_type_enumeration_past_its_budget_is_a_budget_error(self):
+        """8 symbols at n = 40 have C(47, 7) = 62,891,499 type classes, past TYPE_ENUM_BUDGET."""
+        with pytest.raises(BudgetError, match="type enumeration at n=40 is too large"):
+            pruned_distribution(np.full(8, 1 / 8), 40, 0.5)
+
+    @pytest.mark.parametrize("rows, x", [(1, [0, 1, 0]), (2, [0, -1, 0]), (2, [0.7, 1.2]), (2, [0, np.nan])],
+                             ids=["past-the-last-row", "negative", "fractional", "nan"])
+    def test_outer_words_that_index_no_row_are_rejected(self, rows, x):
+        table = np.array([[0.5, 0.5], [0.9, 0.1]])[:rows]
+        with pytest.raises(ValidationError, match=re.escape(f"outer word symbols must be integers in [0, {rows})")):
+            wt.PrunedDistribution(table=table, x_seq=x, delta=0.9)
 
     def test_sampler_yields_typical_and_is_deterministic(self):
         pd = pruned_distribution([0.8, 0.2], 16, 0.15)
@@ -443,6 +467,17 @@ class TestEncryption:
             encrypt(4, 0, 4)
         with pytest.raises(ValidationError):
             decrypt(0, 9, 4)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 0}, "n must lie in [1, 128]"), ({"n": 129}, "n must lie in [1, 128]"),
+    ({"S": 5}, "need 1 <= S <= M, got S=5, M=4"), ({"K_pub": 0}, "K_pub must be >= 1"),
+    ({"decoder": "MAP"}, "decoder must be one of ('ML', 'joint_typicality')"), ({"trials": 0}, "trials must be >= 1"),
+    ({"seed": -1}, "seed must be a nonnegative integer"),
+], ids=["n-0", "n-129", "S-above-M", "K_pub-0", "unknown-decoder", "trials-0", "negative-seed"])
+def test_code_config_rejects(fields, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        CodeConfig(**{"n": 8, "M": 4, **fields})
 
 
 NOISY = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.3))
@@ -988,6 +1023,21 @@ class TestSecurity:
         with pytest.raises(BudgetError):
             security_distance(cb, cfg, ch, mode="exact")
 
+    def test_exact_reaches_n_21_within_the_one_work_limit(self):
+        """2^21 outcomes over M + S - 1 = 3 rows is within (M + S - 1)·|E|^n <= 2^24, and the blocked
+        distances equal the whole-row formulas bit for bit."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
+        cfg = CodeConfig(n=21, M=2, S=2, delta=0.5, seed=1)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        rep = security_distance(cb, cfg, ch, mode="exact")
+        assert (rep.full_criterion, rep.message_secrecy) == whole_row_distances(cb, cfg, ch)
+
+    def test_unknown_mode_is_rejected(self):
+        cfg = CodeConfig(n=6, M=4, delta=0.9, seed=1)
+        cb = generate_codebook(cfg, NOISY, UNIFORM2)
+        with pytest.raises(ValidationError, match=re.escape("mode must be one of ('exact', 'monte_carlo'), got 'mc'")):
+            security_distance(cb, cfg, NOISY, mode="mc")
+
     def test_exact_memory_guard_counts_the_key_rows(self):
         """The work counts M + S - 1 = 17 rows of 2^20 entries, past the 2^24 budget; M·2^20 is not."""
         ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
@@ -1085,6 +1135,12 @@ class TestExpurgation:
             # direct recomputation: the worst kept score obeys the Markov bound
             assert scores[kept].max() <= 2.0 * scores.mean() + 1e-12
 
+    @pytest.mark.parametrize("scores", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4]]], ids=["too-short", "2-D"])
+    def test_one_score_per_public_message(self, scores):
+        _, cb = self._codebook()
+        with pytest.raises(DimensionError, match="need one error score per public message"):
+            expurgate(cb, scores)
+
     def test_single_message_warns(self):
         cfg = CodeConfig(n=8, M=4, S=1, delta=0.9, seed=41)
         cb = generate_codebook(cfg, NOISY, UNIFORM2)
@@ -1107,6 +1163,23 @@ class TestExpurgation:
         pub, priv = per_message_errors(cfg, NOISY, cb)
         out = expurgate(cb, pub + priv)
         assert out.config.K_pub == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cb, cfg: security_distance(cb, cfg, NOISY, mode="exact"), "probing all (k, m) pairs needs an eager"),
+    (lambda cb, cfg: security_distance(cb, cfg, NOISY, mode="monte_carlo", messages=[(0, 1)]),
+     "Monte-Carlo security needs every inner word"),
+    (lambda cb, cfg: expurgate(cb, [0.1, 0.2]), "expurgation needs an eagerly materialized codebook"),
+], ids=["all-pairs", "monte-carlo", "expurgate"])
+def test_what_needs_the_words_in_memory_is_a_budget_error_on_a_lazy_codebook(monkeypatch, call, message):
+    """K_pub·M = 40 words past a limit of 16; exact security on the pairs given still runs."""
+    monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+    cfg = CodeConfig(n=6, M=20, S=2, K_pub=2, delta=0.9, seed=5, trials=10)
+    cb = generate_codebook(cfg, NOISY, TWO_LAYER_LAW)
+    assert cb.is_lazy
+    with pytest.raises(BudgetError, match=re.escape(message)):
+        call(cb, cfg)
+    assert security_distance(cb, cfg, NOISY, mode="exact", messages=[(1, 3)]).messages_probed == 1
 
 
 class TestConfigMatchesCodebook:
