@@ -52,8 +52,12 @@ EAGER_WORD_LIMIT = 1 << 20
 EXACT_WORK_BUDGET = 1 << 24
 #: The modes of `security_distance`.
 SECURITY_MODES = ("exact", "monte_carlo")
-#: Joint-typicality scan budget per decode on lazy codebooks.
+#: Joint-typicality scan budget per decode on lazy codebooks, checked after each ``_JT_CHUNK`` words.
 JT_SCAN_BUDGET = 1 << 21
+#: Words a joint-typicality scan covers between budget checks.
+_JT_CHUNK = 1 << 16
+#: Words a joint-typicality scan fetches and scores at a time; it stops at the block that holds the second hit.
+_JT_BLOCK = 1 << 12
 #: Type-class enumeration budget for exact acceptance probabilities.
 TYPE_ENUM_BUDGET = 2_000_000
 #: Acceptance probabilities remembered by ``_window_mass_log2``, one per (type, window center, δ).
@@ -139,9 +143,9 @@ def noiseless(q: int = 2) -> np.ndarray:
 # streams cannot be vectorized across millions of independent streams, so
 # symbols come from a splitmix64 hash of (seed, layer, k, m, round, i).
 
-_C1 = np.uint64(0x9E3779B97F4A7C15)
-_C2 = np.uint64(0xBF58476D1CE4E5B9)
-_C3 = np.uint64(0x94D049BB133111EB)
+_C1_INT, _C2_INT, _C3_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_C1, _C2, _C3 = np.uint64(_C1_INT), np.uint64(_C2_INT), np.uint64(_C3_INT)
+_MASK64 = (1 << 64) - 1
 #: Symbols per codeword-kernel block: 512 KiB uint64 temporaries stay in L2.
 _BLOCK_SYMBOLS = 1 << 16
 
@@ -159,11 +163,17 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _stream_base(seed: int, tag: int, k: int) -> np.uint64:
-    z, tmp = np.zeros(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
-    for v in (seed & 0xFFFFFFFFFFFFFFFF, tag, k):
-        np.add(z ^ np.uint64(v), _C1, out=z)
-        _mix64(z, tmp)
-    return z[0]
+    """splitmix64 chained over (seed mod 2^64, tag, k), as ``_mix64`` would on uint64; Python ints masked to 64
+    bits, since a few numpy calls on one-element arrays cost more than the arithmetic."""
+    z = 0
+    for v in (seed, tag, k):
+        z = ((z ^ (int(v) & _MASK64)) + _C1_INT) & _MASK64
+        z ^= z >> 30
+        z = (z * _C2_INT) & _MASK64
+        z ^= z >> 27
+        z = (z * _C3_INT) & _MASK64
+        z ^= z >> 31
+    return np.uint64(z)
 
 
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
@@ -295,6 +305,24 @@ class PrunedDistribution:
         """Vectorized membership test; accepts (..., n) index arrays."""
         return np.abs(self._surprisals(seqs).sum(axis=-1) / self.n - self.entropy) <= self.delta + 1e-12
 
+    @cached_property
+    def all_typical(self) -> bool:
+        """Whether every word the thresholds can draw is typical, so sampling needs no typicality test.
+
+        Symbol j can be drawn at position i when its threshold interval, from thresholds[j-1, i] (0 for j = 0)
+        to thresholds[j, i] (2^53 for the last symbol), is not empty. Two words take at each position the
+        smallest and the largest surprisal such a symbol has. Rounded pairwise addition is monotone, so their
+        sums bound every drawable word's sum, and both pass ``is_typical`` exactly when every drawable word does.
+        Computed on first use, so a sampler that only evaluates words never pays for it.
+        """
+        q = self.table.shape[1]
+        top = np.full((1, self.n), 1 << 53, dtype=np.uint64)
+        edges = np.concatenate([np.zeros_like(top), self.thresholds[: q - 1], top])
+        drawable = edges[:-1] < edges[1:]  # (q, n)
+        s = self.surprisal[self.x_seq].T  # s[j, i] = -log2 p(j | x_i)
+        ends = np.stack([np.where(drawable, s, np.inf).argmin(0), np.where(drawable, s, -np.inf).argmax(0)])
+        return bool(self.is_typical(ends).all())
+
     def log2_prob(self, seq) -> float:
         """Pruned log2-probability; -inf marks sequences outside T_δ."""
         if not bool(self.is_typical(seq)):
@@ -414,7 +442,12 @@ class Codebook:
         return self.inner_words is None
 
     def inner_block(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """Inner words u_p^n(k) for p in [lo, hi)."""
+        """Inner words u_p^n(k) for p in [lo, hi); k outside [0, K_pub) or a range outside [0, M] is a
+        ``ValidationError``, eager or lazy."""
+        K, M = self.config.K_pub, self.config.M
+        if not (0 <= k < K and 0 <= lo <= hi <= M):
+            raise ValidationError(f"inner words [{lo}, {hi}) of public message {k} do not exist: "
+                                  f"need 0 <= k < K_pub = {K} and 0 <= lo <= hi <= M = {M}")
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
         sampler = PrunedDistribution(table=self.cond_table, x_seq=self.outer_words[k], delta=self.config.delta)
@@ -450,6 +483,7 @@ def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray, out: 
     rows = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
     h, tmp = np.empty((2, rows, n), dtype=np.uint64)
     col = np.arange(n, dtype=np.uint64) + _stream_base(seed, tag, k) + _C1  # disjoint bit fields: | is +
+    every = sampler.all_typical  # then round 0 is final: no typicality pass, no rejection rounds
     for lo in range(0, keys.size, rows):
         block = out[lo: lo + rows]  # round 0 draws in place, later rounds fill the rejected rows
         pending, rnd = np.arange(block.shape[0]), 0
@@ -459,6 +493,8 @@ def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray, out: 
             _mix64(z, t)
             z >>= np.uint64(11)
             c = _symbols(z, sampler.thresholds, block if rnd == 0 else t.view(np.intp))
+            if every:
+                break
             ok = sampler.is_typical(c)
             if rnd:
                 block[pending[ok]] = c[ok]
@@ -684,7 +720,14 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     ties and window edges turn on the same last bit. ML scores come from the
     words' lane codes, encoded once per codebook, and lookup tables built
     once per received word (``_lane_scores``: this replays numpy's pairwise
-    row sum). JT gathers each chunk's words directly (``_row_scores``).
+    row sum). JT walks each public message's words in blocks of
+    ``_JT_BLOCK`` = 4,096, fetched by ``Codebook.inner_block`` (a slice of
+    an eager codebook, regenerated for a lazy one) and gathered directly
+    (``_row_scores``), and returns None at the block that holds the second
+    hit, so a lazy codebook regenerates no words past that block. On a lazy
+    codebook the ``JT_SCAN_BUDGET`` check comes where it always did: after
+    each ``_JT_CHUNK`` = 65,536 words and at the end of each public message,
+    so every hit, None and ``BudgetError`` is that of a whole-chunk scan.
 
     ``b_seq`` must be a 1-D integer word of length n with symbols in
     [0, |B|): another shape is a ``DimensionError``, another dtype or an
@@ -714,25 +757,23 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     v, h = _jt_tables(codebook, ch)
     hits = []
     scanned = 0
-    chunk = 65536
     for k in range(K):
         cols = v[codebook.outer_words[k], :, b]
-        lo = 0
-        while lo < M:
-            hi = min(M, lo + chunk)
-            score = _row_scores(cols, codebook.inner_block(k, lo, hi))
-            ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
-            for idx in ok[:2]:
-                hits.append((k, lo + int(idx)))
-            if len(hits) >= 2:
-                return None
-            scanned += hi - lo
-            if codebook.is_lazy and scanned >= JT_SCAN_BUDGET and (hi < M or k < K - 1):
+        for start in range(0, M, _JT_CHUNK):
+            end = min(M, start + _JT_CHUNK)
+            for lo in range(start, end, _JT_BLOCK):
+                hi = min(end, lo + _JT_BLOCK)
+                score = _row_scores(cols, codebook.inner_block(k, lo, hi))
+                ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
+                hits += [(k, lo + int(idx)) for idx in ok[:2]]
+                if len(hits) >= 2:
+                    return None
+            scanned += end - start
+            if codebook.is_lazy and scanned >= JT_SCAN_BUDGET and (end < M or k < K - 1):
                 raise BudgetError(
                     "joint-typicality scan budget exhausted on a lazy codebook without resolving "
                     "uniqueness; use ML on a smaller codebook or a larger delta"
                 )
-            lo = hi
     if len(hits) == 1:
         return hits[0]
     return None

@@ -187,6 +187,47 @@ class TestPrunedDistribution:
         total = sum(2.0 ** pd.log2_prob(s) for s in seqs[mask])
         assert abs(total - 1.0) < 1e-9
 
+    def test_all_typical_holds_exactly_when_every_word_is_typical(self):
+        """On random laws with positive entries every word can be drawn; the two extreme words decide."""
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(150):
+            rows, q, n = int(rng.integers(1, 3)), int(rng.integers(2, 4)), int(rng.integers(1, 7))
+            table = rng.dirichlet(np.full(q, 0.7 if rng.random() < 0.5 else 20.0), size=rows)
+            x = rng.integers(0, rows, size=n)
+            try:
+                pd = wt.PrunedDistribution(table=table, x_seq=x, delta=float(rng.uniform(0.02, 1.5)))
+            except ConfigurationError:  # acceptance below MIN_ACCEPTANCE
+                continue
+            words = np.array(list(product(range(q), repeat=n)))
+            assert pd.all_typical == bool(pd.is_typical(words).all())
+            seen.add(pd.all_typical)
+        assert seen == {False, True}
+
+    def test_all_typical_on_uniform_and_skewed_laws(self):
+        assert pruned_distribution([0.5, 0.5], 8, 0.01).all_typical
+        assert pruned_distribution(np.full(3, 1 / 3), 12, 1e-6).all_typical
+        assert not pruned_distribution([0.8, 0.2], 20, 0.1).all_typical
+
+    def test_a_zero_probability_symbol_the_thresholds_can_draw_keeps_the_check(self):
+        """The cumsum of [0.6, 0.3999999999999999, 0.0] ends at 1 - 2^-53, so h>>11 = 2^53 - 1 draws the
+        zero-probability symbol 2: the flag fails, though every word over {0, 1} is typical at δ = 10."""
+        pd = pruned_distribution([0.6, 0.3999999999999999, 0.0], 4, 10.0)
+        top = np.full((1, 4), 2 ** 53 - 1, dtype=np.uint64)
+        assert (wt._symbols(top, pd.thresholds, np.empty((1, 4), dtype=np.intp)) == 2).all()
+        assert pd.is_typical(np.array(list(product(range(2), repeat=4)))).all()
+        assert not pd.all_typical
+        assert pruned_distribution([0.6, 0.4, 0.0], 4, 10.0).all_typical  # the cumsum reaches 1: 2 is never drawn
+
+
+def _numpy_stream_base(seed: int, tag: int, k: int) -> np.uint64:
+    """The stream base chained on one-element uint64 arrays through ``_mix64``: the reference."""
+    z, tmp = np.zeros(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
+    for v in (seed & 0xFFFFFFFFFFFFFFFF, tag, k):
+        np.add(z ^ np.uint64(v), wt._C1, out=z)
+        wt._mix64(z, tmp)
+    return z[0]
+
 
 def _digest(words) -> str:
     return hashlib.sha256(np.ascontiguousarray(words, dtype="<i8").tobytes()).hexdigest()
@@ -218,6 +259,14 @@ class TestCodewordKernel:
         assert _digest(cb.outer_words) == "7353a146054bc5d7bbf180cdd3fb6d6da046e1c3ff35d493144d5fe07909e4cf"
         assert _digest(cb.inner_words) == "0ebf1ba77b8cee4941ffa49459bfe21902bf406ee04e2f39388fc451bee7763d"
         assert cb.collision_count == 76
+
+    @pytest.mark.parametrize("seed, tag, k", [
+        (0, wt._TAG_OUTER, 0), (7, wt._TAG_INNER, 2047), (2 ** 63 + 12345, wt._TAG_INNER, 3),
+        (2 ** 64 - 1, wt._TAG_OUTER, 2 ** 40), (2 ** 70 + 5, wt._TAG_INNER, 1),
+    ])
+    def test_stream_base_equals_the_numpy_reference(self, seed, tag, k):
+        got = wt._stream_base(seed, tag, k)
+        assert type(got) is np.uint64 and got == _numpy_stream_base(seed, tag, k)
 
     def test_lazy_block_near_2_to_36_is_pinned(self):
         cfg = CodeConfig(n=40, M=2 ** 36 + 64, delta=0.5, seed=7, decoder="joint_typicality")
@@ -509,6 +558,24 @@ class TestCodebookGeneration:
         assert eager.collision_count == 64 - len(np.unique(eager.inner_words[0], axis=0))
         assert lazy.collision_count is None
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("call", [
+        lambda cb: cb.word(0, 20), lambda cb: cb.word(0, 25), lambda cb: cb.word(0, -1), lambda cb: cb.word(-1, 0),
+        lambda cb: cb.word(1, 0), lambda cb: cb.inner_block(0, 18, 24), lambda cb: cb.inner_block(0, -2, 3),
+        lambda cb: cb.inner_block(0, 5, 4), lambda cb: cb.inner_block(-1, 0, 4),
+    ], ids=["word-p-M", "word-p-past-M", "word-p-negative", "word-k-negative", "word-k-K_pub",
+            "block-past-M", "block-lo-negative", "block-hi-below-lo", "block-k-negative"])
+    def test_indices_outside_the_codebook_are_rejected(self, monkeypatch, lazy, call):
+        """Lazy and eager codebooks follow one rule: 0 <= k < K_pub and 0 <= lo <= hi <= M."""
+        if lazy:
+            monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        cfg = CodeConfig(n=8, M=20, delta=0.5, seed=9)
+        cb = generate_codebook(cfg, NOISY, UNIFORM2)
+        assert cb.is_lazy == lazy
+        with pytest.raises(ValidationError, match=re.escape("need 0 <= k < K_pub = 1 and 0 <= lo <= hi <= M = 20")):
+            call(cb)
+        assert cb.inner_block(0, 20, 20).shape == (0, 8) and cb.inner_block(0, 0, 20).shape == (20, 8)
+
     def test_two_layer_conditionally_typical(self):
         cfg = CodeConfig(n=8, M=2, S=1, K_pub=2, delta=0.9, seed=4)
         law = (np.array([0.5, 0.5]), np.array([[0.8, 0.2], [0.3, 0.7]]))
@@ -644,6 +711,41 @@ class TestDecoding:
                     decode(b, cb, cfg, ch)
             else:
                 assert decode(b, cb, cfg, ch) is None
+
+    def test_lazy_jt_stops_at_the_block_of_the_second_hit(self, monkeypatch):
+        """A lazy decode that finds two window hits generates the words up to the end of the block that holds
+        the second one, once each, and decodes as the eager codebook of the same words does."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.3))
+        cfg = CodeConfig(n=16, M=1 << 17, delta=0.1, seed=4, decoder="joint_typicality")
+        eager = generate_codebook(cfg, ch, UNIFORM2)
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, UNIFORM2)
+        assert lazy.is_lazy
+        v, h = wt._jt_tables(eager, ch)
+        blocks, inner_block = [], wt.Codebook.inner_block
+
+        def recorded(cb, k, lo, hi):
+            blocks.append((k, lo, hi))
+            return inner_block(cb, k, lo, hi)
+
+        monkeypatch.setattr(wt.Codebook, "inner_block", recorded)
+        rng = np.random.default_rng(0)
+        past_the_first_block = 0
+        for _ in range(5):
+            a = eager.word(0, int(rng.integers(cfg.M)))
+            b = wt._channel_outputs(ch.cuts_main, a, rng.random(a.size))
+            rate = v[0][eager.inner_words[0], b].sum(axis=1) / cfg.n
+            second = np.nonzero(np.abs(rate - h) <= cfg.delta + 1e-12)[0][1]
+            blocks.clear()
+            assert decode(b, lazy, cfg, ch) is None
+            assert decode(b, eager, cfg, ch) is None
+            lazy_blocks = blocks[: len(blocks) // 2]  # the eager decode slices the same blocks
+            assert lazy_blocks == blocks[len(blocks) // 2:]
+            ends = [hi for _, _, hi in lazy_blocks]
+            assert [lo for _, lo, _ in lazy_blocks] == [0] + ends[:-1]  # each word once, in order
+            assert second < ends[-1] <= second + wt._JT_BLOCK
+            past_the_first_block += second >= wt._JT_BLOCK
+        assert past_the_first_block >= 3
 
     def test_two_layer_jt_matches_a_brute_force_window_scan(self):
         """Two-layer JT decoding returns the unique (k, p) whose triple (x, u, b) surprisal rate
