@@ -45,14 +45,6 @@ def matrix_from_json(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def channel_to_json(ch) -> dict:
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
-    }
-
-
 def channel_from_json(data) -> "QuantumChannel":
     from .channels import QuantumChannel
 

@@ -119,8 +119,9 @@ class ClassicalWiretap:
 
 def _channel_outputs(cuts: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outputs for the inputs ``a`` and the ``Generator.random`` uniforms ``u`` of a's shape: the codewords'
-    inverse-CDF draw ``_symbols`` on the thresholds of p(·|a). u = k·2^-53, so u·2^53 is the integer k exactly."""
-    return _symbols((u * 2.0 ** 53).astype(np.uint64), cuts[:, a], np.empty(np.shape(a), dtype=np.intp))
+    inverse-CDF draw ``_symbols`` on the thresholds of p(·|a), in the smallest dtype that holds an output.
+    u = k·2^-53, so u·2^53 is the integer k exactly."""
+    return _symbols((u * 2.0 ** 53).astype(np.uint64), cuts[:, a])
 
 
 def bsc(flip: float) -> np.ndarray:
@@ -162,18 +163,23 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _stream_base(seed: int, tag: int, k: int) -> np.uint64:
-    """splitmix64 chained over (seed mod 2^64, tag, k), as ``_mix64`` would on uint64; Python ints masked to 64
-    bits, since a few numpy calls on one-element arrays cost more than the arithmetic."""
+def _stream_base(seed: int, tag: int, k):
+    """splitmix64 chained over (seed mod 2^64, tag, k), as ``_mix64`` would on uint64: one np.uint64 for an int k,
+    one per entry for an array of k. Python ints masked to 64 bits, since a few numpy calls on one-element arrays
+    cost more than the arithmetic; only an array's k step runs in numpy."""
     z = 0
-    for v in (seed, tag, k):
+    for v in (seed, tag) if np.ndim(k) else (seed, tag, k):
         z = ((z ^ (int(v) & _MASK64)) + _C1_INT) & _MASK64
         z ^= z >> 30
         z = (z * _C2_INT) & _MASK64
         z ^= z >> 27
         z = (z * _C3_INT) & _MASK64
         z ^= z >> 31
-    return np.uint64(z)
+    if not np.ndim(k):
+        return np.uint64(z)
+    zs = (np.asarray(k, dtype=np.uint64) ^ np.uint64(z)) + _C1
+    _mix64(zs, np.empty_like(zs))
+    return zs
 
 
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
@@ -186,11 +192,14 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return (t if len(t) else np.full((1, cdf.shape[0]), 2.0 ** 53)).astype(np.uint64, order="C")
 
 
-def _symbols(u53: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[r, i] = #{j : u53[r, i] >= thresholds[j, i]}, with u53 = h>>11."""
+def _symbols(u53: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out[..., i] = #{j : u53[..., i] >= thresholds[j, ..., i]}, with u53 = h>>11; by default ``out`` is new, in
+    the smallest unsigned dtype that holds len(thresholds)."""
+    if out is None:
+        out = np.empty(u53.shape, dtype=np.min_scalar_type(len(thresholds)))
     np.greater_equal(u53, thresholds[0], out=out)
-    for row in thresholds[1:]:
-        out += u53 >= row
+    for j in range(1, len(thresholds)):
+        out += u53 >= thresholds[j]
     return out
 
 
@@ -239,6 +248,99 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _MessageParts:
+    """An inner law p(a|x), validated once, and the parts of ``PrunedDistribution(table, x^n(k), δ)`` that depend
+    on the outer word, for each of the (K, n) ``outer_words`` at once.
+
+    ``entropy`` (the window centers), ``log2_acceptance`` and ``all_typical`` are (K,) arrays, bit for bit the
+    values of the one-word law: the centers are the same row sums, and the acceptance of each distinct (type,
+    center) pair is enumerated once, in k order, so the first k below ``MIN_ACCEPTANCE`` raises. The thresholds
+    of x^n(k) are columns of ``cuts``, gathered when its words are drawn.
+
+    ``all_typical[k]``: whether every word the thresholds can draw is typical, so sampling needs no typicality
+    test. Symbol j can be drawn given x when its threshold interval, from cuts[j-1, x] (0 for j = 0) to
+    cuts[j, x] (2^53 for the last symbol), is not empty. Two words take at each position the smallest and the
+    largest surprisal such a symbol has. Rounded pairwise addition is monotone, so their sums bound every
+    drawable word's sum, and both pass ``is_typical`` exactly when every drawable word does.
+    """
+
+    table: np.ndarray  # (|X|, |A|) row-stochastic p(a|x)
+    outer_words: np.ndarray  # (K, n), in the smallest unsigned dtype that holds |X| - 1
+    delta: float
+    cuts: np.ndarray = field(init=False, repr=False)  # (max(|A|-1, 1), |X|), _thresholds of each row p(·|x)
+    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p(a|x), (|X|, |A|)
+    entropy: np.ndarray = field(init=False, repr=False)  # (K,)
+    log2_acceptance: np.ndarray = field(init=False, repr=False)  # (K,)
+    all_typical: np.ndarray = field(init=False, repr=False)  # (K,) bool, see above
+
+    def __post_init__(self):
+        t = np.asarray(self.table, dtype=float)
+        x = np.asarray(self.outer_words)
+        if t.ndim != 2:
+            raise ValidationError(f"an input law must be a table p(a|x), got shape {t.shape}")
+        t = validate_probabilities(t, "the rows of an input law")  # entries just below 0 would log to NaN
+        if not self.delta > 0:  # NaN fails too
+            raise ValidationError("delta must be positive")
+        if x.ndim != 2 or x.shape[1] < 1:
+            raise ValidationError("n must be >= 1")
+        if x.dtype.kind not in "iuf" or not ((0 <= x) & (x < len(t)) & (x == np.floor(x))).all():
+            raise ValidationError(f"outer word symbols must be integers in [0, {len(t)}), "
+                                  f"got {(x[0] if len(x) == 1 else x).tolist()}")
+        x = x.astype(np.min_scalar_type(len(t) - 1))
+        (K, n), X, q = x.shape, len(t), t.shape[1]
+        with np.errstate(divide="ignore"):
+            surprisal = -np.log2(t)
+        h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, surprisal)])
+        entropy = h_rows[x].sum(axis=1) / n
+        counts = np.bincount((x + np.arange(K)[:, None] * X).ravel(), minlength=K * X).reshape(K, X)
+        keys = np.column_stack([counts, entropy.view(np.int64)])
+        order = np.lexsort(keys.T)  # stable, so each run of equal (type, center) keys starts at its first k
+        new = np.r_[True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1)]
+        group = np.empty(K, dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        firsts = order[new]
+        acc = np.empty(len(firsts))
+        for g in np.argsort(firsts):  # in k order
+            k = firsts[g]
+            groups = tuple((c, tuple(t[v].tolist())) for v, c in enumerate(counts[k].tolist()) if c)
+            acc[g] = _window_mass_log2(groups, float(entropy[k]), self.delta)
+            if acc[g] < np.log2(MIN_ACCEPTANCE):
+                raise ConfigurationError(
+                    f"typical-set acceptance 2^{acc[g]:.2f} is below {MIN_ACCEPTANCE:g} at n={n}, "
+                    f"delta={self.delta}; increase delta"
+                )
+        cuts = _thresholds(np.cumsum(t, axis=1))
+        top = np.full((1, X), 1 << 53, dtype=np.uint64)
+        edges = np.concatenate([np.zeros_like(top), cuts[: q - 1], top])
+        drawable = (edges[:-1] < edges[1:]).T  # (|X|, |A|): symbol a can be drawn given x
+        typical = np.ones(K, dtype=bool)
+        for end in (np.where(drawable, surprisal, np.inf).min(1), np.where(drawable, surprisal, -np.inf).max(1)):
+            typical &= np.abs(end[x].sum(axis=1) / n - entropy) <= self.delta + 1e-12
+        for name, value in (("table", t), ("outer_words", x), ("cuts", cuts), ("surprisal", surprisal),
+                            ("entropy", entropy), ("log2_acceptance", acc[group]),
+                            ("all_typical", typical)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return self.outer_words.shape[1]
+
+    def thresholds(self, k) -> np.ndarray:
+        """The thresholds of outer word k, (max(|A|-1, 1), n), or of one k per row, (max(|A|-1, 1), rows, n)."""
+        return self.cuts[:, self.outer_words[k]]
+
+    def surprisals(self, words, k) -> np.ndarray:
+        """Per-position surprisals of (..., n) words given outer word k, or one k per word; one table row is a
+        1-D gather, cheaper than the (x_i, a_i) one."""
+        return self.surprisal[0][words] if len(self.surprisal) == 1 else self.surprisal[self.outer_words[k], words]
+
+    def is_typical(self, words, k) -> np.ndarray:
+        """Typicality of (..., n) words given outer word k, or one k per word."""
+        return np.abs(self.surprisals(words, k).sum(axis=-1) / self.n - self.entropy[k]) <= self.delta + 1e-12
+
+
+@dataclass(frozen=True, eq=False)
 class PrunedDistribution:
     """Π_i p(·|x_i) conditioned on conditional entropy-typicality given the outer word x^n.
 
@@ -246,7 +348,8 @@ class PrunedDistribution:
     ``entropy`` = (1/n)·Σ_i H(p(·|x_i)). One table row with x^n = 0^n is the i.i.d. law p^n
     (``pruned_distribution``). ``_generate_words`` rejection-samples words until typical;
     ``log2_prob`` evaluates the exact pruned log-probability log2[p(a^n|x^n) / Pr(T_δ)] and
-    returns -inf for words outside the typical set (the out-of-support marker).
+    returns -inf for words outside the typical set (the out-of-support marker). The law is the
+    ``_MessageParts`` of its one outer word (``parts``), which a codebook builds for all its words at once.
     """
 
     table: np.ndarray  # (|X|, |A|) row-stochastic p(a|x)
@@ -254,38 +357,16 @@ class PrunedDistribution:
     delta: float
     entropy: float = field(init=False)  # the window center
     log2_acceptance: float = field(init=False)
-    surprisal: np.ndarray = field(init=False, repr=False)  # -log2 p(a|x), (|X|, |A|)
+    all_typical: bool = field(init=False)  # every drawable word is typical, see _MessageParts
     thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
+    parts: _MessageParts = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        x = np.asarray(self.x_seq)
-        if t.ndim != 2:
-            raise ValidationError(f"an input law must be a table p(a|x), got shape {t.shape}")
-        t = validate_probabilities(t, "the rows of an input law")  # entries just below 0 would log to NaN
-        if not self.delta > 0:  # NaN fails too
-            raise ValidationError("delta must be positive")
-        if x.ndim != 1 or x.size < 1:
-            raise ValidationError("n must be >= 1")
-        if x.dtype.kind not in "iuf" or not ((0 <= x) & (x < len(t)) & (x == np.floor(x))).all():
-            raise ValidationError(f"outer word symbols must be integers in [0, {len(t)}), got {x.tolist()}")
-        x = x.astype(np.intp)
-        for name, value in (("table", t), ("x_seq", x)):
-            value.flags.writeable = False
+        parts = _MessageParts(self.table, np.asarray(self.x_seq)[None], self.delta)
+        for name, value in (("table", parts.table), ("x_seq", parts.outer_words[0]), ("parts", parts),
+                            ("entropy", float(parts.entropy[0])), ("log2_acceptance", float(parts.log2_acceptance[0])),
+                            ("all_typical", bool(parts.all_typical[0])), ("thresholds", parts.thresholds(0))):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "thresholds", _thresholds(np.cumsum(t, axis=1))[:, x])
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "surprisal", -np.log2(t))
-        h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, self.surprisal)])
-        object.__setattr__(self, "entropy", float(h_rows[x].sum() / self.n))
-        groups = tuple((c, tuple(t[xv].tolist())) for xv, c in enumerate(np.bincount(x).tolist()) if c)
-        acc = _window_mass_log2(groups, self.entropy, self.delta)
-        object.__setattr__(self, "log2_acceptance", acc)
-        if acc < np.log2(MIN_ACCEPTANCE):
-            raise ConfigurationError(
-                f"typical-set acceptance 2^{acc:.2f} is below {MIN_ACCEPTANCE:g} at n={self.n}, "
-                f"delta={self.delta}; increase delta"
-            )
 
     @property
     def n(self) -> int:
@@ -296,38 +377,15 @@ class PrunedDistribution:
         """Pr[T_δ] under the unpruned law."""
         return float(2.0 ** self.log2_acceptance)
 
-    def _surprisals(self, seqs) -> np.ndarray:
-        """Per-position surprisals of (..., n) words; one row is a 1-D gather, cheaper than the (x_i, a_i) one."""
-        seqs = np.asarray(seqs)
-        return self.surprisal[0][seqs] if len(self.surprisal) == 1 else self.surprisal[self.x_seq, seqs]
-
     def is_typical(self, seqs) -> np.ndarray:
         """Vectorized membership test; accepts (..., n) index arrays."""
-        return np.abs(self._surprisals(seqs).sum(axis=-1) / self.n - self.entropy) <= self.delta + 1e-12
-
-    @cached_property
-    def all_typical(self) -> bool:
-        """Whether every word the thresholds can draw is typical, so sampling needs no typicality test.
-
-        Symbol j can be drawn at position i when its threshold interval, from thresholds[j-1, i] (0 for j = 0)
-        to thresholds[j, i] (2^53 for the last symbol), is not empty. Two words take at each position the
-        smallest and the largest surprisal such a symbol has. Rounded pairwise addition is monotone, so their
-        sums bound every drawable word's sum, and both pass ``is_typical`` exactly when every drawable word does.
-        Computed on first use, so a sampler that only evaluates words never pays for it.
-        """
-        q = self.table.shape[1]
-        top = np.full((1, self.n), 1 << 53, dtype=np.uint64)
-        edges = np.concatenate([np.zeros_like(top), self.thresholds[: q - 1], top])
-        drawable = edges[:-1] < edges[1:]  # (q, n)
-        s = self.surprisal[self.x_seq].T  # s[j, i] = -log2 p(j | x_i)
-        ends = np.stack([np.where(drawable, s, np.inf).argmin(0), np.where(drawable, s, -np.inf).argmax(0)])
-        return bool(self.is_typical(ends).all())
+        return self.parts.is_typical(np.asarray(seqs), 0)
 
     def log2_prob(self, seq) -> float:
         """Pruned log2-probability; -inf marks sequences outside T_δ."""
         if not bool(self.is_typical(seq)):
             return -np.inf
-        return float(-self._surprisals(seq).sum() - self.log2_acceptance)
+        return float(-self.parts.surprisals(np.asarray(seq), 0).sum() - self.log2_acceptance)
 
 
 def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
@@ -361,6 +419,10 @@ class CodeConfig:
     trials: int = 100
 
     def __post_init__(self):
+        for name in ("n", "M", "S", "K_pub", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n <= 128:
             raise ValidationError("n must lie in [1, 128] (codeword stream packing)")
         if not 1 <= self.S <= self.M:
@@ -392,23 +454,14 @@ class CodeConfig:
 def encrypt(m: int, s: int, M: int) -> int:
     """Index one-time pad p = (m + s) mod M.
 
-    Injective in s for fixed m and in m for fixed s, which is all the
-    decryption identity needs.
+    Injective in s for fixed m and in m for fixed s, so m = (p - s) mod M;
+    the security code forms each message's pad rows (m + s) mod M inline.
     """
     if not 0 <= m < M:
         raise ValidationError(f"message index {m} out of range [0, {M})")
     if not 0 <= s < M:
         raise ValidationError(f"key index {s} out of range [0, {M})")
     return (m + s) % M
-
-
-def decrypt(p: int, s: int, M: int) -> int:
-    """Inverse pad m = (p - s) mod M; decrypt(encrypt(m, s, M), s, M) == m."""
-    if not 0 <= p < M:
-        raise ValidationError(f"encrypted index {p} out of range [0, {M})")
-    if not 0 <= s < M:
-        raise ValidationError(f"key index {s} out of range [0, {M})")
-    return (p - s) % M
 
 
 @dataclass(frozen=True)
@@ -425,9 +478,11 @@ class Codebook:
     """Seeded random two-layer codebook: outer words x^n(k) and per-k inner words u_p^n.
 
     A 1-D input law p is the one-symbol outer law: ``outer_p`` = [1], ``cond_table`` = [p]
-    and the outer word 0^n. When K_pub·M exceeds ``EAGER_WORD_LIMIT``, for any K_pub, the inner words
-    are not materialized (``is_lazy``, JT decoding only); ``word``/``inner_block`` regenerate them on demand
-    from the seed, ``cond_table``, the outer word and δ (bit-identical to eager generation).
+    and the outer word 0^n. Words are stored in the smallest unsigned dtype that holds their alphabet
+    (uint8 up to 256 symbols), so K·M inner words take K·M·n bytes. When K_pub·M exceeds ``EAGER_WORD_LIMIT``,
+    for any K_pub, the inner words are not materialized (``is_lazy``, JT decoding only); ``word``/``inner_block``
+    regenerate them on demand from the seed and ``inner_parts``, the inner law's per-public-message parts, built
+    once with the codebook (bit-identical to eager generation).
     """
 
     config: CodeConfig
@@ -436,6 +491,7 @@ class Codebook:
     outer_words: np.ndarray  # (K, n)
     inner_words: np.ndarray | None  # (K, M, n) or None when lazy
     record: GenerationRecord
+    inner_parts: _MessageParts | None = field(default=None, repr=False)  # lazy codebooks only
 
     @property
     def is_lazy(self) -> bool:
@@ -450,8 +506,7 @@ class Codebook:
                                   f"need 0 <= k < K_pub = {K} and 0 <= lo <= hi <= M = {M}")
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
-        sampler = PrunedDistribution(table=self.cond_table, x_seq=self.outer_words[k], delta=self.config.delta)
-        return _generate_words(sampler, self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+        return _generate_words(self.inner_parts, self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
 
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
@@ -469,33 +524,42 @@ class Codebook:
         return _encode_lanes(self.inner_words)
 
 
-def _generate_words(sampler, seed: int, tag: int, k: int, ids: np.ndarray, out: np.ndarray | None = None):
-    """Rejection-sample typical words for the given stream ids, into ``out`` if given.
+def _generate_words(law, seed: int, tag: int, k, ids: np.ndarray) -> np.ndarray:
+    """Rejection-sample typical words for the given stream ids.
 
-    Symbol i of an id's round-r candidate is ``_symbols`` of splitmix64(base + (id·2^27 | r·2^7 | i)),
-    injective for id < 2^37, r < 2^20, n <= 128. Ids go in blocks of about ``_BLOCK_SYMBOLS``
-    symbols, each run through its rejection rounds in turn; a word depends only on its id.
+    ``k`` is the public message of every id, or one per id in ascending order; id j draws from the
+    ``_MessageParts`` row k[j], or from the one outer word of a ``PrunedDistribution`` law. Symbol i of an id's
+    round-r candidate is ``_symbols`` of splitmix64(base(k) + (id·2^27 | r·2^7 | i)), injective for id < 2^37,
+    r < 2^20, n <= 128. Ids go in blocks of about ``_BLOCK_SYMBOLS`` symbols, each run through its rejection
+    rounds in turn; a word depends only on its (k, id). New words take the smallest unsigned dtype of the law's
+    alphabet.
     """
-    n = sampler.n
+    parts, rows = (law.parts, 0) if isinstance(law, PrunedDistribution) else (law, k)
+    n = parts.n
     keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
-    if out is None:
-        out = np.empty((keys.size, n), dtype=np.intp)
-    rows = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
-    h, tmp = np.empty((2, rows, n), dtype=np.uint64)
-    col = np.arange(n, dtype=np.uint64) + _stream_base(seed, tag, k) + _C1  # disjoint bit fields: | is +
-    every = sampler.all_typical  # then round 0 is final: no typicality pass, no rejection rounds
-    for lo in range(0, keys.size, rows):
-        block = out[lo: lo + rows]  # round 0 draws in place, later rounds fill the rejected rows
+    keys += _stream_base(seed, tag, k)
+    rows = np.broadcast_to(rows, keys.shape)
+    out = np.empty((keys.size, n), dtype=np.min_scalar_type(parts.table.shape[1] - 1))
+    step = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
+    h, tmp = np.empty((2, step, n), dtype=np.uint64)
+    redraw = np.empty((step, n), dtype=out.dtype)
+    col = np.arange(n, dtype=np.uint64) + _C1  # disjoint bit fields: | is +
+    for lo in range(0, keys.size, step):
+        block = out[lo: lo + step]  # round 0 draws in place, later rounds fill the rejected rows
+        r = rows[lo: lo + step]
+        r = r[0] if r[0] == r[-1] else r  # one outer word for the block, or one per row
+        every = parts.all_typical[r].all()  # then round 0 is final: no typicality pass, no rejection rounds
         pending, rnd = np.arange(block.shape[0]), 0
         while pending.size:
             z, t = h[: pending.size], tmp[: pending.size]
             np.add(keys[lo + pending, None], col + np.uint64(rnd << 7), out=z)
             _mix64(z, t)
             z >>= np.uint64(11)
-            c = _symbols(z, sampler.thresholds, block if rnd == 0 else t.view(np.intp))
+            rk = r[pending] if np.ndim(r) else r
+            c = _symbols(z, parts.thresholds(rk), block if rnd == 0 else redraw[: pending.size])
             if every:
                 break
-            ok = sampler.is_typical(c)
+            ok = parts.is_typical(c, rk)
             if rnd:
                 block[pending[ok]] = c[ok]
             pending, rnd = pending[~ok], rnd + 1
@@ -519,8 +583,11 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     ``law`` is a pair (p_x, p_a_given_x), for any K_pub, or a 1-D distribution p over the
     input alphabet, for K_pub = 1 only, read as the pair ([1], [p]). K_pub outer words come
     from the pruned p(x)^n and each carries M inner words drawn from the conditionally pruned
-    law given its outer word. The inner words are regenerated on demand (lazy) when
-    K_pub·M > ``EAGER_WORD_LIMIT``, for any K_pub; a lazy codebook decodes by joint typicality only.
+    law given its outer word. The inner law is validated once, and its per-public-message parts
+    (``_MessageParts``) are computed for every k at once. An eager codebook draws all K_pub·M inner
+    words in one ``_generate_words`` call; they are regenerated on demand (lazy) from the kept parts when
+    K_pub·M > ``EAGER_WORD_LIMIT``, for any K_pub, and a lazy codebook decodes by joint typicality only.
+    Words take the smallest unsigned dtype of their alphabet.
     """
     try:
         p = np.asarray(law, dtype=float)
@@ -542,15 +609,15 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     K, M = cfg.K_pub, cfg.M
     outer_pd = pruned_distribution(p_x, cfg.n, cfg.delta)
     outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
-    samplers = tuple(PrunedDistribution(table=cond, x_seq=x, delta=cfg.delta) for x in outer_words)
+    parts = _MessageParts(cond, outer_words, cfg.delta)
     inner = None
     if K * M <= EAGER_WORD_LIMIT:
-        inner = np.empty((K, M, cfg.n), dtype=np.intp)
-        for k, sampler in enumerate(samplers):
-            _generate_words(sampler, cfg.seed, _TAG_INNER, k, np.arange(M, dtype=np.int64), out=inner[k])
-    rec = GenerationRecord(acceptance_inner=min(s.acceptance for s in samplers), acceptance_outer=outer_pd.acceptance)
-    return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=samplers[0].table, outer_words=outer_words,
-                    inner_words=inner, record=rec)
+        inner = _generate_words(parts, cfg.seed, _TAG_INNER, np.repeat(np.arange(K), M),
+                                np.tile(np.arange(M, dtype=np.int64), K)).reshape(K, M, cfg.n)
+    rec = GenerationRecord(acceptance_inner=2.0 ** float(parts.log2_acceptance.min()),
+                           acceptance_outer=outer_pd.acceptance)
+    return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=parts.table, outer_words=outer_words,
+                    inner_words=inner, record=rec, inner_parts=parts if inner is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +689,7 @@ def _encode_lanes(words: np.ndarray) -> _Lanes:
     rows = max(1, _BLOCK_SYMBOLS // n)
     for lo in range(0, K * M, rows):
         w = flat[lo: lo + rows]
-        c = w[:, tabled[:, 0]]
+        c = w[:, tabled[:, 0]].astype(np.intp)  # widened: the words' dtype need not hold a code
         for i in range(1, t):
             c *= q
             c += w[:, tabled[:, i]]

@@ -15,7 +15,6 @@ from pubpriv.wiretap import (
     Codebook,
     bsc,
     decode,
-    decrypt,
     encrypt,
     estimate_error,
     expurgate,
@@ -267,6 +266,8 @@ class TestCodewordKernel:
     def test_stream_base_equals_the_numpy_reference(self, seed, tag, k):
         got = wt._stream_base(seed, tag, k)
         assert type(got) is np.uint64 and got == _numpy_stream_base(seed, tag, k)
+        many = wt._stream_base(seed, tag, np.array([k, k + 1, 0], dtype=np.int64))  # one base per id of a codebook
+        assert many.tolist() == [got, _numpy_stream_base(seed, tag, k + 1), _numpy_stream_base(seed, tag, 0)]
 
     def test_lazy_block_near_2_to_36_is_pinned(self):
         cfg = CodeConfig(n=40, M=2 ** 36 + 64, delta=0.5, seed=7, decoder="joint_typicality")
@@ -308,6 +309,120 @@ class TestCodewordKernel:
             words = rng.integers(0, q, size=(4000, n))
             words[100] = words[7]
             assert wt._distinct_rows(words, q) == np.unique(words, axis=0).shape[0]
+
+
+def _random_two_layer_law(rng, rows, q):
+    """A random p(a|x) whose rows may hold zero-probability symbols."""
+    table = rng.dirichlet(np.full(q, 0.7 if rng.random() < 0.5 else 20.0), size=rows)
+    table[rng.random(table.shape) < 0.2] = 0.0
+    table[:, 0] += 1e-3 * (table.sum(axis=1) == 0)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+class TestOneCallCodegen:
+    """A codebook validates its inner law once and draws every (k, p) in one ``_generate_words`` call, in the
+    smallest dtype of the alphabet: the same words as one ``PrunedDistribution`` per public message."""
+
+    def test_words_take_the_smallest_dtype(self, monkeypatch):
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.3))
+        cfg = CodeConfig(n=20, M=8, K_pub=4, delta=0.5, seed=3, decoder="joint_typicality")
+        eager = generate_codebook(cfg, ch, TWO_LAYER_LAW)
+        assert eager.outer_words.dtype == eager.inner_words.dtype == np.uint8
+        assert eager.inner_words.nbytes == cfg.K_pub * cfg.M * cfg.n
+        wide = ClassicalWiretap.from_marginals(np.full((300, 2), 0.5), np.full((300, 2), 0.5))
+        cb = generate_codebook(CodeConfig(n=1, M=64, delta=0.5, seed=1), wide, np.full(300, 1 / 300))
+        assert cb.inner_words.dtype == np.uint16 and cb.inner_words.max() > 255
+        assert cb.outer_words.dtype == np.uint8
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, TWO_LAYER_LAW)
+        assert lazy.is_lazy and lazy.outer_words.dtype == lazy.inner_block(3, 0, 8).dtype == np.uint8
+        assert lazy.word(2, 5).dtype == np.uint8 and np.array_equal(lazy.inner_block(3, 0, 8), eager.inner_words[3])
+
+    def test_channel_outputs_take_the_smallest_dtype(self):
+        """Bob's and Eve's outputs come from ``_symbols`` in the smallest dtype of their alphabet, with the values
+        of a draw into intp."""
+        rng = np.random.default_rng(4)
+        for size_b in (2, 3, 300):
+            cuts = wt._thresholds(np.cumsum(rng.dirichlet(np.ones(size_b), size=2), axis=1))
+            a = rng.integers(0, 2, size=500).astype(np.uint8)
+            u = rng.random(a.size)
+            b = wt._channel_outputs(cuts, a, u)
+            assert b.dtype == np.min_scalar_type(size_b - 1)
+            want = wt._symbols((u * 2.0 ** 53).astype(np.uint64), cuts[:, a], np.empty(a.size, dtype=np.intp))
+            assert np.array_equal(b, want)
+
+    def test_per_message_parts_equal_one_law_per_outer_word(self):
+        """thresholds, window center (compared with ==), log2 acceptance and all_typical of every k are those of
+        a freshly built PrunedDistribution, on random laws with zero-probability symbols."""
+        rng = np.random.default_rng(6)
+        seen = set()
+        for _ in range(40):
+            rows, q, n, K = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 13)), 12
+            table = _random_two_layer_law(rng, rows, q)
+            outer = rng.integers(0, rows, size=(K, n))
+            delta = float(rng.uniform(0.05, 1.5))
+            try:
+                laws = [wt.PrunedDistribution(table=table, x_seq=x, delta=delta) for x in outer]
+            except ConfigurationError:
+                with pytest.raises(ConfigurationError):
+                    wt._MessageParts(table, outer, delta)
+                continue
+            parts = wt._MessageParts(table, outer, delta)
+            h_rows = np.array([(r[r > 0] * -np.log2(r[r > 0])).sum() for r in table])
+            for k, law in enumerate(laws):
+                assert np.array_equal(parts.thresholds(k), law.thresholds)
+                assert parts.entropy[k] == law.entropy == float(h_rows[outer[k]].sum() / n)
+                assert parts.log2_acceptance[k] == law.log2_acceptance
+                assert parts.all_typical[k] == law.all_typical
+                seen.add(law.all_typical)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("K", [1, 16, 300])
+    @pytest.mark.parametrize("M", [1, 5])
+    def test_one_call_equals_one_law_per_public_message(self, K, M):
+        """The rejecting law (acceptance below 1) draws the same words as the per-k reference."""
+        ch = ClassicalWiretap.from_marginals(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]), np.full((3, 2), 0.5))
+        law = (np.array([0.5, 0.5]), np.array([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]))
+        cfg = CodeConfig(n=12, M=M, K_pub=K, delta=0.4, seed=8)
+        cb = generate_codebook(cfg, ch, law)
+        assert cb.record.acceptance_inner < 1
+        want = np.stack([wt._generate_words(wt.PrunedDistribution(table=law[1], x_seq=x, delta=cfg.delta), cfg.seed,
+                                            wt._TAG_INNER, k, np.arange(M, dtype=np.int64))
+                         for k, x in enumerate(cb.outer_words)])
+        assert _digest(cb.inner_words) == _digest(want)
+
+    def test_lazy_jt_decode_builds_no_law(self, monkeypatch):
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.5)
+        cfg = CodeConfig(n=24, M=3000, K_pub=2, delta=0.4, seed=4, decoder="joint_typicality")
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 1000)
+        cb = generate_codebook(cfg, ch, TWO_LAYER_LAW)
+        assert cb.is_lazy
+        built = []
+        init = wt._MessageParts.__post_init__
+        monkeypatch.setattr(wt._MessageParts, "__post_init__", lambda self: built.append(1) or init(self))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            a = cb.word(1, int(rng.integers(cfg.M)))
+            decode(wt._channel_outputs(ch.cuts_main, a, rng.random(a.size)), cb, cfg, ch)
+        assert built == []
+
+    def test_lane_codes_widen_uint8_words(self):
+        """q = 4 and n = 48 table t = 6 positions a lane, so codes reach 4^6 - 1 = 4,095: the Horner step must not
+        run in the words' uint8."""
+        rng = np.random.default_rng(9)
+        words = rng.integers(0, 4, size=(2, 50, 48))
+        words[0, 0] = 3
+        small, wide = wt._encode_lanes(words.astype(np.uint8)), wt._encode_lanes(words.astype(np.intp))
+        assert small.tabled.shape[1] == 6 and small.codes.max() >= 4095
+        assert np.array_equal(small.codes, wide.codes)
+        ch = ClassicalWiretap.from_marginals(rng.dirichlet(np.ones(4), size=4), np.full((4, 1), 1.0))
+        cfg = CodeConfig(n=48, M=50, K_pub=2, delta=3.0)
+        books = [Codebook(config=cfg, outer_p=UNIFORM2, cond_table=np.full((2, 4), 0.25),
+                          outer_words=np.zeros((2, 48), dtype=np.uint8), inner_words=words.astype(dtype),
+                          record=wt.GenerationRecord(acceptance_inner=1.0)) for dtype in (np.uint8, np.intp)]
+        for _ in range(20):
+            b = wt._channel_outputs(ch.cuts_main, words[rng.integers(2), rng.integers(50)], rng.random(48))
+            assert decode(b, books[0], cfg, ch) == decode(b, books[1], cfg, ch)
 
 
 class TestRowScores:
@@ -492,15 +607,17 @@ class TestLaneScores:
 
 
 class TestEncryption:
+    """The pad's inverse is the one the security code applies inline, m = (p - s) mod M."""
+
     def test_reference_values(self):
         assert encrypt(2, 3, 4) == 1
-        assert decrypt(1, 3, 4) == 2
+        assert (1 - 3) % 4 == 2
 
     def test_round_trip_exhaustive(self):
         M = 8
         for m in range(M):
             for s in range(M):
-                assert decrypt(encrypt(m, s, M), s, M) == m
+                assert (encrypt(m, s, M) - s) % M == m
 
     def test_injectivity_conditions(self):
         M, S = 8, 4
@@ -515,7 +632,7 @@ class TestEncryption:
         with pytest.raises(ValidationError):
             encrypt(4, 0, 4)
         with pytest.raises(ValidationError):
-            decrypt(0, 9, 4)
+            encrypt(0, 9, 4)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -527,6 +644,19 @@ class TestEncryption:
 def test_code_config_rejects(fields, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         CodeConfig(**{"n": 8, "M": 4, **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"S": 1.5}, {"n": 8.0}, {"M": 4.5}, {"K_pub": 2.0}, {"trials": 2.5}, {"seed": 1.0}, {"K_pub": True}, {"seed": "3"},
+], ids=["S-1.5", "n-8.0", "M-4.5", "K_pub-2.0", "trials-2.5", "seed-1.0", "K_pub-bool", "seed-str"])
+def test_code_config_rejects_counts_that_are_not_integers(fields):
+    """A fractional or float count names no code: S = 1.5 used to reach security_distance as an IndexError,
+    and n = 8.0 or M = 4.5 codegen as a TypeError. numpy integers are integers; bool is not."""
+    name = next(iter(fields))
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        CodeConfig(**{"n": 8, "M": 4, **fields})
+    cfg = CodeConfig(n=np.int64(8), M=np.uint16(4), S=np.int32(2), K_pub=np.int8(2), trials=np.int64(3), seed=np.uint64(5))
+    assert cfg.rate_key == 1 / 8
 
 
 NOISY = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.3))
@@ -612,13 +742,16 @@ class TestCodebookGeneration:
 
     def test_window_mass_runs_once_per_type(self):
         """The acceptance of an outer word depends on its type and window center only: 256 binary outer words
-        at n = 40, whose rows share one entropy, need at most 41 inner enumerations plus the outer law's."""
+        at n = 40, whose rows share one entropy, need at most 41 inner enumerations plus the outer law's, and
+        the codebook looks each distinct (type, center) up once, not once per outer word."""
         law = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
         cfg = CodeConfig(n=40, M=1, K_pub=256, delta=0.2, seed=1)
         wt._window_mass_log2.cache_clear()
-        generate_codebook(cfg, NOISY, law)
+        cb = generate_codebook(cfg, NOISY, law)
         info = wt._window_mass_log2.cache_info()
-        assert info.misses <= 42 and info.hits + info.misses == 257
+        h_rows = -(law[1] * np.log2(law[1])).sum(axis=1)
+        keys = {(int(x.sum()), float(h_rows[x].sum() / cfg.n)) for x in cb.outer_words.astype(np.intp)}
+        assert info.misses <= 42 and info.hits == 0 and info.misses == len(keys) + 1
 
     def test_lazy_two_layer_matches_eager(self, monkeypatch):
         """A lazy two-layer codebook regenerates each public message's words from its outer word: the same
