@@ -23,8 +23,8 @@ from pubpriv.wiretap import (
 
 # Pruned codeword source: i.i.d. p conditioned on the entropy-typical set.
 pd = pruned_distribution([0.9, 0.1], 20, 0.1)
-print(f"pruned(0.9/0.1, n=20, δ=0.1): acceptance {pd.acceptance:.4f}, "
-      f"entropy {pd.entropy:.4f} bits/symbol")
+print(f"pruned(0.9/0.1, n=20, δ=0.1): acceptance {pd.acceptance[0]:.4f}, "
+      f"entropy {pd.entropy[0]:.4f} bits/symbol")
 
 # Main channel BSC(0.05) (capacity ≈ 0.71), Eve gets a noisier copy.
 ch = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.25))

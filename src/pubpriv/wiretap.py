@@ -10,9 +10,10 @@ Monte-Carlo-estimable beyond. The quantum region computation and this
 simulator meet only through shared rate formulas.
 
 Every codebook is a two-layer codebook: K_pub outer words x^n(k) from the
-pruned p(x)^n, each carrying M inner words from the pruned Π_i p(·|x_i). A
-1-D input law p is the one-symbol outer law p(x) = [1], p(a|x) = [p], whose
-outer word is 0^n: the key-assisted code without a public message.
+pruned p(x)^n, each carrying M inner words from the pruned Π_i p(·|x_i); one
+class, ``PrunedDistribution``, is both laws. A 1-D input law p is the
+one-symbol outer law p(x) = [1], p(a|x) = [p], whose outer word is 0^n: the
+key-assisted code without a public message.
 
 Typicality is the entropy-typical window: a word is δ-typical when its
 empirical surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) deviates from
@@ -37,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import product as _iproduct
+from itertools import combinations as _combinations, product as _iproduct
 
 import numpy as np
 
@@ -209,12 +210,11 @@ def _symbols(u53: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = N
 
 
 def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    """The k-part compositions of n in lexicographic order, by stars and bars: bars at slots b_1 < ... < b_(k-1)
+    of n + k - 1 leave the counts between them."""
+    for bars in _combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def _log2_multinomial(n: int, counts) -> float:
@@ -248,14 +248,20 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _MessageParts:
-    """An inner law p(a|x), validated once, and the parts of ``PrunedDistribution(table, x^n(k), δ)`` that depend
-    on the outer word, for each of the (K, n) ``outer_words`` at once.
+class PrunedDistribution:
+    """Π_i p(·|x_i) conditioned on entropy-typicality given each of the (K, n) ``outer_words`` x^n(k); the table
+    p(a|x) is validated once.
 
-    ``entropy`` (the window centers), ``log2_acceptance`` and ``all_typical`` are (K,) arrays, bit for bit the
-    values of the one-word law: the centers are the same row sums, and the acceptance of each distinct (type,
-    center) pair is enumerated once, in k order, so the first k below ``MIN_ACCEPTANCE`` raises. The thresholds
-    of x^n(k) are columns of ``cuts``, gathered when its words are drawn.
+    A word is typical given k when its surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) lies within δ of ``entropy[k]``
+    = (1/n)·Σ_i H(p(·|x_i)). One table row and the one outer word 0^n give the i.i.d. law p^n
+    (``pruned_distribution``). ``_generate_words`` rejection-samples words until typical; ``log2_prob`` is the
+    exact pruned log-probability log2[p(a^n|x^n(k)) / Pr(T_δ)], -inf outside the typical set (the out-of-support
+    marker).
+
+    ``entropy`` (the window centers), ``log2_acceptance`` and ``all_typical`` are (K,) arrays, each entry bit for
+    bit that of the one-word law on x^n(k): the centers are the same row sums, and the acceptance of each distinct
+    (type, center) pair is enumerated once, in k order, so the first k below ``MIN_ACCEPTANCE`` raises. The
+    thresholds of x^n(k) are columns of ``cuts``, gathered when its words are drawn.
 
     ``all_typical[k]``: whether every word the thresholds can draw is typical, so sampling needs no typicality
     test. Symbol j can be drawn given x when its threshold interval, from cuts[j-1, x] (0 for j = 0) to
@@ -305,10 +311,8 @@ class _MessageParts:
             groups = tuple((c, tuple(t[v].tolist())) for v, c in enumerate(counts[k].tolist()) if c)
             acc[g] = _window_mass_log2(groups, float(entropy[k]), self.delta)
             if acc[g] < np.log2(MIN_ACCEPTANCE):
-                raise ConfigurationError(
-                    f"typical-set acceptance 2^{acc[g]:.2f} is below {MIN_ACCEPTANCE:g} at n={n}, "
-                    f"delta={self.delta}; increase delta"
-                )
+                raise ConfigurationError(f"typical-set acceptance 2^{acc[g]:.2f} is below {MIN_ACCEPTANCE:g} at "
+                                         f"n={n}, delta={self.delta}; increase delta")
         cuts = _thresholds(np.cumsum(t, axis=1))
         top = np.full((1, X), 1 << 53, dtype=np.uint64)
         edges = np.concatenate([np.zeros_like(top), cuts[: q - 1], top])
@@ -317,8 +321,7 @@ class _MessageParts:
         for end in (np.where(drawable, surprisal, np.inf).min(1), np.where(drawable, surprisal, -np.inf).max(1)):
             typical &= np.abs(end[x].sum(axis=1) / n - entropy) <= self.delta + 1e-12
         for name, value in (("table", t), ("outer_words", x), ("cuts", cuts), ("surprisal", surprisal),
-                            ("entropy", entropy), ("log2_acceptance", acc[group]),
-                            ("all_typical", typical)):
+                            ("entropy", entropy), ("log2_acceptance", acc[group]), ("all_typical", typical)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -339,59 +342,21 @@ class _MessageParts:
         """Typicality of (..., n) words given outer word k, or one k per word."""
         return np.abs(self.surprisals(words, k).sum(axis=-1) / self.n - self.entropy[k]) <= self.delta + 1e-12
 
-
-@dataclass(frozen=True, eq=False)
-class PrunedDistribution:
-    """Π_i p(·|x_i) conditioned on conditional entropy-typicality given the outer word x^n.
-
-    A word is typical when its surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) lies within δ of
-    ``entropy`` = (1/n)·Σ_i H(p(·|x_i)). One table row with x^n = 0^n is the i.i.d. law p^n
-    (``pruned_distribution``). ``_generate_words`` rejection-samples words until typical;
-    ``log2_prob`` evaluates the exact pruned log-probability log2[p(a^n|x^n) / Pr(T_δ)] and
-    returns -inf for words outside the typical set (the out-of-support marker). The law is the
-    ``_MessageParts`` of its one outer word (``parts``), which a codebook builds for all its words at once.
-    """
-
-    table: np.ndarray  # (|X|, |A|) row-stochastic p(a|x)
-    x_seq: np.ndarray  # (n,) outer word
-    delta: float
-    entropy: float = field(init=False)  # the window center
-    log2_acceptance: float = field(init=False)
-    all_typical: bool = field(init=False)  # every drawable word is typical, see _MessageParts
-    thresholds: np.ndarray = field(init=False, repr=False)  # column i from p(·|x_i), see _thresholds
-    parts: _MessageParts = field(init=False, repr=False)
-
-    def __post_init__(self):
-        parts = _MessageParts(self.table, np.asarray(self.x_seq)[None], self.delta)
-        for name, value in (("table", parts.table), ("x_seq", parts.outer_words[0]), ("parts", parts),
-                            ("entropy", float(parts.entropy[0])), ("log2_acceptance", float(parts.log2_acceptance[0])),
-                            ("all_typical", bool(parts.all_typical[0])), ("thresholds", parts.thresholds(0))):
-            object.__setattr__(self, name, value)
-
     @property
-    def n(self) -> int:
-        return self.x_seq.size
+    def acceptance(self) -> np.ndarray:
+        """Pr[T_δ] given each outer word under the unpruned law, (K,)."""
+        return 2.0 ** self.log2_acceptance
 
-    @property
-    def acceptance(self) -> float:
-        """Pr[T_δ] under the unpruned law."""
-        return float(2.0 ** self.log2_acceptance)
-
-    def is_typical(self, seqs) -> np.ndarray:
-        """Vectorized membership test; accepts (..., n) index arrays."""
-        return self.parts.is_typical(np.asarray(seqs), 0)
-
-    def log2_prob(self, seq) -> float:
-        """Pruned log2-probability; -inf marks sequences outside T_δ."""
-        if not bool(self.is_typical(seq)):
+    def log2_prob(self, word, k) -> float:
+        """Pruned log2-probability of one word given outer word k; -inf marks words outside T_δ."""
+        if not self.is_typical(word, k):
             return -np.inf
-        return float(-self.parts.surprisals(np.asarray(seq), 0).sum() - self.log2_acceptance)
+        return float(-self.surprisals(word, k).sum() - self.log2_acceptance[k])
 
 
 def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
-    """Sampler plus exact evaluator for the i.i.d. p^n conditioned on the δ-typical set."""
-    return PrunedDistribution(table=np.asarray(p, dtype=float)[None], x_seq=np.zeros(max(n, 0), dtype=np.intp),
-                              delta=delta)
+    """Sampler plus exact evaluator for the i.i.d. p^n conditioned on the δ-typical set: the K = 1 law on 0^n."""
+    return PrunedDistribution(np.asarray(p, dtype=float)[None], np.zeros((1, max(n, 0)), dtype=np.intp), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +364,13 @@ def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
 # ---------------------------------------------------------------------------
 
 DECODERS = ("ML", "joint_typicality")
+
+
+def _check_integers(**values) -> None:
+    """A ``ValidationError`` naming the first value that is not an int or a numpy integer; bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -419,10 +391,7 @@ class CodeConfig:
     trials: int = 100
 
     def __post_init__(self):
-        for name in ("n", "M", "S", "K_pub", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        _check_integers(**{name: getattr(self, name) for name in ("n", "M", "S", "K_pub", "trials", "seed")})
         if not 1 <= self.n <= 128:
             raise ValidationError("n must lie in [1, 128] (codeword stream packing)")
         if not 1 <= self.S <= self.M:
@@ -481,8 +450,8 @@ class Codebook:
     and the outer word 0^n. Words are stored in the smallest unsigned dtype that holds their alphabet
     (uint8 up to 256 symbols), so K·M inner words take K·M·n bytes. When K_pub·M exceeds ``EAGER_WORD_LIMIT``,
     for any K_pub, the inner words are not materialized (``is_lazy``, JT decoding only); ``word``/``inner_block``
-    regenerate them on demand from the seed and ``inner_parts``, the inner law's per-public-message parts, built
-    once with the codebook (bit-identical to eager generation).
+    regenerate them on demand from the seed and ``inner_law``, the ``PrunedDistribution`` on every outer word,
+    built once with the codebook (bit-identical to eager generation).
     """
 
     config: CodeConfig
@@ -491,22 +460,23 @@ class Codebook:
     outer_words: np.ndarray  # (K, n)
     inner_words: np.ndarray | None  # (K, M, n) or None when lazy
     record: GenerationRecord
-    inner_parts: _MessageParts | None = field(default=None, repr=False)  # lazy codebooks only
+    inner_law: PrunedDistribution | None = field(default=None, repr=False)  # lazy codebooks only
 
     @property
     def is_lazy(self) -> bool:
         return self.inner_words is None
 
     def inner_block(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """Inner words u_p^n(k) for p in [lo, hi); k outside [0, K_pub) or a range outside [0, M] is a
-        ``ValidationError``, eager or lazy."""
+        """Inner words u_p^n(k) for p in [lo, hi); an index that is not an integer, k outside [0, K_pub) or a
+        range outside [0, M] is a ``ValidationError``, eager or lazy."""
+        _check_integers(k=k, lo=lo, hi=hi)
         K, M = self.config.K_pub, self.config.M
         if not (0 <= k < K and 0 <= lo <= hi <= M):
             raise ValidationError(f"inner words [{lo}, {hi}) of public message {k} do not exist: "
                                   f"need 0 <= k < K_pub = {K} and 0 <= lo <= hi <= M = {M}")
         if self.inner_words is not None:
             return self.inner_words[k, lo:hi]
-        return _generate_words(self.inner_parts, self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+        return _generate_words(self.inner_law, self.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
 
     def word(self, k: int, p: int) -> np.ndarray:
         """The channel-input word for public message k and inner index p."""
@@ -524,22 +494,20 @@ class Codebook:
         return _encode_lanes(self.inner_words)
 
 
-def _generate_words(law, seed: int, tag: int, k, ids: np.ndarray) -> np.ndarray:
+def _generate_words(law: PrunedDistribution, seed: int, tag: int, k, ids: np.ndarray) -> np.ndarray:
     """Rejection-sample typical words for the given stream ids.
 
-    ``k`` is the public message of every id, or one per id in ascending order; id j draws from the
-    ``_MessageParts`` row k[j], or from the one outer word of a ``PrunedDistribution`` law. Symbol i of an id's
-    round-r candidate is ``_symbols`` of splitmix64(base(k) + (id·2^27 | r·2^7 | i)), injective for id < 2^37,
-    r < 2^20, n <= 128. Ids go in blocks of about ``_BLOCK_SYMBOLS`` symbols, each run through its rejection
-    rounds in turn; a word depends only on its (k, id). New words take the smallest unsigned dtype of the law's
-    alphabet.
+    ``k`` is the public message of every id, or one per id in ascending order; id j draws from the law given
+    outer word k[j], on k[j]'s stream. Symbol i of an id's round-r candidate is ``_symbols`` of splitmix64(base(k)
+    + (id·2^27 | r·2^7 | i)), injective for id < 2^37, r < 2^20, n <= 128. Ids go in blocks of about
+    ``_BLOCK_SYMBOLS`` symbols, each run through its rejection rounds in turn; a word depends only on its (k, id).
+    New words take the smallest unsigned dtype of the law's alphabet.
     """
-    parts, rows = (law.parts, 0) if isinstance(law, PrunedDistribution) else (law, k)
-    n = parts.n
+    n = law.n
     keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
     keys += _stream_base(seed, tag, k)
-    rows = np.broadcast_to(rows, keys.shape)
-    out = np.empty((keys.size, n), dtype=np.min_scalar_type(parts.table.shape[1] - 1))
+    rows = np.broadcast_to(k, keys.shape)
+    out = np.empty((keys.size, n), dtype=np.min_scalar_type(law.table.shape[1] - 1))
     step = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
     h, tmp = np.empty((2, step, n), dtype=np.uint64)
     redraw = np.empty((step, n), dtype=out.dtype)
@@ -548,18 +516,19 @@ def _generate_words(law, seed: int, tag: int, k, ids: np.ndarray) -> np.ndarray:
         block = out[lo: lo + step]  # round 0 draws in place, later rounds fill the rejected rows
         r = rows[lo: lo + step]
         r = r[0] if r[0] == r[-1] else r  # one outer word for the block, or one per row
-        every = parts.all_typical[r].all()  # then round 0 is final: no typicality pass, no rejection rounds
+        every = law.all_typical[r].all()  # then round 0 is final: no typicality pass, no rejection rounds
         pending, rnd = np.arange(block.shape[0]), 0
         while pending.size:
             z, t = h[: pending.size], tmp[: pending.size]
-            np.add(keys[lo + pending, None], col + np.uint64(rnd << 7), out=z)
+            key = keys[lo + pending] if rnd else keys[lo: lo + step]  # round 0 takes every row: a slice, no gather
+            np.add(key[:, None], col + np.uint64(rnd << 7), out=z)
             _mix64(z, t)
             z >>= np.uint64(11)
             rk = r[pending] if np.ndim(r) else r
-            c = _symbols(z, parts.thresholds(rk), block if rnd == 0 else redraw[: pending.size])
+            c = _symbols(z, law.thresholds(rk), block if rnd == 0 else redraw[: pending.size])
             if every:
                 break
-            ok = parts.is_typical(c, rk)
+            ok = law.is_typical(c, rk)
             if rnd:
                 block[pending[ok]] = c[ok]
             pending, rnd = pending[~ok], rnd + 1
@@ -583,11 +552,12 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     ``law`` is a pair (p_x, p_a_given_x), for any K_pub, or a 1-D distribution p over the
     input alphabet, for K_pub = 1 only, read as the pair ([1], [p]). K_pub outer words come
     from the pruned p(x)^n and each carries M inner words drawn from the conditionally pruned
-    law given its outer word. The inner law is validated once, and its per-public-message parts
-    (``_MessageParts``) are computed for every k at once. An eager codebook draws all K_pub·M inner
-    words in one ``_generate_words`` call; they are regenerated on demand (lazy) from the kept parts when
-    K_pub·M > ``EAGER_WORD_LIMIT``, for any K_pub, and a lazy codebook decodes by joint typicality only.
-    Words take the smallest unsigned dtype of their alphabet.
+    law given its outer word. Both are ``PrunedDistribution`` laws: the outer one on the one word 0^n,
+    the inner one on every x^n(k), validated once, with every k's window center, acceptance and
+    all-typical flag. An eager codebook draws all K_pub·M inner words in one ``_generate_words`` call;
+    they are regenerated on demand (lazy) from the kept inner law when K_pub·M > ``EAGER_WORD_LIMIT``,
+    for any K_pub, and a lazy codebook decodes by joint typicality only. Words take the smallest
+    unsigned dtype of their alphabet.
     """
     try:
         p = np.asarray(law, dtype=float)
@@ -607,17 +577,17 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
     if cond.shape[1] != ch.size_a:
         raise DimensionError(f"input law over {cond.shape[1]} symbols, channel expects {ch.size_a}")
     K, M = cfg.K_pub, cfg.M
-    outer_pd = pruned_distribution(p_x, cfg.n, cfg.delta)
-    outer_words = _generate_words(outer_pd, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
-    parts = _MessageParts(cond, outer_words, cfg.delta)
+    outer = pruned_distribution(p_x, cfg.n, cfg.delta)
+    outer_words = _generate_words(outer, cfg.seed, _TAG_OUTER, 0, np.arange(K, dtype=np.int64))
+    inner_law = PrunedDistribution(cond, outer_words, cfg.delta)
     inner = None
     if K * M <= EAGER_WORD_LIMIT:
-        inner = _generate_words(parts, cfg.seed, _TAG_INNER, np.repeat(np.arange(K), M),
+        inner = _generate_words(inner_law, cfg.seed, _TAG_INNER, np.repeat(np.arange(K), M),
                                 np.tile(np.arange(M, dtype=np.int64), K)).reshape(K, M, cfg.n)
-    rec = GenerationRecord(acceptance_inner=2.0 ** float(parts.log2_acceptance.min()),
-                           acceptance_outer=outer_pd.acceptance)
-    return Codebook(config=cfg, outer_p=outer_pd.table[0], cond_table=parts.table, outer_words=outer_words,
-                    inner_words=inner, record=rec, inner_parts=parts if inner is None else None)
+    rec = GenerationRecord(acceptance_inner=2.0 ** float(inner_law.log2_acceptance.min()),
+                           acceptance_outer=2.0 ** float(outer.log2_acceptance[0]))
+    return Codebook(config=cfg, outer_p=outer.table[0], cond_table=inner_law.table, outer_words=outer_words,
+                    inner_words=inner, record=rec, inner_law=inner_law if inner is None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class TestChannelModel:
         law = getattr(ch, f"p_{side}")
         assert wt._channel_outputs(getattr(ch, f"cuts_{side}"), np.array([a]), np.array([u])).tolist() == [1]
         code = wt._symbols(np.array([[int(u * 2 ** 53)]], dtype=np.uint64),
-                           pruned_distribution(law[a], 1, 10.0).thresholds, np.empty((1, 1), dtype=np.intp))
+                           pruned_distribution(law[a], 1, 10.0).thresholds(0), np.empty((1, 1), dtype=np.intp))
         assert code.tolist() == [[1]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -87,6 +87,16 @@ class TestChannelModel:
             generate_codebook(cfg, ClassicalWiretap.bsc_pair(0.1, 0.2), ([0.5, 0.5], [[bad, 0.5], [0.5, 0.5]]))
 
 
+def _recursive_compositions(n: int, k: int):
+    """The k-part compositions of n, first count outermost: the reference order of the type-class fold."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _recursive_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
 class TestPrunedDistribution:
     def test_nan_delta_is_rejected(self):
         with pytest.raises(ValidationError, match="delta must be positive"):
@@ -97,11 +107,11 @@ class TestPrunedDistribution:
     def test_uniform_binary_everything_typical(self):
         pd = pruned_distribution([0.5, 0.5], 8, 0.01)
         seqs = np.array(list(product(range(2), repeat=8)))
-        assert pd.is_typical(seqs).all()
-        assert abs(pd.acceptance - 1.0) < 1e-9
+        assert pd.is_typical(seqs, 0).all()
+        assert abs(pd.acceptance[0] - 1.0) < 1e-9
         # pruned distribution equals the uniform source itself
         for seq in seqs[:16]:
-            assert abs(pd.log2_prob(seq) + 8.0) < 1e-9
+            assert abs(pd.log2_prob(seq, 0) + 8.0) < 1e-9
 
     def test_skewed_exhaustive_enumeration(self):
         """Exhaustively enumerate all 2^20 binary sequences for p=(0.9, 0.1)."""
@@ -115,27 +125,27 @@ class TestPrunedDistribution:
         oracle_typical = np.abs(surprisal - h) <= delta + 1e-12
         # the implementation must agree sequence-by-sequence
         bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.intp)
-        assert np.array_equal(pd.is_typical(bits), oracle_typical)
+        assert np.array_equal(pd.is_typical(bits, 0), oracle_typical)
         # accepted sequences keep their empirical frequency inside the window
         accepted_ones = ones[oracle_typical]
         assert accepted_ones.size > 0
         assert np.all(np.abs(accepted_ones / n - p[1]) <= delta + 1e-12)
         # acceptance probability matches the enumerated mass
         mass = (p[0] ** (n - ones[oracle_typical]) * p[1] ** ones[oracle_typical]).sum()
-        assert abs(pd.acceptance - mass) < 1e-12
+        assert abs(pd.acceptance[0] - mass) < 1e-12
         # here the window pins the single balanced type: 190 sequences of 2 ones
         assert set(np.unique(accepted_ones)) == {2}
         assert accepted_ones.size == math.comb(20, 2)
 
     def test_single_symbol_large_window_recovers_p(self):
         pd = pruned_distribution([0.3, 0.7], 1, 10.0)
-        assert abs(pd.acceptance - 1.0) < 1e-12
-        assert abs(2.0 ** pd.log2_prob([0]) - 0.3) < 1e-12
-        assert abs(2.0 ** pd.log2_prob([1]) - 0.7) < 1e-12
+        assert abs(pd.acceptance[0] - 1.0) < 1e-12
+        assert abs(2.0 ** pd.log2_prob([0], 0) - 0.3) < 1e-12
+        assert abs(2.0 ** pd.log2_prob([1], 0) - 0.7) < 1e-12
 
     def test_out_of_support_marker(self):
         pd = pruned_distribution([0.9, 0.1], 20, 0.1)
-        assert pd.log2_prob([0] * 20) == -np.inf
+        assert pd.log2_prob([0] * 20, 0) == -np.inf
 
     def test_unreachable_window_rejected(self):
         # at n=7 no type class of p=(0.9, 0.1) lands within 0.01 of the entropy
@@ -152,7 +162,27 @@ class TestPrunedDistribution:
     def test_outer_words_that_index_no_row_are_rejected(self, rows, x):
         table = np.array([[0.5, 0.5], [0.9, 0.1]])[:rows]
         with pytest.raises(ValidationError, match=re.escape(f"outer word symbols must be integers in [0, {rows})")):
-            wt.PrunedDistribution(table=table, x_seq=x, delta=0.9)
+            wt.PrunedDistribution(table=table, outer_words=[x], delta=0.9)
+
+    def test_evaluators_given_k_equal_the_one_word_law(self):
+        """On a K > 1 law, log2_prob(word, k) and acceptance[k] are those of the law on x^n(k) alone, the -inf
+        marker of an atypical word included."""
+        table = np.array([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]])
+        outer = np.array([[0, 1, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0]])
+        law = wt.PrunedDistribution(table, outer, 0.3)
+        words = np.array(list(product(range(3), repeat=6)))
+        for k in range(len(outer)):
+            one = wt.PrunedDistribution(table, outer[k: k + 1], 0.3)
+            assert law.acceptance[k] == one.acceptance[0] and law.log2_acceptance[k] == one.log2_acceptance[0]
+            typical = law.is_typical(words, k)
+            assert typical.any() and not typical.all()
+            for word in words[::7]:
+                got, want = law.log2_prob(word, k), one.log2_prob(word, 0)
+                assert got == want and (got == -np.inf) != bool(law.is_typical(word, k))
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 1), (0, 3), (4, 3), (5, 4), (6, 5), (2, 30)])
+    def test_stars_and_bars_enumeration_equals_the_recursive_one(self, n, k):
+        assert list(wt._compositions(n, k)) == list(_recursive_compositions(n, k))
 
     def test_sampler_yields_typical_and_is_deterministic(self):
         pd = pruned_distribution([0.8, 0.2], 16, 0.15)
@@ -160,7 +190,7 @@ class TestPrunedDistribution:
         a = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
         b = wt._generate_words(pd, 5, wt._TAG_INNER, 0, ids)
         assert np.array_equal(a, b)
-        assert pd.is_typical(a).all()
+        assert pd.is_typical(a, 0).all()
 
     def test_acceptances_are_pinned(self):
         """One type-class enumerator serves both laws; hex values recorded with the two separate loops."""
@@ -168,22 +198,22 @@ class TestPrunedDistribution:
                                   ([0.6, 0.0, 0.4], 16, 0.3, "-0x1.03e4ec34b9090p-16"),
                                   ([0.1, 0.2, 0.3, 0.4], 12, 0.2, "-0x1.b881cfbe1aea7p-2")):
             pd = pruned_distribution(p, n, delta)
-            assert pd.log2_acceptance.hex() == want
-            one_group = wt.PrunedDistribution(table=np.array([p]), x_seq=np.zeros(n, dtype=int), delta=delta)
+            assert pd.log2_acceptance[0].hex() == want
+            one_group = wt.PrunedDistribution(table=np.array([p]), outer_words=[np.zeros(n, dtype=int)], delta=delta)
             assert one_group.log2_acceptance == pd.log2_acceptance
         for table, x, delta, want in (
                 ([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]], [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1], 0.4,
                  "-0x1.435138bf7bf4fp-3"),
                 ([[0.5, 0.5], [0.9, 0.1], [0.25, 0.75]], [2, 0, 1, 2, 2, 0, 1, 1, 0, 2], 0.15,
                  "-0x1.c99bcf3284743p-1")):
-            cp = wt.PrunedDistribution(table=np.array(table), x_seq=np.array(x), delta=delta)
-            assert cp.log2_acceptance.hex() == want
+            cp = wt.PrunedDistribution(table=np.array(table), outer_words=[np.array(x)], delta=delta)
+            assert cp.log2_acceptance[0].hex() == want
 
     def test_evaluator_normalizes(self):
         pd = pruned_distribution([0.7, 0.3], 10, 0.2)
         seqs = np.array(list(product(range(2), repeat=10)))
-        mask = pd.is_typical(seqs)
-        total = sum(2.0 ** pd.log2_prob(s) for s in seqs[mask])
+        mask = pd.is_typical(seqs, 0)
+        total = sum(2.0 ** pd.log2_prob(s, 0) for s in seqs[mask])
         assert abs(total - 1.0) < 1e-9
 
     def test_all_typical_holds_exactly_when_every_word_is_typical(self):
@@ -195,12 +225,12 @@ class TestPrunedDistribution:
             table = rng.dirichlet(np.full(q, 0.7 if rng.random() < 0.5 else 20.0), size=rows)
             x = rng.integers(0, rows, size=n)
             try:
-                pd = wt.PrunedDistribution(table=table, x_seq=x, delta=float(rng.uniform(0.02, 1.5)))
+                pd = wt.PrunedDistribution(table=table, outer_words=[x], delta=float(rng.uniform(0.02, 1.5)))
             except ConfigurationError:  # acceptance below MIN_ACCEPTANCE
                 continue
             words = np.array(list(product(range(q), repeat=n)))
-            assert pd.all_typical == bool(pd.is_typical(words).all())
-            seen.add(pd.all_typical)
+            assert pd.all_typical[0] == bool(pd.is_typical(words, 0).all())
+            seen.add(bool(pd.all_typical[0]))
         assert seen == {False, True}
 
     def test_all_typical_on_uniform_and_skewed_laws(self):
@@ -213,8 +243,8 @@ class TestPrunedDistribution:
         zero-probability symbol 2: the flag fails, though every word over {0, 1} is typical at δ = 10."""
         pd = pruned_distribution([0.6, 0.3999999999999999, 0.0], 4, 10.0)
         top = np.full((1, 4), 2 ** 53 - 1, dtype=np.uint64)
-        assert (wt._symbols(top, pd.thresholds, np.empty((1, 4), dtype=np.intp)) == 2).all()
-        assert pd.is_typical(np.array(list(product(range(2), repeat=4)))).all()
+        assert (wt._symbols(top, pd.thresholds(0), np.empty((1, 4), dtype=np.intp)) == 2).all()
+        assert pd.is_typical(np.array(list(product(range(2), repeat=4))), 0).all()
         assert not pd.all_typical
         assert pruned_distribution([0.6, 0.4, 0.0], 4, 10.0).all_typical  # the cumsum reaches 1: 2 is never drawn
 
@@ -362,19 +392,19 @@ class TestOneCallCodegen:
             outer = rng.integers(0, rows, size=(K, n))
             delta = float(rng.uniform(0.05, 1.5))
             try:
-                laws = [wt.PrunedDistribution(table=table, x_seq=x, delta=delta) for x in outer]
+                laws = [wt.PrunedDistribution(table=table, outer_words=[x], delta=delta) for x in outer]
             except ConfigurationError:
                 with pytest.raises(ConfigurationError):
-                    wt._MessageParts(table, outer, delta)
+                    wt.PrunedDistribution(table, outer, delta)
                 continue
-            parts = wt._MessageParts(table, outer, delta)
+            parts = wt.PrunedDistribution(table, outer, delta)
             h_rows = np.array([(r[r > 0] * -np.log2(r[r > 0])).sum() for r in table])
             for k, law in enumerate(laws):
-                assert np.array_equal(parts.thresholds(k), law.thresholds)
-                assert parts.entropy[k] == law.entropy == float(h_rows[outer[k]].sum() / n)
-                assert parts.log2_acceptance[k] == law.log2_acceptance
-                assert parts.all_typical[k] == law.all_typical
-                seen.add(law.all_typical)
+                assert np.array_equal(parts.thresholds(k), law.thresholds(0))
+                assert parts.entropy[k] == law.entropy[0] == float(h_rows[outer[k]].sum() / n)
+                assert parts.log2_acceptance[k] == law.log2_acceptance[0]
+                assert parts.all_typical[k] == law.all_typical[0]
+                seen.add(bool(law.all_typical[0]))
         assert seen == {False, True}
 
     @pytest.mark.parametrize("K", [1, 16, 300])
@@ -386,7 +416,9 @@ class TestOneCallCodegen:
         cfg = CodeConfig(n=12, M=M, K_pub=K, delta=0.4, seed=8)
         cb = generate_codebook(cfg, ch, law)
         assert cb.record.acceptance_inner < 1
-        want = np.stack([wt._generate_words(wt.PrunedDistribution(table=law[1], x_seq=x, delta=cfg.delta), cfg.seed,
+        # k + 1 copies of x: public message k draws from row k on its own stream
+        want = np.stack([wt._generate_words(wt.PrunedDistribution(table=law[1], outer_words=[x] * (k + 1),
+                                                                  delta=cfg.delta), cfg.seed,
                                             wt._TAG_INNER, k, np.arange(M, dtype=np.int64))
                          for k, x in enumerate(cb.outer_words)])
         assert _digest(cb.inner_words) == _digest(want)
@@ -398,8 +430,8 @@ class TestOneCallCodegen:
         cb = generate_codebook(cfg, ch, TWO_LAYER_LAW)
         assert cb.is_lazy
         built = []
-        init = wt._MessageParts.__post_init__
-        monkeypatch.setattr(wt._MessageParts, "__post_init__", lambda self: built.append(1) or init(self))
+        init = wt.PrunedDistribution.__post_init__
+        monkeypatch.setattr(wt.PrunedDistribution, "__post_init__", lambda self: built.append(1) or init(self))
         rng = np.random.default_rng(0)
         for _ in range(3):
             a = cb.word(1, int(rng.integers(cfg.M)))
@@ -674,7 +706,7 @@ class TestCodebookGeneration:
         cfg = CodeConfig(n=12, M=32, S=1, delta=0.3, seed=2)
         cb = generate_codebook(cfg, NOISY, np.array([0.8, 0.2]))
         pd = pruned_distribution([0.8, 0.2], 12, 0.3)
-        assert pd.is_typical(cb.inner_words[0]).all()
+        assert pd.is_typical(cb.inner_words[0], 0).all()
 
     def test_lazy_matches_eager(self, monkeypatch):
         cfg = CodeConfig(n=8, M=64, S=1, delta=0.5, seed=9)
@@ -705,6 +737,20 @@ class TestCodebookGeneration:
         with pytest.raises(ValidationError, match=re.escape("need 0 <= k < K_pub = 1 and 0 <= lo <= hi <= M = 20")):
             call(cb)
         assert cb.inner_block(0, 20, 20).shape == (0, 8) and cb.inner_block(0, 0, 20).shape == (20, 8)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("k, lo, hi", [(1, 0.5, 3.5), (True, 0, 2), (0.5, 0, 4)],
+                             ids=["fractional-range", "bool-k", "fractional-k"])
+    def test_non_integer_indices_are_rejected(self, monkeypatch, lazy, k, lo, hi):
+        """k, lo and hi must be ints or numpy integers, lazy and eager alike; bool is not one."""
+        if lazy:
+            monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        cfg = CodeConfig(n=8, M=20, K_pub=2, delta=0.9, seed=9)
+        cb = generate_codebook(cfg, NOISY, TWO_LAYER_LAW)
+        assert cb.is_lazy == lazy
+        with pytest.raises(ValidationError, match="must be an integer"):
+            cb.inner_block(k, lo, hi)
+        assert cb.inner_block(np.int64(1), np.uint8(0), 2).shape == (2, 8)
 
     def test_two_layer_conditionally_typical(self):
         cfg = CodeConfig(n=8, M=2, S=1, K_pub=2, delta=0.9, seed=4)
