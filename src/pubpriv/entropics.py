@@ -8,11 +8,17 @@ alone may be as large as min{dim A', dim B}² + 1.
 
 Layout: the inputs are stored as one validated (|X|, |Y|, d, d) array,
 ``InputEnsemble.states``, and evolved in one matmul into B⊗E outputs of
-shape (|X|, |Y|, d_B·d_E, d_B·d_E). For each system K in {B, E}, the
-marginals σ_{x,y}, their averages σ_x = Σ_y p(y|x) σ_{x,y} and
-σ = Σ_x p(x) σ_x go through one batched eigensolve into the table
-``CqState.entropies[K]`` = (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an
-|X| array, S(σ)). The six mutual informations are weighted sums over it.
+shape (|X|, |Y|, d_B·d_E, d_B·d_E). ``build_cq_state`` runs in two stages,
+one batched eigensolve per stage and system K in {B, E}:
+- the state stage (``cq_marginals``) reads the states only: it evolves
+  them, takes both partial traces and returns, per K, the marginals
+  σ_{x,y} with their entropies S(σ_{x,y});
+- the law stage reads p(x) and p(y|x) as well: it averages
+  σ_x = Σ_y p(y|x) σ_{x,y} and σ = Σ_x p(x) σ_x and takes S(σ_x), S(σ).
+Together they give the table ``CqState.entropies[K]`` = (S(σ_{x,y}) as an
+|X|×|Y| array, S(σ_x) as an |X| array, S(σ)). A caller that moves only the
+laws, like the optimizer's probability blocks, passes the state stage it
+already has. The six mutual informations are weighted sums over the table.
 An ensemble is checked where it enters the library (``InputEnsemble``) and where it
 leaves (the optimizer's witness); ``build_cq_state`` reads p_x, p_y_given_x, states.
 
@@ -110,19 +116,30 @@ class CqState:
         return self.p_x[:, None] * self.p_y_given_x
 
 
-def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
-    """Evolve every state at once and tabulate both marginals' entropies; reads p_x, p_y_given_x, states."""
-    joint = iso.evolve(ens.states)
-    nx, ny = ens.p_y_given_x.shape
+def cq_marginals(states: np.ndarray, iso: IsometricExtension) -> dict:
+    """The state stage: evolve an (|X|, |Y|, d, d) stack at once; K in {B, E} → (σ_{x,y}, S(σ_{x,y}))."""
+    joint = iso.evolve(states)
+    nx, ny = states.shape[:2]
     dims = [iso.dim_B, iso.dim_E]
-    entropies = {}
+    marginals = {}
     for keep, name in enumerate("BE"):
         sigma_xy = partial_trace(joint, keep=[keep], dims=dims)
+        s_xy = von_neumann_entropy(sigma_xy.reshape(nx * ny, *sigma_xy.shape[2:])).reshape(nx, ny)
+        marginals[name] = (sigma_xy, s_xy)
+    return marginals
+
+
+def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None) -> CqState:
+    """Tabulate both marginals' entropies; reads p_x, p_y_given_x and, unless ``marginals`` holds the state stage
+    ``cq_marginals(ens.states, iso)`` already, states."""
+    if marginals is None:
+        marginals = cq_marginals(ens.states, iso)
+    entropies = {}
+    for name, (sigma_xy, s_xy) in marginals.items():
         sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
         sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
-        stack = np.concatenate([sigma_xy.reshape(nx * ny, *sigma.shape), sigma_x, sigma[None]])
-        ent = von_neumann_entropy(stack)
-        entropies[name] = (ent[: nx * ny].reshape(nx, ny), ent[nx * ny:-1], float(ent[-1]))
+        ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
+        entropies[name] = (s_xy, ent[:-1], float(ent[-1]))
     return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E, entropies=entropies)
 
 

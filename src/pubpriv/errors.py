@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all pubpriv modules."""
+"""Exception hierarchy shared by all pubpriv modules, and the one integer check."""
+
+import numpy as np
 
 
 class PubPrivError(Exception):
@@ -35,3 +37,10 @@ class RuleInapplicableError(RuleError):
 
 class RelativityError(RuleError):
     """A relative (uniform-input-only) public channel was used without a uniformizing step."""
+
+
+def check_integers(**values) -> None:
+    """A ``ValidationError`` naming the first value that is not an int or a numpy integer; bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -33,10 +33,11 @@ from .entropics import (
     build_cq_state,
     cond_mutual_info_YB_given_X,
     cond_mutual_info_YE_given_X,
+    cq_marginals,
     mutual_info_XB,
     mutual_info_XE,
 )
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_integers
 
 MEMBERSHIP_TOL = 1e-9
 CONVERGENCE_TOL = 1e-7
@@ -76,9 +77,11 @@ class SkpPair(NamedTuple):
     i_ye: float
 
 
-def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension) -> RegionConstraints:
-    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate."""
-    s = build_cq_state(ens, iso)
+def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None
+                         ) -> RegionConstraints:
+    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate; ``marginals``,
+    if given, is the state stage ``cq_marginals(ens.states, iso)`` of ``build_cq_state``."""
+    s = build_cq_state(ens, iso, marginals)
     return RegionConstraints(a=mutual_info_XB(s), b=cond_mutual_info_YB_given_X(s), c=cond_mutual_info_YE_given_X(s),
                              ensemble=ens)
 
@@ -132,6 +135,9 @@ class OptimizerConfig:
     pure_states_only: bool = True
 
     def __post_init__(self):
+        check_integers(**{name: getattr(self, name) for name in ("restarts", "max_iters", "seed")})
+        check_integers(**{name: getattr(self, name) for name in ("alphabet_x", "alphabet_y")
+                          if getattr(self, name) is not None})
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -181,9 +187,15 @@ class _Parametrization:
 
     def decode(self, theta: np.ndarray) -> SimpleNamespace:
         """A candidate's p_x, p_y_given_x and states: valid by construction, so left unchecked."""
+        return SimpleNamespace(**self.decode_laws(theta), states=self.decode_states(theta))
+
+    def decode_laws(self, theta: np.ndarray) -> dict:
+        """p_x and p_y_given_x from the two probability blocks."""
+        return dict(p_x=_softmax(theta[self.sl_px]), p_y_given_x=_softmax(theta[self.sl_py].reshape(self.nx, self.ny)))
+
+    def decode_states(self, theta: np.ndarray) -> np.ndarray:
+        """The (|X|, |Y|, d, d) states from the state block."""
         d = self.dim
-        p_x = _softmax(theta[self.sl_px])
-        p_y_given_x = _softmax(theta[self.sl_py].reshape(self.nx, self.ny))
         raw = theta[self.sl_states].reshape(self.nx, self.ny, self.state_len)
         if self.pure:
             v = raw[..., :d] + 1j * raw[..., d:]
@@ -196,7 +208,7 @@ class _Parametrization:
             m = a @ np.swapaxes(a, -1, -2).conj()
             tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
             states = np.where(tr < 1e-12, np.eye(d) / d, m / np.where(tr < 1e-12, 1.0, tr))
-        return SimpleNamespace(p_x=p_x, p_y_given_x=p_y_given_x, states=states)
+        return states
 
     def structured_start(self) -> np.ndarray:
         """Uniform weights with computational-basis states |x+y mod d⟩.
@@ -250,7 +262,12 @@ def optimize_region(
     structured basis ensemble, the rest from seeded random draws; each
     restart cycles Nelder-Mead over the probability and state blocks until
     the improvement per sweep drops below ``CONVERGENCE_TOL`` or the
-    iteration budget runs out. ``converged`` reports the winning restart:
+    iteration budget runs out. Every evaluation recomputes the law stage of
+    ``build_cq_state`` (σ_x, σ and their entropies), but the state stage
+    (evolution, both partial traces, S(σ_{x,y})) is kept for the last state
+    block scored: the p(x) and p(y|x) blocks reuse it throughout their runs,
+    and only the state block's run recomputes it, at each new point.
+    ``converged`` reports the winning restart:
     False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
     When the best ensemble has R_S + b - c < 0, it certifies no P >= 0, so the
@@ -263,8 +280,16 @@ def optimize_region(
     nx, ny = cfg.resolve_alphabets(iso)
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 
+    memo = {}  # one entry: the last state block's bytes → its states and state stage
+
     def score(theta: np.ndarray) -> float:
-        rc = one_shot_constraints(par.decode(theta), iso)
+        block = theta[par.sl_states].tobytes()
+        if block not in memo:
+            memo.clear()
+            states = par.decode_states(theta)
+            memo[block] = states, cq_marginals(states, iso)
+        states, marginals = memo[block]
+        rc = one_shot_constraints(SimpleNamespace(**par.decode_laws(theta), states=states), iso, marginals)
         t = _achieved_triple(rc, r_s)
         return w_r * t.R + w_p * t.P
 

@@ -42,7 +42,7 @@ from itertools import combinations as _combinations, product as _iproduct
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, DimensionError, ValidationError
+from .errors import BudgetError, ConfigurationError, DimensionError, ValidationError, check_integers
 from .qcore import validate_probabilities
 
 #: Typicality acceptance probabilities below this are rejected as unusable.
@@ -217,8 +217,9 @@ def _compositions(n: int, k: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _log2_multinomial(n: int, counts) -> float:
-    v = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+def _log2_multinomial(n: int, counts, lgamma1) -> float:
+    """log2 of n! / Π c!, with ``lgamma1[c]`` = lgamma(c + 1); zero counts add lgamma(1) = 0.0 and are skipped."""
+    v = lgamma1[n] - sum(lgamma1[c] for c in counts if c)
     return v / math.log(2.0)
 
 
@@ -234,6 +235,7 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
     groups = [(cnt, np.log2(np.array([v for v in probs if v > 0]))) for cnt, probs in groups]
     if math.prod(math.comb(cnt + logs.size - 1, logs.size - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
         raise BudgetError(f"type enumeration at n={n} is too large for an exact acceptance probability")
+    lgamma1 = [math.lgamma(c + 1) for c in range(n + 1)]
     total = -np.inf
     for combo in _iproduct(*[list(_compositions(cnt, logs.size)) for cnt, logs in groups]):
         surp = 0.0
@@ -241,7 +243,7 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
         for (cnt, logs), counts in zip(groups, combo):
             dot = float(np.asarray(counts, dtype=float) @ logs)
             surp += -dot
-            logw += _log2_multinomial(cnt, counts) + dot
+            logw += _log2_multinomial(cnt, counts, lgamma1) + dot
         if abs(surp / n - center) <= delta + 1e-12:
             total = np.logaddexp2(total, logw)
     return float(total)
@@ -366,13 +368,6 @@ def pruned_distribution(p, n: int, delta: float) -> PrunedDistribution:
 DECODERS = ("ML", "joint_typicality")
 
 
-def _check_integers(**values) -> None:
-    """A ``ValidationError`` naming the first value that is not an int or a numpy integer; bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CodeConfig:
     """Block length, message-set sizes, typicality window and trial budget.
@@ -391,7 +386,7 @@ class CodeConfig:
     trials: int = 100
 
     def __post_init__(self):
-        _check_integers(**{name: getattr(self, name) for name in ("n", "M", "S", "K_pub", "trials", "seed")})
+        check_integers(**{name: getattr(self, name) for name in ("n", "M", "S", "K_pub", "trials", "seed")})
         if not 1 <= self.n <= 128:
             raise ValidationError("n must lie in [1, 128] (codeword stream packing)")
         if not 1 <= self.S <= self.M:
@@ -469,7 +464,7 @@ class Codebook:
     def inner_block(self, k: int, lo: int, hi: int) -> np.ndarray:
         """Inner words u_p^n(k) for p in [lo, hi); an index that is not an integer, k outside [0, K_pub) or a
         range outside [0, M] is a ``ValidationError``, eager or lazy."""
-        _check_integers(k=k, lo=lo, hi=hi)
+        check_integers(k=k, lo=lo, hi=hi)
         K, M = self.config.K_pub, self.config.M
         if not (0 <= k < K and 0 <= lo <= hi <= M):
             raise ValidationError(f"inner words [{lo}, {hi}) of public message {k} do not exist: "

@@ -14,6 +14,7 @@ from pubpriv.entropics import (
     InputEnsemble,
     build_cq_state,
     cond_mutual_info_YB_given_X,
+    cq_marginals,
     cond_mutual_info_YE_given_X,
     mutual_info_XB,
     mutual_info_XE,
@@ -21,6 +22,7 @@ from pubpriv.entropics import (
     mutual_info_XYE,
 )
 from pubpriv.errors import DimensionError, ValidationError
+from pubpriv.region import skp_constraints
 from pubpriv.qcore import DensityOperator, partial_trace, von_neumann_entropy
 from pubpriv.serialize import ensemble_from_json, ensemble_to_json
 
@@ -244,6 +246,53 @@ class TestStackedKernel:
         stack = np.array([rand_density(rng, 2).matrix, bad])
         with pytest.raises(ValidationError):
             von_neumann_entropy(stack)
+
+
+def one_stack_entropies(ens, iso):
+    """The entropy table from one eigensolve per system over [σ_{x,y}; σ_x; σ], as the kernel computed it
+    before it split into a state stage and a law stage."""
+    joint = iso.evolve(ens.states)
+    nx, ny = ens.p_y_given_x.shape
+    table = {}
+    for keep, name in enumerate("BE"):
+        sigma_xy = partial_trace(joint, keep=[keep], dims=[iso.dim_B, iso.dim_E])
+        sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
+        sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
+        ent = von_neumann_entropy(np.concatenate([sigma_xy.reshape(nx * ny, *sigma.shape), sigma_x, sigma[None]]))
+        table[name] = (ent[: nx * ny].reshape(nx, ny), ent[nx * ny:-1], float(ent[-1]))
+    return table
+
+
+def table_bytes(entropies):
+    return {k: (s_xy.tobytes(), s_x.tobytes(), np.float64(s).tobytes()) for k, (s_xy, s_x, s) in entropies.items()}
+
+
+class TestTwoStages:
+    """A state stage passed in, even one computed under other laws, gives the one-eigensolve table to the byte."""
+
+    @pytest.mark.parametrize("nx", [1, 2, 5])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_passed_state_stage_gives_the_one_stack_table(self, rng, nx, pure):
+        for _ in range(4):
+            d_in = int(rng.integers(2, 4))
+            ens = rand_ensemble(rng, nx, 3, d_in, pure=pure)
+            iso = isometric_extension(rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(1, 4))))
+            marginals = cq_marginals(ens.states, iso)
+            other = InputEnsemble(p_x=rand_simplex(rng, nx), p_y_given_x=[rand_simplex(rng, 3) for _ in range(nx)],
+                                  rho_xy=ens.states)
+            for e in (ens, other):
+                want = table_bytes(one_stack_entropies(e, iso))
+                assert table_bytes(build_cq_state(e, iso, marginals).entropies) == want
+                assert table_bytes(build_cq_state(e, iso).entropies) == want
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_flipped_skp_path(self, rng, pure):
+        ens = rand_ensemble(rng, 1, 4, 2, pure=pure)
+        iso = isometric_extension(dephasing_channel(0.3))
+        flipped = InputEnsemble(p_x=ens.p_y_given_x[0], p_y_given_x=np.ones((4, 1)), rho_xy=ens.states[0, :, None])
+        s = build_cq_state(flipped, iso, cq_marginals(flipped.states, iso))
+        assert table_bytes(s.entropies) == table_bytes(one_stack_entropies(flipped, iso))
+        assert skp_constraints(ens, iso) == (mutual_info_XB(s), mutual_info_XE(s))
 
 
 class TestEnsembleValidation:

@@ -1,10 +1,12 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pubpriv import entropics, region
 from pubpriv.channels import (
+    IsometricExtension,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -207,6 +209,51 @@ class TestOptimizer:
         nx, ny = OptimizerConfig().resolve_alphabets(ISO_ID)
         assert nx == min(2, 2) ** 2 + 1
         assert ny == 4
+
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iters", "seed", "alphabet_x", "alphabet_y"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3), alphabet_x=np.int64(2))
+        assert cfg.resolve_alphabets(ISO_ID) == (2, 4)
+
+    @pytest.mark.parametrize("kw", [dict(max_iters=8), dict(max_iters=40, alphabet_x=1, alphabet_y=2)])
+    def test_state_stage_is_reused_while_the_states_stay(self, monkeypatch, kw):
+        """Every evaluation scores its candidate as a from-scratch build does, and the states are evolved once per
+        distinct state block of θ, plus once per witness check: the probability blocks reuse the state stage of
+        the block they hold fixed. At 8 iterations no state block run starts, so each restart scores one block;
+        at 40 the state block moves too."""
+        evolve, decode_states = IsometricExtension.evolve, _Parametrization.decode_states
+        evolved, state_blocks = [], []
+        monkeypatch.setattr(IsometricExtension, "evolve", lambda iso, rho: evolved.append(1) or evolve(iso, rho))
+        monkeypatch.setattr(_Parametrization, "decode_states",
+                            lambda par, theta: state_blocks.append(theta[par.sl_states].tobytes())
+                            or decode_states(par, theta))
+        score = region.one_shot_constraints
+        scored = []
+
+        def recorded(*args):
+            rc = score(*args)
+            scored.append((args, rc))
+            return rc
+
+        monkeypatch.setattr(region, "one_shot_constraints", recorded)
+        res = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 1.0), OptimizerConfig(restarts=2, seed=7, **kw))
+        n_evolved = len(evolved)
+        candidates = [(args[0], rc) for args, rc in scored if len(args) == 3]
+        witnesses = len(scored) - len(candidates)
+        assert witnesses == (2 if res.ensemble.size_y == 1 < ISO_DEPH_HALF.dim_in ** 2 else 1)
+        distinct = len(set(state_blocks))
+        assert n_evolved - witnesses == distinct and len(candidates) > 4 * distinct
+        assert distinct == 2 if kw["max_iters"] == 8 else distinct > 2
+        for cand, rc in candidates:
+            fresh = score(SimpleNamespace(p_x=cand.p_x, p_y_given_x=cand.p_y_given_x, states=cand.states),
+                          ISO_DEPH_HALF)
+            assert (rc.a, rc.b, rc.c) == (fresh.a, fresh.b, fresh.c)
 
 
 class TestParetoSurface:

@@ -97,6 +97,12 @@ def _recursive_compositions(n: int, k: int):
             yield (first,) + rest
 
 
+def _reference_log2_multinomial(n: int, counts) -> float:
+    """log2 of n! / Π c! with one lgamma call per count, zero counts included: the reference of the table form."""
+    v = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+    return v / math.log(2.0)
+
+
 class TestPrunedDistribution:
     def test_nan_delta_is_rejected(self):
         with pytest.raises(ValidationError, match="delta must be positive"):
@@ -179,6 +185,16 @@ class TestPrunedDistribution:
             for word in words[::7]:
                 got, want = law.log2_prob(word, k), one.log2_prob(word, 0)
                 assert got == want and (got == -np.inf) != bool(law.is_typical(word, k))
+
+    def test_lgamma_table_multinomial_equals_the_per_count_one(self):
+        rng = np.random.default_rng(23)
+        for _ in range(4000):
+            n, k = int(rng.integers(0, 80)), int(rng.integers(1, 300))
+            bars = np.sort(rng.choice(n + k - 1, size=k - 1, replace=False)) if k > 1 else np.array([], int)
+            edges = [-1, *bars.tolist(), n + k - 1]
+            counts = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+            lgamma1 = [math.lgamma(c + 1) for c in range(n + 1)]
+            assert wt._log2_multinomial(n, counts, lgamma1) == _reference_log2_multinomial(n, counts)
 
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 1), (0, 3), (4, 3), (5, 4), (6, 5), (2, 30)])
     def test_stars_and_bars_enumeration_equals_the_recursive_one(self, n, k):
