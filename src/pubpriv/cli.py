@@ -241,6 +241,8 @@ def run_simulation_spec(spec: dict, seed_override: int | None = None):
     base, sweep = spec.get("code", {}), spec.get("sweep", [{}])
     if not isinstance(base, dict) or not isinstance(sweep, list) or not all(isinstance(o, dict) for o in sweep):
         raise ValidationError("experiment spec 'code' must be an object and 'sweep' a list of objects")
+    if not sweep:
+        raise ValidationError("experiment spec 'sweep' is empty; list at least one row, or omit it for one row of 'code'")
     if seed_override is not None:
         base = {**base, "seed": seed_override}
     if ("input_p" in spec) == ("input_law" in spec):

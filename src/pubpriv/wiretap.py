@@ -828,11 +828,34 @@ class ErrorEstimate:
 
 
 def _binomial_ci(x: int, n: int, conf: float = 0.95):
-    from scipy.special import betaincinv  # deferred: scipy is slow to import
-    alpha = 1.0 - conf
-    lo = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, alpha / 2.0))
-    hi = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1.0 - alpha / 2.0))
+    """Clopper-Pearson bounds: P[X >= x | lo] = P[X <= x | hi] = (1 - conf)/2, and hi(x) = 1 - lo(n - x)."""
+    a = (1.0 - conf) / 2.0
+    lo = 0.0 if x == 0 else _upper_tail_root(x, n, a)
+    hi = 1.0 if x == n else 1.0 - _upper_tail_root(n - x, n, a)
     return lo, hi
+
+
+def _upper_tail_root(x: int, n: int, a: float) -> float:
+    """The p with P[X >= x] = a for X ~ Binomial(n, p), 1 <= x <= n.
+
+    P[X >= x] is the CDF of Beta(x, n - x + 1) at p, which is log-concave, so Newton's method on
+    log P[X >= x] - log a climbs to the root monotonically from below. It starts at the x = 1 root,
+    which is below every other, and stops at the first step that does not climb. The tail is summed
+    in log space from lgamma coefficients, relative to its first term P[X = x].
+    """
+    js = np.arange(x, n + 1)
+    log_n = math.lgamma(n + 1)
+    coef = np.array([log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in js.tolist()])
+    p, log_a = -math.expm1(math.log1p(-a) / n), math.log(a)
+    for _ in range(64):
+        logs = coef + js * math.log(p) + (n - js) * math.log1p(-p)
+        ratio = float(np.exp(logs - logs[0]).sum())  # P[X >= x] / P[X = x]
+        # d/dp log P[X >= x] = x P[X = x] / (p P[X >= x])
+        step = p - (float(logs[0]) + math.log(ratio) - log_a) * p * ratio / x
+        if step <= p:
+            break
+        p = step
+    return p
 
 
 def _run_trial(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap, rng: np.random.Generator,

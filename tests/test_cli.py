@@ -178,6 +178,15 @@ class TestSimulateCommand:
         assert r.returncode == 0, r.stderr
         assert read_rows(tmp_path / "s.csv")[0]["seed"] == "99"
 
+    def test_empty_sweep_is_validation_error(self, tmp_path, experiment_spec, run_cli):
+        """`"sweep": []` would run nothing and write a header-only CSV."""
+        spec = {**json.loads(experiment_spec.read_text()), "sweep": []}
+        (tmp_path / "empty.json").write_text(json.dumps(spec))
+        r = run_cli(["simulate", "--config", "empty.json", "--out", "e.csv"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "'sweep'" in r.stderr
+        assert not (tmp_path / "e.csv").exists()
+
 
 class TestResourcesCommand:
     def test_section3(self, tmp_path):
@@ -475,10 +484,14 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
-def test_readme_experiment_spec_runs(tmp_path, run_cli):
-    """The "experiment (simulate)" object of the README's file formats, `//` comments stripped, runs."""
+def readme_experiment_spec():
+    """The "experiment (simulate)" object of the README's file formats, `//` comments stripped."""
     block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
-    spec = json.loads(re.sub(r"//[^\n]*", "", block.split("// experiment (simulate)\n", 1)[1]))
+    return json.loads(re.sub(r"//[^\n]*", "", block.split("// experiment (simulate)\n", 1)[1]))
+
+
+def test_readme_experiment_spec_runs(tmp_path, run_cli):
+    spec = readme_experiment_spec()
     (tmp_path / "experiment.json").write_text(json.dumps(spec))
     r = run_cli(["simulate", "--config", "experiment.json", "--out", "sim.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -501,3 +514,17 @@ class TestColdStart:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=120)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        """`simulate` on the README spec imports no scipy module, and writes the same CSV where scipy cannot load."""
+        (tmp_path / "experiment.json").write_text(json.dumps(readme_experiment_spec()))
+        code = ("import sys\n{block}from pubpriv import cli\n"
+                "code = cli.main(['simulate', '--config', 'experiment.json', '--out', sys.argv[1]])\n"
+                "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
+                "sys.exit(code)\n")
+        for out, block in (("free.csv", ""), ("blocked.csv", "sys.modules['scipy'] = None\n")):
+            r = subprocess.run([sys.executable, "-c", code.format(block=block), out], cwd=tmp_path,
+                               capture_output=True, text=True, env=cli_env(), timeout=300)
+            assert r.returncode == 0, r.stderr
+            assert r.stdout.strip() == "[]"
+        assert (tmp_path / "free.csv").read_bytes() == (tmp_path / "blocked.csv").read_bytes()

@@ -1049,6 +1049,189 @@ class TestEstimateError:
         assert est.ci_low <= est.error <= est.ci_high
 
 
+# scipy.special.betaincinv intervals (scipy 1.17.1), recorded so that this module needs no scipy:
+# (n, conf): ((x, ci_low, ci_high), ...)
+BETAINCINV_CI = {
+    (1, 0.9): (
+        (0, 0.0, 0.95),
+        (1, 0.04999999999999999, 1.0),
+    ),
+    (1, 0.95): (
+        (0, 0.0, 0.975),
+        (1, 0.025000000000000022, 1.0),
+    ),
+    (1, 0.99): (
+        (0, 0.0, 0.995),
+        (1, 0.0050000000000000044, 1.0),
+    ),
+    (2, 0.9): (
+        (0, 0.0, 0.776393202250021),
+        (1, 0.025320565519103604, 0.9746794344808963),
+        (2, 0.22360679774997894, 1.0),
+    ),
+    (2, 0.95): (
+        (0, 0.0, 0.841886116991581),
+        (1, 0.01257911709342506, 0.9874208829065749),
+        (2, 0.15811388300841903, 1.0),
+    ),
+    (2, 0.99): (
+        (0, 0.0, 0.9292893218813452),
+        (1, 0.0025031328369998357, 0.9974968671630001),
+        (2, 0.07071067811865478, 1.0),
+    ),
+    (7, 0.9): (
+        (0, 0.0, 0.34816365513116077),
+        (1, 0.0073008319790147, 0.5207029735913071),
+        (2, 0.053375500470237175, 0.658738563844664),
+        (3, 0.12875639280424267, 0.7746784159675522),
+        (4, 0.2253215840324477, 0.8712436071957572),
+        (5, 0.34126143615533594, 0.9466244995297628),
+        (6, 0.47929702640869287, 0.9926991680209853),
+        (7, 0.6518363448688391, 1.0),
+    ),
+    (7, 0.95): (
+        (0, 0.0, 0.40961639722500337),
+        (1, 0.0036102968619005863, 0.5787231970431952),
+        (2, 0.036692566176085566, 0.7095791362626572),
+        (3, 0.09898827844250789, 0.8159484323599169),
+        (4, 0.18405156764008307, 0.9010117215574921),
+        (5, 0.29042086373734277, 0.9633074338239145),
+        (6, 0.42127680295680486, 0.9963897031380994),
+        (7, 0.5903836027749967, 1.0),
+    ),
+    (7, 0.99): (
+        (0, 0.0, 0.5308827214564584),
+        (1, 0.0007158210811255038, 0.6849116392467302),
+        (2, 0.01584432942877072, 0.797027604296698),
+        (3, 0.05529934998056629, 0.882296248331048),
+        (4, 0.11770375166895199, 0.9447006500194337),
+        (5, 0.20297239570330203, 0.9841556705712293),
+        (6, 0.31508836075326985, 0.9992841789188744),
+        (7, 0.46911727854354157, 1.0),
+    ),
+    (60, 0.9): (
+        (0, 0.0, 0.04870291331009749),
+        (1, 0.0008545229269492078, 0.07663999493450441),
+        (6, 0.04445296776894623, 0.18785738198898227),
+        (20, 0.23303698490236113, 0.44646564446522585),
+        (30, 0.38741096301586847, 0.6125890369841316),
+        (40, 0.5535343555347743, 0.766963015097639),
+        (59, 0.9233600050654955, 0.9991454770730508),
+        (60, 0.9512970866899025, 1.0),
+    ),
+    (60, 0.95): (
+        (0, 0.0, 0.05962949228616691),
+        (1, 0.00042187445234200915, 0.08939905005748702),
+        (6, 0.037591269108566035, 0.20505773670806393),
+        (20, 0.21686944543117034, 0.4668726747428306),
+        (30, 0.368062031942437, 0.631937968057563),
+        (40, 0.5331273252571693, 0.7831305545688296),
+        (59, 0.910600949942513, 0.999578125547658),
+        (60, 0.9403705077138331, 1.0),
+    ),
+    (60, 0.99): (
+        (0, 0.0, 0.08451865273329552),
+        (1, 8.353887415964587e-05, 0.11740730260131872),
+        (6, 0.026388859827469538, 0.24060457200247007),
+        (20, 0.18702028602019966, 0.5068206043489516),
+        (30, 0.3311877259380896, 0.6688122740619105),
+        (40, 0.4931793956510484, 0.8129797139798003),
+        (59, 0.8825926973986813, 0.9999164611258403),
+        (60, 0.9154813472667045, 1.0),
+    ),
+    (300, 0.9): (
+        (0, 0.0, 0.009936081944457708),
+        (1, 0.00017096303211345718, 0.01571455489158395),
+        (30, 0.07290080342559266, 0.13318849424629184),
+        (100, 0.288277486085384, 0.3808648781421272),
+        (150, 0.45100875470879354, 0.5489912452912065),
+        (200, 0.6191351218578728, 0.7117225139146159),
+        (299, 0.9842854451084161, 0.9998290369678865),
+        (300, 0.9900639180555423, 1.0),
+    ),
+    (300, 0.95): (
+        (0, 0.0, 0.01222097469429355),
+        (1, 8.438913231780051e-05, 0.018431252048067885),
+        (30, 0.06849168449107344, 0.13967330735510228),
+        (100, 0.28020484552950536, 0.38979241293949785),
+        (150, 0.44199772080801636, 0.5580022791919836),
+        (200, 0.6102075870605022, 0.7197951544704946),
+        (299, 0.9815687479519322, 0.9999156108676822),
+        (300, 0.9877790253057065, 1.0),
+    ),
+    (300, 0.99): (
+        (0, 0.0, 0.017506015484986304),
+        (1, 1.6708333159394305e-05, 0.024503362561757443),
+        (30, 0.06037750528672636, 0.1528259334159354),
+        (100, 0.2647105096224729, 0.4073698969546801),
+        (150, 0.4244724358342021, 0.575527564165798),
+        (200, 0.5926301030453198, 0.7352894903775271),
+        (299, 0.9754966374382426, 0.9999832916668406),
+        (300, 0.9824939845150137, 1.0),
+    ),
+    (399, 0.9): (
+        (0, 0.0, 0.007479985554768396),
+        (1, 0.00012854635973378014, 0.011833750453181508),
+        (39, 0.0743276980854468, 0.12573177081523468),
+        (133, 0.2942786356550771, 0.3742403238073263),
+        (199, 0.4564301626847004, 0.5410774680173636),
+        (266, 0.6257596761926737, 0.7057213643449229),
+        (398, 0.9881662495468185, 0.9998714536402662),
+        (399, 0.9925200144452316, 1.0),
+    ),
+    (399, 0.95): (
+        (0, 0.0, 0.009202705423403427),
+        (1, 6.345113973410856e-05, 0.013884282476834577),
+        (39, 0.07043204280175423, 0.13119395414317345),
+        (133, 0.28721251809308596, 0.3819485868186359),
+        (199, 0.44860037190785035, 0.5489120816521508),
+        (266, 0.6180514131813641, 0.712787481906914),
+        (398, 0.9861157175231654, 0.9999365488602658),
+        (399, 0.9907972945765966, 1.0),
+    ),
+    (399, 0.99): (
+        (0, 0.0, 0.013191214052876165),
+        (1, 1.2562682551359675e-05, 0.018472546250074624),
+        (39, 0.06319989070347903, 0.14223702458315626),
+        (133, 0.2736085595840304, 0.397119913796865),
+        (199, 0.4333549062975497, 0.5641693226682369),
+        (266, 0.6028800862031349, 0.7263914404159696),
+        (398, 0.9815274537499253, 0.9999874373174487),
+        (399, 0.9868087859471238, 1.0),
+    ),
+    (1000, 0.9): (
+        (0, 0.0, 0.002991249545095295),
+        (1, 5.12919789090178e-05, 0.004734993575499777),
+        (100, 0.0847847676684693, 0.11699153209636791),
+        (333, 0.308373901193985, 0.35835736234732873),
+        (500, 0.47351773123569124, 0.5264822687643087),
+        (666, 0.640626501842622, 0.6906466269766718),
+        (999, 0.9952650064245002, 0.999948708021091),
+        (1000, 0.9970087504549047, 1.0),
+    ),
+    (1000, 0.95): (
+        (0, 0.0, 0.003682083896865671),
+        (1, 2.5317487491294065e-05, 0.005558924279826672),
+        (100, 0.08210533435558001, 0.12028793651869263),
+        (333, 0.30381780242015766, 0.3631692178520082),
+        (500, 0.468549172971792, 0.531450827028208),
+        (666, 0.6358119134360835, 0.6952069925690265),
+        (999, 0.9944410757201734, 0.9999746825125088),
+        (1000, 0.9963179161031344, 1.0),
+    ),
+    (1000, 0.99): (
+        (0, 0.0, 0.005284306039497442),
+        (1, 5.01252926077751e-06, 0.007406286938352937),
+        (100, 0.07702169542223594, 0.12687986384068906),
+        (333, 0.29498905401498543, 0.37262438582155794),
+        (500, 0.45885255330704494, 0.5411474466929551),
+        (666, 0.626351802110817, 0.7040444398259613),
+        (999, 0.992593713061647, 0.9999949874707392),
+        (1000, 0.9947156939605025, 1.0),
+    ),
+}
+
+
 class TestBinomialCI:
     def test_clopper_pearson_closed_forms(self):
         """x = 0 gives hi = 1 - (α/2)^(1/n); x = n gives lo = (α/2)^(1/n)."""
@@ -1065,6 +1248,17 @@ class TestBinomialCI:
             for x in range(0, n + 1, max(1, n // 7)):
                 lo, hi = wt._binomial_ci(x, n)
                 assert 0.0 <= lo <= x / n <= hi <= 1.0
+
+    def test_matches_recorded_betaincinv(self):
+        for (n, conf), rows in BETAINCINV_CI.items():
+            for x, lo, hi in rows:
+                got = wt._binomial_ci(x, n, conf=conf)
+                assert abs(got[0] - lo) < 1e-12 and abs(got[1] - hi) < 1e-12, (n, conf, x, got)
+
+    def test_bounds_rise_with_x(self):
+        for n in (7, 60, 399):
+            bounds = np.array([wt._binomial_ci(x, n) for x in range(n + 1)])
+            assert (np.diff(bounds, axis=0) >= 0.0).all()
 
 
 def security_oracle(cb, cfg, ch):
