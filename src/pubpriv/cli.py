@@ -3,11 +3,12 @@
 Subcommands: region, skp, simulate, resources, entropy, replay. Every
 output file is accompanied by a <output>.manifest.json recording the
 subcommand, the fully resolved options (defaults materialized), the seed,
-the tool version and the SHA-256 digests of the input files it read; its
-relative paths are relative to its own directory, so it moves with its
-files. `replay` refuses a manifest whose inputs are missing or changed
-(exit 2, naming the path, nothing written), then re-runs its stored options
-as they are and reproduces the outputs byte for byte.
+the tool version, the machine (`_machine`) and the SHA-256 digests of the
+input files it read; its relative paths are relative to its own directory,
+so it moves with its files. `replay` refuses a manifest whose inputs are
+missing or changed (exit 2, naming the path, nothing written), then re-runs
+its stored options as they are and reproduces the outputs byte for byte;
+each recorded machine field that differs here is named on stderr.
 
 --zoo, --channel-json and --cq-table exclude each other; --p and --dim go
 with --zoo. Exit codes: 0 success, 2 input error (a malformed or missing
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -114,6 +116,27 @@ def _write_json(path: str | None, doc: dict, sort_keys: bool = False):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _build() -> dict:
+    """The Python and numpy versions, numpy's BLAS, the OpenBLAS kernel forced by OPENBLAS_CORETYPE (when set) and
+    numpy's enabled SIMD dispatch targets: read once per process."""
+    config = np.__config__.CONFIG
+    blas = config["Build Dependencies"]["blas"]
+    build = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+             "blas": f"{blas.get('name')} {blas.get('version')}",
+             "numpy_cpu_dispatch": config["SIMD Extensions"]["found"]}
+    if "OPENBLAS_CORETYPE" in os.environ:
+        build["OPENBLAS_CORETYPE"] = os.environ["OPENBLAS_CORETYPE"]
+    return build
+
+
+def _machine() -> dict:
+    """What can move a run's last bits from one machine to the next: ``_build``, and scipy's version once a
+    command has loaded scipy (it is never imported for this)."""
+    scipy = sys.modules.get("scipy")
+    return {**_build(), **({"scipy": scipy.__version__} if scipy is not None else {})}
+
+
 def _dispatch(args: argparse.Namespace, digests: dict):
     """Run the subcommand of `args`; a command that wrote to --out gets its manifest."""
     args.func(args, digests)
@@ -126,6 +149,7 @@ def _dispatch(args: argparse.Namespace, digests: dict):
             "options": options,
             "seed": options.get("seed"),
             "tool_version": __version__,
+            "machine": _machine(),
             "input_digests": {_rebase(path, "", home): digest for path, digest in digests.items()},
             "output": options["out"],
         }, sort_keys=True)
@@ -346,7 +370,15 @@ def cmd_replay(args, digests):
         if actual != digest:
             raise ValidationError(f"replay input {path} changed since the run: "
                                   f"SHA-256 {actual}, manifest has {digest}")
+    machine = manifest.get("machine", {})
+    if not isinstance(machine, dict):
+        raise ValidationError("manifest 'machine' must be an object")
     _dispatch(replayed, digests)
+    now = _machine()
+    for name, value in sorted(machine.items()):
+        if now.get(name) != value:
+            print(f"replay: the run's machine had {name} = {value!r}, this one has {now.get(name)!r}; "
+                  "outputs may differ in their last bits", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ JT_SCAN_BUDGET = 1 << 21
 _JT_CHUNK = 1 << 16
 #: Words a joint-typicality scan fetches and scores at a time; it stops at the block that holds the second hit.
 _JT_BLOCK = 1 << 12
+#: Fewest words of a lazy joint-typicality block drawn in stages; a smaller block costs more in stage overhead.
+_JT_STAGE_MIN = 1 << 10
 #: Type-class enumeration budget for exact acceptance probabilities.
 TYPE_ENUM_BUDGET = 2_000_000
 #: Acceptance probabilities remembered by ``_window_mass_log2``, one per (type, window center, δ).
@@ -232,16 +234,19 @@ def _window_mass_log2(groups: tuple, center: float, delta: float) -> float:
     Exact by enumeration of type classes; cached per (type, window center, δ), which outer words share.
     """
     n = sum(cnt for cnt, _ in groups)
-    groups = [(cnt, np.log2(np.array([v for v in probs if v > 0]))) for cnt, probs in groups]
-    if math.prod(math.comb(cnt + logs.size - 1, logs.size - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
+    groups = [(cnt, [math.log2(v) for v in probs if v > 0]) for cnt, probs in groups]
+    if math.prod(math.comb(cnt + len(logs) - 1, len(logs) - 1) for cnt, logs in groups) > TYPE_ENUM_BUDGET:
         raise BudgetError(f"type enumeration at n={n} is too large for an exact acceptance probability")
     lgamma1 = [math.lgamma(c + 1) for c in range(n + 1)]
     total = -np.inf
-    for combo in _iproduct(*[list(_compositions(cnt, logs.size)) for cnt, logs in groups]):
+    for combo in _iproduct(*[list(_compositions(cnt, len(logs))) for cnt, logs in groups]):
         surp = 0.0
         logw = 0.0
         for (cnt, logs), counts in zip(groups, combo):
-            dot = float(np.asarray(counts, dtype=float) @ logs)
+            dot = 0.0
+            for c, log in zip(counts, logs):  # in order, in Python floats: no BLAS kernel picks the sum's bits
+                if c:  # adding 0·log would leave every bit as it is
+                    dot += c * log
             surp += -dot
             logw += _log2_multinomial(cnt, counts, lgamma1) + dot
         if abs(surp / n - center) <= delta + 1e-12:
@@ -489,6 +494,28 @@ class Codebook:
         return _encode_lanes(self.inner_words)
 
 
+def _stream_keys(seed: int, tag: int, k, ids) -> np.ndarray:
+    """The uint64 stream key base(k) + id·2^27 of each id, ``k`` one public message or one per id."""
+    keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
+    keys += _stream_base(seed, tag, k)
+    return keys
+
+
+def _hash_symbols(keys: np.ndarray, positions: np.ndarray, thresholds: np.ndarray, rnd: int, out: np.ndarray,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """The one codeword hashing kernel: ``out`` ← the ``_symbols`` of splitmix64(key + (rnd·2^7 | i)) on the
+    thresholds, for the stream keys and uint64 positions i broadcast to out's shape; ``thresholds[j]`` broadcasts
+    there too. Rows of keys and columns of positions give words; the transpose gives them position by position.
+    ``scratch`` is a reusable (2, >= out.size) uint64 buffer, by default a new one."""
+    if scratch is None:
+        scratch = np.empty((2, out.size), dtype=np.uint64)
+    z, t = scratch[:, : out.size].reshape(2, *out.shape)
+    np.add(keys, positions + (_C1 + np.uint64(rnd << 7)), out=z)  # disjoint bit fields: | is +
+    _mix64(z, t)
+    z >>= np.uint64(11)
+    return _symbols(z, thresholds, out)
+
+
 def _generate_words(law: PrunedDistribution, seed: int, tag: int, k, ids: np.ndarray) -> np.ndarray:
     """Rejection-sample typical words for the given stream ids.
 
@@ -499,14 +526,13 @@ def _generate_words(law: PrunedDistribution, seed: int, tag: int, k, ids: np.nda
     New words take the smallest unsigned dtype of the law's alphabet.
     """
     n = law.n
-    keys = np.asarray(ids, dtype=np.uint64) << np.uint64(27)
-    keys += _stream_base(seed, tag, k)
+    keys = _stream_keys(seed, tag, k, ids)
     rows = np.broadcast_to(k, keys.shape)
     out = np.empty((keys.size, n), dtype=np.min_scalar_type(law.table.shape[1] - 1))
     step = max(1, min(keys.size, _BLOCK_SYMBOLS // n))
-    h, tmp = np.empty((2, step, n), dtype=np.uint64)
+    scratch = np.empty((2, step * n), dtype=np.uint64)
     redraw = np.empty((step, n), dtype=out.dtype)
-    col = np.arange(n, dtype=np.uint64) + _C1  # disjoint bit fields: | is +
+    positions = np.arange(n, dtype=np.uint64)
     for lo in range(0, keys.size, step):
         block = out[lo: lo + step]  # round 0 draws in place, later rounds fill the rejected rows
         r = rows[lo: lo + step]
@@ -514,13 +540,10 @@ def _generate_words(law: PrunedDistribution, seed: int, tag: int, k, ids: np.nda
         every = law.all_typical[r].all()  # then round 0 is final: no typicality pass, no rejection rounds
         pending, rnd = np.arange(block.shape[0]), 0
         while pending.size:
-            z, t = h[: pending.size], tmp[: pending.size]
             key = keys[lo + pending] if rnd else keys[lo: lo + step]  # round 0 takes every row: a slice, no gather
-            np.add(key[:, None], col + np.uint64(rnd << 7), out=z)
-            _mix64(z, t)
-            z >>= np.uint64(11)
             rk = r[pending] if np.ndim(r) else r
-            c = _symbols(z, law.thresholds(rk), block if rnd == 0 else redraw[: pending.size])
+            c = _hash_symbols(key[:, None], positions, law.thresholds(rk), rnd,
+                              block if rnd == 0 else redraw[: pending.size], scratch)
             if every:
                 break
             ok = law.is_typical(c, rk)
@@ -736,6 +759,73 @@ def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
     return v, h
 
 
+def _jt_window(n: int, h: float, delta: float):
+    """The JT window, written once: the test ``in_window`` of whole scores, |score/n - h| <= δ + 1e-12, and its
+    edges n(h ∓ (δ + 1e-12)) in score units, from which ``_jt_stages`` bounds partial scores."""
+    width = delta + 1e-12
+
+    def in_window(score):
+        return np.abs(score / n - h) <= width
+
+    return in_window, n * (h - width), n * (h + width)
+
+
+def _jt_stages(cols: np.ndarray, low: float, high: float, cuts) -> list:
+    """The (i, floor, ceil) stages of a staged JT draw on the (n, |A|) score columns, one per stage end i in
+    ``cuts``: a word whose partial score over positions [0, i) lies outside [floor, ceil] scores outside the
+    ``_jt_window`` edges [low, high].
+
+    The rest of a score lies between the suffix sums of each position's smallest and largest value. Every entry
+    is >= 0, so a float sum of at most n + 3 of them, in any order, is within (n + 3)·2^-53 < 2e-14 (n <= 128)
+    of its exact value, relative to the sum of each position's largest finite value; ``slack``, 1e-9 of that
+    plus |low| + |high| + n, also covers the rounding of the edges and of the window test's score/n - h. An
+    infinite entry makes a score infinite, never a hit.
+    """
+    n = len(cols)
+    least, most = cols.min(axis=1), cols.max(axis=1)
+    slack = 1e-9 * (np.where(np.isfinite(cols), cols, 0.0).max(axis=1).sum() + abs(low) + abs(high) + n)
+    return [(i, low - slack - most[i:].sum(), high + slack - least[i:].sum()) for i in cuts]
+
+
+def _jt_block(codebook: Codebook, k: int, lo: int, hi: int, cols: np.ndarray, in_window, stages):
+    """The ascending offsets j in [0, hi - lo) of the words u_(lo+j)^n(k) whose JT score ``_row_scores(cols, ·)``
+    is ``in_window``, and the stages for the next block.
+
+    Without ``stages`` (an eager codebook or a lazy message whose law is not all-typical), or for a block of
+    fewer than ``_JT_STAGE_MIN`` words, the block comes from ``Codebook.inner_block``. With the ``_jt_stages`` of
+    an all-typical lazy message, whose symbols are independent round-0 hashes of (key, position), the block is
+    drawn stage by stage, each for the words still alive after the partial scores of the ones before, then the
+    rest: a word drops out only when no summation order could put its score in the window. The survivors are
+    scored whole by ``_row_scores``, so every hit is the one of the unstaged scan, to the bit. A stage that drops
+    fewer than a quarter of the words it scores costs more than the hashes it saves, so it is left out of the
+    scan's later blocks.
+    """
+    if not stages or hi - lo < _JT_STAGE_MIN:
+        return np.nonzero(in_window(_row_scores(cols, codebook.inner_block(k, lo, hi))))[0], stages
+    law, n = codebook.inner_law, len(cols)
+    keys = _stream_keys(codebook.config.seed, _TAG_INNER, k, np.arange(lo, hi, dtype=np.int64))
+    thresholds, positions = law.thresholds(k)[:, :, None], np.arange(n, dtype=np.uint64)[:, None]
+    symbols = np.empty((n, keys.size), dtype=np.min_scalar_type(law.table.shape[1] - 1))  # position by position
+    alive, partial = np.arange(keys.size), np.zeros(keys.size)
+    i0, useful = 0, []
+    for i1, floor, ceil in stages:
+        m = alive.size
+        _hash_symbols(keys[alive], positions[i0: i1], thresholds[:, i0: i1], 0, symbols[i0: i1, :m])
+        for i in range(i0, i1):  # a bound, not a score: any order will do; symbols are in range, so "clip"
+            partial[:m] += cols[i].take(symbols[i, :m], mode="clip")
+        keep = np.nonzero(~((partial[:m] < floor) | (partial[:m] > ceil)))[0]  # a NaN edge (δ = inf) drops none
+        if 4 * keep.size <= 3 * m:
+            useful.append((i1, floor, ceil))
+        if keep.size < m:
+            alive = alive[keep]
+            partial[: keep.size] = partial[keep]
+            symbols[: i1, : keep.size] = symbols[: i1, keep]
+        i0 = i1
+    m = alive.size
+    _hash_symbols(keys[alive], positions[i0:], thresholds[:, i0:], 0, symbols[i0:, :m])
+    return alive[in_window(_row_scores(cols, symbols[:, :m].T))], useful
+
+
 def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     """Estimate (k, p) from a received word.
 
@@ -753,13 +843,22 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     words' lane codes, encoded once per codebook, and lookup tables built
     once per received word (``_lane_scores``: this replays numpy's pairwise
     row sum). JT walks each public message's words in blocks of
-    ``_JT_BLOCK`` = 4,096, fetched by ``Codebook.inner_block`` (a slice of
-    an eager codebook, regenerated for a lazy one) and gathered directly
+    ``_JT_BLOCK`` = 4,096, each through ``_jt_block``, gathered directly
     (``_row_scores``), and returns None at the block that holds the second
-    hit, so a lazy codebook regenerates no words past that block. On a lazy
-    codebook the ``JT_SCAN_BUDGET`` check comes where it always did: after
-    each ``_JT_CHUNK`` = 65,536 words and at the end of each public message,
-    so every hit, None and ``BudgetError`` is that of a whole-chunk scan.
+    hit, so a lazy codebook regenerates no words past that block. A block
+    is a slice of an eager codebook or regenerated for a lazy one, whole
+    (``Codebook.inner_block``) or, when the message's law is all-typical
+    and the block holds at least ``_JT_STAGE_MIN`` = 1,024 words, in
+    stages: positions [0, ⌈n/4⌉), then up to ⌈n/2⌉, then the rest, each
+    drawn only for the words whose partial score can still reach the
+    window (``_jt_window``). A stage that drops under a quarter of its
+    words is left out of the rest of the scan. A word drops out only when
+    no summation order could put its score in the window, and the
+    survivors are scored whole, so the hits, Nones and budget errors are
+    those of the unstaged scan. On a lazy codebook the ``JT_SCAN_BUDGET`` check
+    comes where it always did: after each ``_JT_CHUNK`` = 65,536 words and
+    at the end of each public message, so every hit, None and
+    ``BudgetError`` is that of a whole-chunk scan.
 
     ``b_seq`` must be a 1-D integer word of length n with symbols in
     [0, |B|): another shape is a ``DimensionError``, another dtype or an
@@ -787,16 +886,19 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
         return divmod(int(np.argmax(ll)), M)  # first maximum = lexicographically smallest (k, p)
 
     v, h = _jt_tables(codebook, ch)
+    in_window, low, high = _jt_window(cfg.n, h, cfg.delta)
+    cuts = sorted({-(-cfg.n // 4), -(-cfg.n // 2)} - {cfg.n}) if codebook.is_lazy and M >= _JT_STAGE_MIN else []
     hits = []
     scanned = 0
     for k in range(K):
         cols = v[codebook.outer_words[k], :, b]
+        staged = bool(cuts) and codebook.inner_law.all_typical[k]
+        stages = _jt_stages(cols, low, high, cuts) if staged else []
         for start in range(0, M, _JT_CHUNK):
             end = min(M, start + _JT_CHUNK)
             for lo in range(start, end, _JT_BLOCK):
                 hi = min(end, lo + _JT_BLOCK)
-                score = _row_scores(cols, codebook.inner_block(k, lo, hi))
-                ok = np.nonzero(np.abs(score / cfg.n - h) <= cfg.delta + 1e-12)[0]
+                ok, stages = _jt_block(codebook, k, lo, hi, cols, in_window, stages)
                 hits += [(k, lo + int(idx)) for idx in ok[:2]]
                 if len(hits) >= 2:
                     return None
@@ -806,6 +908,8 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
                     "joint-typicality scan budget exhausted on a lazy codebook without resolving "
                     "uniqueness; use ML on a smaller codebook or a larger delta"
                 )
+        if staged:
+            cuts = [i for i, _, _ in stages]  # a stage the quarter rule left out stays out for the later messages
     if len(hits) == 1:
         return hits[0]
     return None

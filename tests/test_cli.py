@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import platform
 import re
 import shlex
 import subprocess
@@ -275,6 +276,35 @@ class TestManifestContents:
         assert len(digest) == 64
 
 
+    def test_machine_fields(self, tmp_path, experiment_spec, run_cli, monkeypatch):
+        """The Python, numpy and BLAS versions, numpy's enabled dispatch targets, OPENBLAS_CORETYPE only when set and
+        scipy's version only when scipy is loaded."""
+        for coretype in (None, "Haswell"):
+            cli._build.cache_clear()
+            if coretype:
+                monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+            else:
+                monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+            r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+            assert r.returncode == 0, r.stderr
+            machine = json.loads((tmp_path / "s.csv.manifest.json").read_text())["machine"]
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+            want = {"python": platform.python_version(), "numpy": np.__version__,
+                    "blas": f"{blas['name']} {blas['version']}",
+                    "numpy_cpu_dispatch": np.__config__.CONFIG["SIMD Extensions"]["found"]}
+            if coretype:
+                want["OPENBLAS_CORETYPE"] = coretype
+            if "scipy" in sys.modules:
+                want["scipy"] = sys.modules["scipy"].__version__
+            assert machine == want
+        cli._build.cache_clear()
+
+    def test_the_machine_loads_no_scipy(self):
+        code = ("import sys, pubpriv.cli as cli; machine = cli._machine(); "
+                "assert 'scipy' not in sys.modules and 'scipy' not in machine")
+        r = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+
     def test_digests_are_per_call(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -286,6 +316,31 @@ class TestManifestContents:
 
 class TestReplayContract:
     """Replay re-runs a manifest's stored options as they are, on the inputs it recorded."""
+
+    def test_replay_names_each_machine_field_that_differs(self, tmp_path, experiment_spec, run_cli):
+        r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "s.csv").read_bytes()
+        r = run_cli(["replay", "--manifest", "s.csv.manifest.json"], tmp_path)
+        assert r.returncode == 0 and "machine" not in r.stderr, r.stderr
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        manifest["machine"].update(numpy="1.0.0", OPENBLAS_CORETYPE="Prescott")
+        (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
+        r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "s.csv").read_bytes() == first
+        lines = r.stderr.splitlines()
+        assert len(lines) == 2
+        assert "OPENBLAS_CORETYPE = 'Prescott'" in lines[0]
+        assert "numpy = '1.0.0'" in lines[1] and repr(np.__version__) in lines[1]
+
+    def test_a_machine_that_is_not_an_object_is_an_input_error(self, tmp_path, experiment_spec, run_cli):
+        r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        manifest["machine"] = "x86"
+        (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
+        r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
+        assert r.returncode == 2 and "'machine' must be an object" in r.stderr
 
     def test_replay_ignores_environment(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)

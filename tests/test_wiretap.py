@@ -211,15 +211,15 @@ class TestPrunedDistribution:
     def test_acceptances_are_pinned(self):
         """One type-class enumerator serves both laws; hex values recorded with the two separate loops."""
         for p, n, delta, want in (([0.8, 0.2], 24, 0.12, "-0x1.bd5b38b69360fp-1"),
-                                  ([0.6, 0.0, 0.4], 16, 0.3, "-0x1.03e4ec34b9090p-16"),
-                                  ([0.1, 0.2, 0.3, 0.4], 12, 0.2, "-0x1.b881cfbe1aea7p-2")):
+                                  ([0.6, 0.0, 0.4], 16, 0.3, "-0x1.03e4ec349e090p-16"),
+                                  ([0.1, 0.2, 0.3, 0.4], 12, 0.2, "-0x1.b881cfbe1aea1p-2")):
             pd = pruned_distribution(p, n, delta)
             assert pd.log2_acceptance[0].hex() == want
             one_group = wt.PrunedDistribution(table=np.array([p]), outer_words=[np.zeros(n, dtype=int)], delta=delta)
             assert one_group.log2_acceptance == pd.log2_acceptance
         for table, x, delta, want in (
                 ([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]], [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1], 0.4,
-                 "-0x1.435138bf7bf4fp-3"),
+                 "-0x1.435138bf7bf4dp-3"),
                 ([[0.5, 0.5], [0.9, 0.1], [0.25, 0.75]], [2, 0, 1, 2, 2, 0, 1, 1, 0, 2], 0.15,
                  "-0x1.c99bcf3284743p-1")):
             cp = wt.PrunedDistribution(table=np.array(table), outer_words=[np.array(x)], delta=delta)
@@ -909,7 +909,8 @@ class TestDecoding:
 
     def test_lazy_jt_stops_at_the_block_of_the_second_hit(self, monkeypatch):
         """A lazy decode that finds two window hits generates the words up to the end of the block that holds
-        the second one, once each, and decodes as the eager codebook of the same words does."""
+        the second one, once each, and decodes as the eager codebook of the same words does; every block, eager,
+        lazy or staged, goes through the one JT block function."""
         ch = ClassicalWiretap.from_marginals(bsc(0.05), bsc(0.3))
         cfg = CodeConfig(n=16, M=1 << 17, delta=0.1, seed=4, decoder="joint_typicality")
         eager = generate_codebook(cfg, ch, UNIFORM2)
@@ -917,13 +918,13 @@ class TestDecoding:
         lazy = generate_codebook(cfg, ch, UNIFORM2)
         assert lazy.is_lazy
         v, h = wt._jt_tables(eager, ch)
-        blocks, inner_block = [], wt.Codebook.inner_block
+        blocks, jt_block = [], wt._jt_block
 
-        def recorded(cb, k, lo, hi):
+        def recorded(cb, k, lo, hi, *args):
             blocks.append((k, lo, hi))
-            return inner_block(cb, k, lo, hi)
+            return jt_block(cb, k, lo, hi, *args)
 
-        monkeypatch.setattr(wt.Codebook, "inner_block", recorded)
+        monkeypatch.setattr(wt, "_jt_block", recorded)
         rng = np.random.default_rng(0)
         past_the_first_block = 0
         for _ in range(5):
@@ -1024,6 +1025,148 @@ class TestDecoding:
         for bad in (w + 0.5, w.astype(float), np.where(np.arange(16) == 3, 2, w), np.where(np.arange(16) == 3, -1, w)):
             with pytest.raises(ValidationError, match="received word"):
                 decode(bad, cb, cfg, NOISY)
+
+
+TERNARY = np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]])
+#: (channel, law, code fields, decode δ) of the staged-scan equality test; the two-layer laws are all-typical at
+#: the codebooks' δ = 1.0 and decoded at δ = 0.25, and only "small messages" has blocks under _JT_STAGE_MIN words.
+STAGED_CASES = {
+    "uniform binary": (NOISY, UNIFORM2, dict(n=20, M=1 << 12, delta=0.3), 0.3),
+    "ternary input": (ClassicalWiretap.from_marginals(TERNARY, TERNARY), np.full(3, 1 / 3),
+                      dict(n=14, M=1 << 12, delta=0.3), 0.3),
+    "two-layer": (NOISY, (UNIFORM2, np.array([[0.3, 0.7], [0.7, 0.3]])), dict(n=22, M=1 << 12, K_pub=4, delta=1.0),
+                  0.25),
+    "small messages": (NOISY, (UNIFORM2, np.array([[0.3, 0.7], [0.7, 0.3]])),
+                       dict(n=22, M=1 << 9, K_pub=8, delta=1.0), 0.25),
+    "not all-typical": (NOISY, np.array([0.8, 0.2]), dict(n=20, M=1 << 12, delta=0.4), 0.4),
+    "noiseless main channel": (ClassicalWiretap.from_marginals(noiseless(2), bsc(0.3)), UNIFORM2,
+                               dict(n=14, M=1 << 12, delta=0.3), 0.3),
+}
+
+
+class TestStagedJT:
+    """Lazy JT blocks of an all-typical message are drawn in stages and drop the words that cannot reach the
+    window; every hit, None and budget error stays that of the whole-word scan."""
+
+    @staticmethod
+    def _hashed(monkeypatch):
+        """A counter of the symbols ``_hash_symbols`` draws and of the words the JT blocks cover."""
+        count = {"symbols": 0, "words": 0}
+        hash_symbols, jt_block = wt._hash_symbols, wt._jt_block
+
+        def counted_hash(keys, positions, thresholds, rnd, out, scratch=None):
+            count["symbols"] += out.size
+            return hash_symbols(keys, positions, thresholds, rnd, out, scratch)
+
+        def counted_block(cb, k, lo, hi, *args):
+            count["words"] += hi - lo
+            return jt_block(cb, k, lo, hi, *args)
+
+        monkeypatch.setattr(wt, "_hash_symbols", counted_hash)
+        monkeypatch.setattr(wt, "_jt_block", counted_block)
+        return count
+
+    @pytest.mark.parametrize("case", STAGED_CASES)
+    def test_lazy_decodes_equal_eager_decodes(self, monkeypatch, case):
+        """110 received words per case, 660 in all: the lazy decode equals the eager one of the same seed, hits
+        and Nones both occur, and only an all-typical law with blocks of _JT_STAGE_MIN words or more draws fewer
+        symbols than its scan covers."""
+        ch, law, fields, delta = STAGED_CASES[case]
+        cfg = CodeConfig(seed=5, decoder="joint_typicality", **fields)
+        eager = generate_codebook(cfg, ch, law)
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, law)
+        assert lazy.is_lazy and not eager.is_lazy
+        cfg = replace(cfg, delta=delta)
+        rng = np.random.default_rng(0)
+        received = []
+        for _ in range(110):
+            a = eager.word(int(rng.integers(cfg.K_pub)), int(rng.integers(cfg.M)))
+            received.append(wt._channel_outputs(ch.cuts_main, a, rng.random(a.size)))
+        want = [decode(b, eager, cfg, ch) for b in received]
+        count = self._hashed(monkeypatch)
+        assert [decode(b, lazy, cfg, ch) for b in received] == want
+        assert {got is None for got in want} == {True, False}
+        staged = bool(lazy.inner_law.all_typical.all()) and cfg.M >= wt._JT_STAGE_MIN
+        assert staged == (case not in ("not all-typical", "small messages"))
+        assert (count["symbols"] < count["words"] * cfg.n) == staged
+
+    def test_a_score_within_1e_12_of_the_window_edge_still_hits(self, monkeypatch):
+        """The received word matches word p after its first ceil(n/4) positions, where it has the least score any
+        word can have, and δ puts p's score just above the upper window edge, inside the 1e-12 widening: the
+        partial score of p then meets its stage bound to the rounding, and p still hits."""
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        cfg = CodeConfig(n=16, M=1 << 12, delta=0.3, seed=3, decoder="joint_typicality")
+        cb = generate_codebook(cfg, NOISY, UNIFORM2)
+        v, h = wt._jt_tables(cb, NOISY)
+        for p in (5, 777, 4000):
+            b = cb.word(0, p).astype(np.intp)
+            b[:2] ^= 1  # two flips in the first stage; the rest matches, at the smallest surprisal
+            cols = v[cb.outer_words[0], :, b]
+            dev = float(wt._row_scores(cols, cb.word(0, p)[None])[0]) / cfg.n - h
+            assert dev > 0
+            for gap in (0.0, 4e-13, 9e-13):
+                in_window, low, high = wt._jt_window(cfg.n, h, dev - gap)
+                stages = wt._jt_stages(cols, low, high, [4, 8])  # the stage ends ceil(n/4) and ceil(n/2)
+                lo = p // wt._JT_BLOCK * wt._JT_BLOCK
+                hits, _ = wt._jt_block(cb, 0, lo, lo + wt._JT_BLOCK, cols, in_window, stages)
+                unstaged, _ = wt._jt_block(cb, 0, lo, lo + wt._JT_BLOCK, cols, in_window, [])
+                assert p - lo in hits
+                assert np.array_equal(hits, unstaged)
+
+    def test_a_word_scoring_on_a_window_edge_stays_within_the_stage_bounds(self):
+        """2,000 random (16, 2) score tables: for each stage end i, a word random before i and at each later
+        position's least value scores exactly the upper edge as ``_row_scores`` sums it, and one at the largest
+        values the lower edge. Its partial score over [0, i), summed forward or backward, lies within the stage's
+        bounds; without the slack about a third of the upper-edge words would drop out."""
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            cols = rng.random((16, 2)) * 3
+            for i in (4, 8):
+                for pick, edges in ((np.argmin, lambda s: (s - 5.0, s)), (np.argmax, lambda s: (s, s + 5.0))):
+                    word = rng.integers(0, 2, 16).astype(np.uint8)
+                    word[i:] = pick(cols[i:], axis=1)
+                    low, high = edges(float(wt._row_scores(cols, word[None])[0]))
+                    [(_, floor, ceil)] = wt._jt_stages(cols, low, high, [i])
+                    terms = [cols[j, word[j]] for j in range(i)]
+                    for partial in (sum(terms), sum(terms[::-1])):
+                        assert floor <= partial <= ceil
+
+    def test_a_stage_that_prunes_little_is_left_out_of_the_later_messages(self, monkeypatch):
+        """BSC(0.2), n = 21, δ = 0.01: the window holds no attainable score, so the scan covers all four public
+        messages and finds no hit. The stage at ceil(n/4) = 6 drops no word of the first block and is left out of
+        the later messages; the one at ceil(n/2) = 11 drops most words and stays."""
+        ch = ClassicalWiretap.bsc_pair(0.2, 0.5)
+        law = (UNIFORM2, np.full((2, 2), 0.5))
+        cfg = CodeConfig(n=21, M=1 << 12, K_pub=4, delta=0.01, seed=5, decoder="joint_typicality")
+        eager = generate_codebook(cfg, ch, law)
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        lazy = generate_codebook(cfg, ch, law)
+        cuts, jt_stages = [], wt._jt_stages
+
+        def recorded(cols, low, high, ends):
+            cuts.append(list(ends))
+            return jt_stages(cols, low, high, ends)
+
+        monkeypatch.setattr(wt, "_jt_stages", recorded)
+        a = eager.word(1, 7)
+        b = wt._channel_outputs(ch.cuts_main, a, np.random.default_rng(0).random(a.size))
+        assert decode(b, eager, cfg, ch) is None and not cuts
+        assert decode(b, lazy, cfg, ch) is None
+        assert cuts == [[6, 11], [11], [11], [11]]
+
+    def test_the_full_scan_hashes_under_half_of_its_symbols(self, monkeypatch):
+        """The first seed-7 trial of a BSC(0.05), uniform-source, n = 40, δ = 0.3 code of 2^20 + 1 lazy words
+        scans them all to find its one hit, and draws fewer than half of their 40·M symbols."""
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.5)
+        cfg = CodeConfig(n=40, M=2 ** 20 + 1, delta=0.3, seed=7, decoder="joint_typicality", trials=1)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        assert cb.is_lazy
+        count = self._hashed(monkeypatch)
+        k, p, got = wt._run_trial(cb, cfg, ch, np.random.default_rng(np.random.SeedSequence([7, wt._TAG_TRIAL, 0])))
+        assert got == (k, p)
+        assert count["words"] == cfg.M
+        assert count["symbols"] < cfg.n * cfg.M / 2
 
 
 class TestEstimateError:
