@@ -89,12 +89,6 @@ class InputEnsemble:
         return self.states.shape[-1]
 
     @classmethod
-    def over_x(cls, p_x, states) -> "InputEnsemble":
-        """Ensemble with trivial Y: {p(x), σ_x}."""
-        return cls(p_x=np.asarray(p_x, float), p_y_given_x=np.ones((len(states), 1)),
-                   rho_xy=tuple((s,) for s in states))
-
-    @classmethod
     def over_y(cls, p_y, states) -> "InputEnsemble":
         """Ensemble with trivial X: {p(y), ρ_y}."""
         return cls(p_x=np.ones(1), p_y_given_x=np.asarray(p_y, float).reshape(1, -1),

@@ -483,12 +483,6 @@ class Codebook:
         return self.inner_block(k, p, p + 1)[0]
 
     @cached_property
-    def collision_count(self) -> int | None:
-        """Repeated inner words, M minus the distinct words of each public message, summed; None when lazy."""
-        q, M = self.cond_table.shape[1], self.config.M
-        return None if self.is_lazy else sum(M - _distinct_rows(words, q) for words in self.inner_words)
-
-    @cached_property
     def _lanes(self) -> "_Lanes":
         """The eager inner words' lane codes, encoded at first use for ``_lane_scores``."""
         return _encode_lanes(self.inner_words)
@@ -553,12 +547,6 @@ def _generate_words(law: PrunedDistribution, seed: int, tag: int, k, ids: np.nda
             if rnd >= (1 << 20):
                 raise ConfigurationError("codeword rejection budget exhausted; increase delta")
     return out
-
-
-def _distinct_rows(words: np.ndarray, q: int) -> int:
-    """Distinct words over q symbols, each compared as one byte string (unlike ``np.unique(axis=0)``, fast)."""
-    w = np.ascontiguousarray(words, dtype=np.min_scalar_type(q - 1))
-    return int(np.unique(w.view(f"V{w.shape[1] * w.itemsize}")).size)
 
 
 _LAW_FORMS = "an input law is a 1-D p over the input alphabet (K_pub = 1) or a pair (p_x, p_a_given_x)"
@@ -1033,16 +1021,14 @@ class SecurityReport:
     messages_probed: int | None = None
 
 
-def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray, start=None) -> np.ndarray:
-    """(R, |E|^n) product laws ((s·p_0)·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
+def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(R, |E|^n) product laws (p_0·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
 
-    s is ``start`` (one value per row, 1.0 by default), so a block of columns that share a prefix extends that
-    prefix's column over the remaining positions and gets the same left fold as the whole table. One table
-    filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of about
-    ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
+    One table filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of
+    about ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
     (rows, n), q = words.shape, p_eve.shape[1]
     out = np.empty((rows, q ** n))
-    out[:, 0] = 1.0 if start is None else start
+    out[:, 0] = 1.0
     chunk = max(1, _BLOCK_SYMBOLS // rows)
     src = np.empty((rows, min(chunk, q ** n // q)))
     for i in range(n):
@@ -1057,35 +1043,36 @@ def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray, start=None) -> np.nd
 
 
 def _exact_distances(p_eve: np.ndarray, words: np.ndarray, S: int, lo: int, hi: int):
-    """Σ|w_p − p̄| for each of the M rows, and Σ|mean(w_m .. w_{m+S-1}) − p̄| for m in [lo, hi] (S > 1).
+    """Σ|w_p − p̄| for each of the M rows and, if S > 1, Σ|(w_m + ··· + w_{m+S-1})/S − p̄| for m in [lo, hi].
 
-    w_p is Eve's product law given word p and p̄ their mean. Columns go in blocks of |E|^t that share their
-    first n − t symbols: the largest t with (M + S - 1)·|E|^t ≤ ``_BLOCK_SYMBOLS``, but |E|^t ≥ 128 unless the
-    whole row is shorter. Each block's p̄, row sums and key mixtures are formed while it is in cache, with the
-    whole-row operations' order; the block sums then meet in a binary tree, which for |E| a power of two is
-    numpy's pairwise tree over the whole row, so every value equals the whole-table formula's bit for bit."""
+    w_p is Eve's product law given word p (rows mod M) and p̄ their mean. Columns go in blocks of |E|^t that
+    share their first n − t symbols: the largest t with M·|E|^t ≤ ``_BLOCK_SYMBOLS``, but |E|^t ≥ 128 unless
+    the whole row is shorter. A block is its prefix column times the suffix table (prefix ⊗ suffix), multiplied
+    into one reused buffer. Its key mixtures are a running window: rows lo .. lo+S-1 summed, then each next m
+    adds row m-1+S minus row m-1. The block sums meet in a binary tree, which for |E| a power of two is numpy's
+    pairwise tree over the whole row. Distances agree with a long-double table within 1e-12."""
     (M, n), q = words.shape, p_eve.shape[1]
-    rows = words[np.arange(M + S - 1) % M]  # rows M .. M+S-2 repeat words 0 .. S-2: the pad rows of m are m .. m+S-1
     t = n
-    while t > 0 and len(rows) * q ** t > _BLOCK_SYMBOLS:
+    while t > 0 and M * q ** t > _BLOCK_SYMBOLS:
         t -= 1
     while t < n and q ** t < 128:
         t += 1
-    prefix = _eve_product_rows(p_eve, rows[:, : n - t])
+    prefix, suffix = _eve_product_rows(p_eve, words[:, : n - t]), _eve_product_rows(p_eve, words[:, n - t:])
     span = hi - lo + 1 if S > 1 else 0
-    tmp, pbar = np.empty((M, q ** t)), np.empty(q ** t)
+    blk, tmp, mix, pbar = np.empty((M, q ** t)), np.empty((M, q ** t)), np.empty((span, q ** t)), np.empty(q ** t)
+    first, leave, enter = np.arange(lo, lo + S), np.arange(lo, hi), np.arange(lo + S, hi + S)  # rows mod M
     parts = np.empty((prefix.shape[1], M + span))  # per block: the M row sums, then the span's mixture sums
     for j, part in enumerate(parts):
-        blk = _eve_product_rows(p_eve, rows[:, n - t:], start=prefix[:, j])
-        np.add.reduce(blk[:M], axis=0, out=pbar)
-        pbar /= M  # as w[:M].mean(axis=0)
-        np.subtract(blk[:M], pbar, out=tmp)
+        np.multiply(prefix[:, j: j + 1], suffix, out=blk)
+        np.add.reduce(blk, axis=0, out=pbar)
+        pbar /= M  # as w.mean(axis=0)
+        np.subtract(blk, pbar, out=tmp)
         np.abs(tmp, out=tmp).sum(axis=1, out=part[:M])
         if span:
-            mix = tmp[:span]
-            np.copyto(mix, blk[lo: hi + 1])
-            for s in range(1, S):  # row m, then m+1 .. m+S-1 in order, as w[m: m+S].mean(axis=0) adds them
-                mix += blk[lo + s: hi + 1 + s]
+            np.add.reduce(np.take(blk, first, axis=0, mode="wrap", out=tmp[:S]), axis=0, out=mix[0])
+            np.take(blk, enter, axis=0, mode="wrap", out=mix[1:])
+            mix[1:] -= np.take(blk, leave, axis=0, mode="wrap", out=tmp[: span - 1])
+            np.add.accumulate(mix, axis=0, out=mix)  # window m + 1 = window m + (row m + S − row m)
             mix /= S
             mix -= pbar
             np.abs(mix, out=mix).sum(axis=1, out=part[M:])
@@ -1099,14 +1086,14 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                       mode: str = "exact", messages=None) -> SecurityReport:
     """Exact (enumerated) or importance-sampled secrecy distances.
 
-    Exact mode enumerates Eve's |E|^n outcomes over the M + S - 1 rows of
-    each public message, in blocks of columns that stay in cache
-    (``_exact_distances``): no (M + S - 1, |E|^n) table is built. Its one
-    limit, (M + S - 1)·|E|^n ≤ ``EXACT_WORK_BUDGET`` = 2^24, bounds one
-    call's work (n ≤ 23 for a binary Eve and M = 2). For |E| a power of two
-    the blocks change no bit of the whole-table formulas |w - p̄| and
-    w[m: m + S].mean(axis=0); otherwise only the order in which block sums
-    meet differs (a few ulps). Each distinct (k, m) is probed once.
+    Exact mode enumerates Eve's |E|^n outcomes over the M words of each
+    public message, in blocks of columns that stay in cache
+    (``_exact_distances``): a block is a prefix column times one suffix
+    table, and each key mixture of S rows is a running window, so no
+    (M, |E|^n) table is built. Its one limit, (M + S - 1)·|E|^n ≤
+    ``EXACT_WORK_BUDGET`` = 2^24, bounds one call's work (n ≤ 23 for a
+    binary Eve and M = 2). The distances agree with a long-double table
+    within 1e-12. Each distinct (k, m) is probed once.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased

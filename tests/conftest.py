@@ -27,6 +27,12 @@ def cli_env(extra=None):
     return env
 
 
+def over_x(p_x, states) -> InputEnsemble:
+    """Ensemble with trivial Y: {p(x), σ_x}."""
+    return InputEnsemble(p_x=np.asarray(p_x, float), p_y_given_x=np.ones((len(states), 1)),
+                         rho_xy=tuple((s,) for s in states))
+
+
 def rand_density(rng: np.random.Generator, d: int, pure: bool = False) -> DensityOperator:
     """Random full-support (or pure) density operator."""
     if pure:

@@ -26,7 +26,7 @@ from pubpriv.region import skp_constraints
 from pubpriv.qcore import DensityOperator, partial_trace, von_neumann_entropy
 from pubpriv.serialize import ensemble_from_json, ensemble_to_json
 
-from conftest import rand_channel, rand_density, rand_ensemble, rand_simplex
+from conftest import over_x, rand_channel, rand_density, rand_ensemble, rand_simplex
 
 
 def ket(k, d=2):
@@ -34,12 +34,12 @@ def ket(k, d=2):
 
 
 def basis_ensemble_over_x(probs, d=2):
-    return InputEnsemble.over_x(probs, [ket(i % d, d) for i in range(len(probs))])
+    return over_x(probs, [ket(i % d, d) for i in range(len(probs))])
 
 
 class TestBuildCqState:
     def test_single_block(self, rng):
-        ens = InputEnsemble.over_x([1.0], [rand_density(rng, 2)])
+        ens = over_x([1.0], [rand_density(rng, 2)])
         s = build_cq_state(ens, isometric_extension(identity_channel(2)))
         assert s.weights.shape == (1, 1)
         assert abs(s.weights.sum() - 1.0) < 1e-12
@@ -76,7 +76,7 @@ class TestHolevoQuantity:
         assert mutual_info_XB(s) < 1e-9
 
     def test_trivial_x_is_exactly_zero(self, rng):
-        ens = InputEnsemble.over_x([1.0], [rand_density(rng, 2)])
+        ens = over_x([1.0], [rand_density(rng, 2)])
         s = build_cq_state(ens, isometric_extension(identity_channel(2)))
         assert mutual_info_XB(s) == 0.0
 
@@ -89,7 +89,7 @@ class TestConditionalQuantities:
         assert cond_mutual_info_YE_given_X(s) == 0.0  # dim_E = 1
 
     def test_trivial_y_is_exactly_zero(self, rng):
-        ens = InputEnsemble.over_x([0.3, 0.7], [rand_density(rng, 2), rand_density(rng, 2)])
+        ens = over_x([0.3, 0.7], [rand_density(rng, 2), rand_density(rng, 2)])
         s = build_cq_state(ens, isometric_extension(dephasing_channel(0.4)))
         assert cond_mutual_info_YB_given_X(s) == 0.0
         assert cond_mutual_info_YE_given_X(s) == 0.0
@@ -119,7 +119,7 @@ class TestJointQuantity:
         assert abs(mutual_info_XYB(s) - 2.0) < 1e-12
 
     def test_trivial_alphabets(self, rng):
-        ens = InputEnsemble.over_x([1.0], [rand_density(rng, 2)])
+        ens = over_x([1.0], [rand_density(rng, 2)])
         s = build_cq_state(ens, isometric_extension(identity_channel(2)))
         assert mutual_info_XYB(s) == 0.0
 
@@ -153,7 +153,7 @@ class TestBounds:
     def test_holevo_bounded_by_input_entropy_and_output_dim(self, rng):
         for _ in range(25):
             p = rand_simplex(rng, 3)
-            ens = InputEnsemble.over_x(p, [rand_density(rng, 2) for _ in range(3)])
+            ens = over_x(p, [rand_density(rng, 2) for _ in range(3)])
             s = build_cq_state(ens, isometric_extension(identity_channel(2)))
             h_p = float(-(p * np.log2(p)).sum())
             assert mutual_info_XB(s) <= min(h_p, 1.0) + 1e-9
@@ -298,7 +298,7 @@ class TestTwoStages:
 class TestEnsembleValidation:
     def test_bad_p_x(self, rng):
         with pytest.raises(ValidationError):
-            InputEnsemble.over_x([0.5, 0.6], [rand_density(rng, 2), rand_density(rng, 2)])
+            over_x([0.5, 0.6], [rand_density(rng, 2), rand_density(rng, 2)])
 
     def test_bad_rows(self, rng):
         with pytest.raises(ValidationError):

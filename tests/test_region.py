@@ -29,7 +29,7 @@ from pubpriv.region import (
     skp_constraints,
 )
 
-from conftest import rand_ensemble
+from conftest import over_x, rand_ensemble
 
 
 def ket(k, d=2):
@@ -60,7 +60,7 @@ def grid_oracle_best_holevo(probs_grid):
 
 class TestConstraints:
     def test_identity_public_only(self):
-        ens = InputEnsemble.over_x([0.5, 0.5], [ket(0), ket(1)])
+        ens = over_x([0.5, 0.5], [ket(0), ket(1)])
         rc = one_shot_constraints(ens, ISO_ID)
         assert abs(rc.a - 1.0) < 1e-12 and rc.b == 0.0 and rc.c == 0.0
 

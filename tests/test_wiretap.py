@@ -278,6 +278,11 @@ def _digest(words) -> str:
     return hashlib.sha256(np.ascontiguousarray(words, dtype="<i8").tobytes()).hexdigest()
 
 
+def collisions(inner_words) -> int:
+    """Repeated inner words: M minus the distinct words of each public message, summed."""
+    return sum(len(words) - len(np.unique(words, axis=0)) for words in inner_words)
+
+
 class TestCodewordKernel:
     """The blocked integer-threshold kernel draws the same words as the float
     inverse-CDF sampler it replaced; the digests were recorded with that sampler."""
@@ -303,7 +308,7 @@ class TestCodewordKernel:
         cb = generate_codebook(cfg, ch, ([0.5, 0.5], [[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]))
         assert _digest(cb.outer_words) == "7353a146054bc5d7bbf180cdd3fb6d6da046e1c3ff35d493144d5fe07909e4cf"
         assert _digest(cb.inner_words) == "0ebf1ba77b8cee4941ffa49459bfe21902bf406ee04e2f39388fc451bee7763d"
-        assert cb.collision_count == 76
+        assert collisions(cb.inner_words) == 76
 
     @pytest.mark.parametrize("seed, tag, k", [
         (0, wt._TAG_OUTER, 0), (7, wt._TAG_INNER, 2047), (2 ** 63 + 12345, wt._TAG_INNER, 3),
@@ -348,13 +353,6 @@ class TestCodewordKernel:
         thresholds = wt._thresholds(np.broadcast_to(cdf, (h.size, q)))
         got = wt._symbols((h >> np.uint64(11))[None, :], thresholds, np.empty((1, h.size), dtype=np.intp))
         assert np.array_equal(got[0], want)
-
-    def test_distinct_rows_matches_lexicographic_unique(self):
-        rng = np.random.default_rng(1)
-        for q, n in ((2, 40), (300, 7)):
-            words = rng.integers(0, q, size=(4000, n))
-            words[100] = words[7]
-            assert wt._distinct_rows(words, q) == np.unique(words, axis=0).shape[0]
 
 
 def _random_two_layer_law(rng, rows, q):
@@ -732,9 +730,6 @@ class TestCodebookGeneration:
         assert lazy.is_lazy
         assert np.array_equal(lazy.inner_block(0, 0, 64), eager.inner_words[0])
         assert np.array_equal(lazy.word(0, 17), eager.inner_words[0][17])
-        # only eager words are counted
-        assert eager.collision_count == 64 - len(np.unique(eager.inner_words[0], axis=0))
-        assert lazy.collision_count is None
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     @pytest.mark.parametrize("call", [
@@ -835,7 +830,7 @@ class TestCodebookGeneration:
         # only 8 binary words of length 3 exist, so 20 codewords must collide
         cfg = CodeConfig(n=3, M=20, S=1, delta=2.0, seed=6)
         cb = generate_codebook(cfg, NOISY, UNIFORM2)
-        assert cb.collision_count > 0
+        assert collisions(cb.inner_words) > 0
 
     def test_two_layer_needs_pair_law(self):
         cfg = CodeConfig(n=8, M=2, S=1, K_pub=2, delta=0.9, seed=4)
@@ -853,7 +848,7 @@ class TestDecoding:
         ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
         cfg = CodeConfig(n=10, M=8, S=2, delta=0.5, seed=13)
         cb = generate_codebook(cfg, ch, UNIFORM2)
-        assert cb.collision_count == 0
+        assert collisions(cb.inner_words) == 0
         for p in range(8):
             got = decode(cb.word(0, p), cb, cfg, ch)
             assert got == (0, p)
@@ -1469,16 +1464,29 @@ def mc_hex(case):
     return tuple(v.hex() for v in (rep.full_criterion, rep.message_secrecy, rep.std_err_full, rep.std_err_message))
 
 
-# Exact (seed, n, M, S, full, message) hex values on BSC(0.05)/BSC(0.2), recorded with the whole-table formulas.
+# Exact (seed, n, M, S, full, message) hex values on BSC(0.05)/BSC(0.2). The full criteria equal the whole-table
+# formula's; the message secrecies are the running key window's (a full key's mixture is p̄ itself: exactly 0).
 EXACT_PINS = [
-    (1, 16, 64, 64, "0x1.a3f33cdba73b6p+0", "0x1.6bc1880000000p-52"),
+    (1, 16, 64, 64, "0x1.a3f33cdba73b6p+0", "0x0.0p+0"),
     (7, 16, 64, 1, "0x1.b45f0af703cdfp+0", "0x1.b45f0af703cdfp+0"),
     (1, 12, 32, 8, "0x1.887251c9b8608p+0", "0x1.e01f977763e5cp-1"),
-    (7, 10, 64, 5, "0x1.70e1cae798a0fp+0", "0x1.2559aeb4114c0p+0"),
+    (7, 10, 64, 5, "0x1.70e1cae798a0fp+0", "0x1.2559aeb4114bfp+0"),
     # S not a power of two: the last bit shows how the key mixture is divided by S
     (1, 12, 32, 3, "0x1.8d71adfa472c4p+0", "0x1.4e352be1a84cep+0"),
     (2, 14, 12, 11, "0x1.830a2981c0e99p+0", "0x1.265e39a4bb302p-3"),
 ]
+
+
+TWO_LAYER_PIN = ("0x1.27304039abf36p+0", "0x1.28fefccac15a0p-1")  # n=10, M=8, S=4, K_pub=4, seed 7
+
+
+def long_double_distances(p_eve, words, S):
+    """Σ|w_p − p̄| per row and Σ|(w_m + ··· + w_{m+S-1})/S − p̄| per m, rows mod M, in long double."""
+    w = broadcast_chain(p_eve.astype(np.longdouble), words)
+    pbar = w.mean(axis=0)
+    c = np.cumsum(np.concatenate((np.zeros((1, w.shape[1]), np.longdouble), w, w[: S - 1])), axis=0)
+    mix = (c[S: S + len(w)] - c[: len(w)]) / S
+    return np.abs(w - pbar).sum(axis=1), np.abs(mix - pbar).sum(axis=1)
 
 
 def whole_row_distances(cb, cfg, ch):
@@ -1558,7 +1566,6 @@ class TestSecurity:
 
     @pytest.mark.parametrize("seed, n, M, S, full, msg", EXACT_PINS)
     def test_exact_distances_are_pinned(self, seed, n, M, S, full, msg):
-        """Hex values recorded with the whole-table formulas |w - p̄| and w[idx].mean(axis=0)."""
         ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
         cfg = CodeConfig(n=n, M=M, S=S, delta=0.5, seed=seed)
         rep = security_distance(generate_codebook(cfg, ch, UNIFORM2), cfg, ch, mode="exact")
@@ -1567,9 +1574,9 @@ class TestSecurity:
     def test_exact_two_layer_distances_are_pinned(self):
         ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
         cfg = CodeConfig(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7)
-        cb = generate_codebook(cfg, ch, (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]])))
+        cb = generate_codebook(cfg, ch, TWO_LAYER_LAW)
         rep = security_distance(cb, cfg, ch, mode="exact")
-        assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == ("0x1.27304039abf36p+0", "0x1.28fefccac15a0p-1")
+        assert (rep.full_criterion.hex(), rep.message_secrecy.hex()) == TWO_LAYER_PIN
 
     @pytest.mark.parametrize("n, M, S", [(20, 16, 1), (16, 64, 64)])
     def test_exact_mode_is_bounded_by_blocks(self, n, M, S):
@@ -1587,28 +1594,57 @@ class TestSecurity:
             tracemalloc.stop()
         assert peak < 8 << 20 < (M + S - 1) * 2 ** n * 8 / 7
 
-    @pytest.mark.parametrize("blocks", ["128 columns", "a quarter row", "the whole row"])
-    def test_block_size_changes_no_bit(self, monkeypatch, blocks):
-        """The exact pins hold, bit for bit, whatever the column blocks of a binary Eve."""
-        widths, kernel = [], wt._eve_product_rows
+    @staticmethod
+    def _block_width(monkeypatch, blocks, n, M):
+        width = {"128 columns": 128, "a quarter row": 2 ** (n - 2), "the whole row": 2 ** n}[blocks]
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", M * width)
+        return width
 
-        def spy(p_eve, words, start=None):
-            table = kernel(p_eve, words, start)
-            if start is not None:  # a block, not the prefix table
-                widths.append(table.shape[1])
+    @pytest.mark.parametrize("blocks", ["128 columns", "a quarter row", "the whole row"])
+    def test_two_product_tables_per_public_message(self, monkeypatch, blocks):
+        """Whatever the column blocks, each public message builds its M rows' prefix and suffix tables once."""
+        shapes, kernel = [], wt._eve_product_rows
+
+        def spy(p_eve, words):
+            table = kernel(p_eve, words)
+            shapes.append(table.shape)
             return table
 
         monkeypatch.setattr(wt, "_eve_product_rows", spy)
-        for case in [*EXACT_PINS, None]:
-            n, M, S, K = case[1:4] + (1,) if case else (10, 8, 4, 4)
-            width = {"128 columns": 128, "a quarter row": 2 ** (n - 2), "the whole row": 2 ** n}[blocks]
-            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", (M + S - 1) * width)
-            widths.clear()
-            if case:
-                self.test_exact_distances_are_pinned(*case)
-            else:
-                self.test_exact_two_layer_distances_are_pinned()
-            assert widths == [width] * (K * 2 ** n // width)
+        ch, cfg = ClassicalWiretap.bsc_pair(0.05, 0.2), CodeConfig(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7)
+        cb = generate_codebook(cfg, ch, TWO_LAYER_LAW)
+        width = self._block_width(monkeypatch, blocks, cfg.n, cfg.M)
+        security_distance(cb, cfg, ch, mode="exact", messages=[(3, 1), (0, 6), (3, 5)])
+        assert shapes == [(cfg.M, 2 ** cfg.n // width), (cfg.M, width)] * 2
+
+    @pytest.mark.parametrize("blocks", ["128 columns", "a quarter row", "the whole row"])
+    def test_block_width_moves_the_pins_by_rounding_only(self, monkeypatch, blocks):
+        """The split into prefix ⊗ suffix sets how each product is associated, so narrower blocks may move the
+        pins by a few ulps (within 1e-12); one block holding the whole row keeps every bit."""
+        tol = 0.0 if blocks == "the whole row" else 1e-12
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        cases = [(CodeConfig(n=n, M=M, S=S, delta=0.5, seed=seed), UNIFORM2, (full, msg))
+                 for seed, n, M, S, full, msg in EXACT_PINS]
+        cases.append((CodeConfig(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7), TWO_LAYER_LAW, TWO_LAYER_PIN))
+        for cfg, law, pin in cases:
+            cb = generate_codebook(cfg, ch, law)
+            self._block_width(monkeypatch, blocks, cfg.n, cfg.M)
+            rep = security_distance(cb, cfg, ch, mode="exact")
+            got, want = (rep.full_criterion, rep.message_secrecy), tuple(map(float.fromhex, pin))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= tol, (cfg, got, want)
+
+    @pytest.mark.parametrize("p_eve, n, M, S", [(bsc(0.2), 6, 4096, 2), (bsc(0.2), 6, 4096, 3000),
+                                                (bsc(0.2), 8, 2048, 2047), (EVE3.p_eve, 6, 512, 37)],
+                             ids=["BSC-S=2", "BSC-S=3000", "BSC-S=M-1", "|E|=3"])
+    def test_running_window_matches_a_long_double_table(self, p_eve, n, M, S):
+        """Every row and key-mixture distance within 1e-12 of the same formulas over a long-double table, for
+        all M messages and for the last three, whose first window already wraps past row M - 1."""
+        words = np.random.default_rng(n * M + S).integers(0, p_eve.shape[0], size=(M, n))
+        rows, mix = long_double_distances(p_eve, words, S)
+        for (lo, hi), want in (((0, M - 1), (rows, mix)), ((M - 3, M - 1), (rows, mix[-3:]))):
+            got = wt._exact_distances(p_eve, words, S, lo, hi)
+            assert [g.shape for g in got] == [w.shape for w in want]
+            assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-12
 
     @pytest.mark.parametrize("block, exact", [(1, False), (None, False), (1 << 30, True)])
     def test_blocks_of_a_three_output_eve(self, monkeypatch, block, exact):
@@ -1785,11 +1821,10 @@ class TestExpurgation:
     def test_collisions_are_counted_from_the_kept_words(self):
         cfg = CodeConfig(n=5, M=16, S=1, K_pub=4, delta=0.9, seed=2)
         cb = generate_codebook(cfg, NOISY, (np.full(2, 0.5), np.array([[0.8, 0.2], [0.2, 0.8]])))
-        assert cb.collision_count == 27
+        assert collisions(cb.inner_words) == 27
         out = expurgate(cb, [0.0, 1.0, 1.0, 0.0])
         assert out.record.expurgation["kept"] == [0, 3]
-        assert out.collision_count == 15
-        assert out.collision_count == sum(cfg.M - np.unique(w, axis=0).shape[0] for w in out.inner_words)
+        assert collisions(out.inner_words) == 15
 
     def test_per_message_errors_feed_expurgation(self):
         cfg, cb = self._codebook()
