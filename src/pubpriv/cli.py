@@ -8,7 +8,8 @@ input files it read; its relative paths are relative to its own directory,
 so it moves with its files. `replay` refuses a manifest whose inputs are
 missing or changed (exit 2, naming the path, nothing written), then re-runs
 its stored options as they are and reproduces the outputs byte for byte;
-each recorded machine field that differs here is named on stderr.
+each recorded machine field that differs here, and a differing tool
+version, is named on stderr.
 
 --zoo, --channel-json and --cq-table exclude each other; --p and --dim go
 with --zoo. Exit codes: 0 success, 2 input error (a malformed or missing
@@ -379,6 +380,9 @@ def cmd_replay(args, digests):
         if now.get(name) != value:
             print(f"replay: the run's machine had {name} = {value!r}, this one has {now.get(name)!r}; "
                   "outputs may differ in their last bits", file=sys.stderr)
+    if manifest.get("tool_version") != __version__:
+        print(f"replay: the run used pubpriv {manifest.get('tool_version')!r}, this is {__version__!r}; "
+              "outputs may differ where the tool has changed since", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,15 @@ empirical surprisal rate -(1/n)·Σ_i log2 p(a_i|x_i) deviates from
 (1/n)·Σ_i H(p(·|x_i)) by at most δ. (Under a uniform law every word is
 typical for any δ > 0.)
 
-Determinism: codewords are a pure function of (seed, layer, k, m, rejection
-round, position) through a counter-based hash compared with integer CDF
-thresholds (no float rounding), so lazy and eager generation, at any block size,
-agree bit-for-bit; Monte-Carlo trials derive their PRNG from (seed, trial index).
+Determinism: codewords are a pure function of (seed, layer, k, m, rejection round,
+position) through a counter-based hash compared with integer CDF thresholds (no
+float rounding), so lazy and eager generation agree bit-for-bit at any block size;
+error trials draw from (seed, trial index) and security trials from (seed, k, m).
 
-Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``.
-ML scores replay numpy's pairwise row sum from per-lane lookup tables: lane
-codes are encoded once per codebook, the tables once per received word
-(``_lane_scores``; ``TestLaneScores`` guards the sum order). JT scores and the
-Monte-Carlo log-likelihoods share one gather, ``_row_scores``.
+Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``:
+ML replays numpy's pairwise row sum from per-lane lookup tables (``_lane_scores``;
+``TestLaneScores`` guards the order), JT gathers (``_row_scores``). Monte-Carlo
+log-likelihoods sum exact joint-type counts times log p(e|a) (``_count_scores``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import combinations as _combinations, product as _iproduct
+from itertools import combinations as _combinations, groupby as _groupby, product as _iproduct
 
 import numpy as np
 
@@ -602,28 +601,44 @@ def generate_codebook(cfg: CodeConfig, ch: ClassicalWiretap, law) -> Codebook:
 
 
 def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Σ_i cols[..., i, words[r, i]] for every row r of the (R, n) words; cols is (n, |A|), giving (R,), or
-    (T, n, |A|), giving (T, R).
+    """Σ_i cols[i, words[r, i]] for every row r of the (R, n) words, from the (n, |A|) columns.
 
     With cols = table[:, b].T this sums the values of ``table[words, b[None, :]].sum(axis=1)`` in the
     same order, so scores are bit-identical to that gather (JT window edges turn on the last bit). Rows go
-    in blocks of about ``_BLOCK_SYMBOLS`` symbols over all T, each through one ``np.take`` of words + offsets
-    from the T flattened column tables.
+    in blocks of about ``_BLOCK_SYMBOLS`` symbols, each through one ``np.take`` of words + offsets.
     """
     count, n = words.shape
-    tables = cols.reshape(-1, n * cols.shape[-1])  # row t is cols[t] flattened
-    T = len(tables)
-    offsets = np.arange(n) * cols.shape[-1]
-    rows = max(1, min(count, _BLOCK_SYMBOLS // (n * T)))
+    table, offsets = cols.ravel(), np.arange(n) * cols.shape[1]
+    rows = max(1, min(count, _BLOCK_SYMBOLS // n))
     idx = np.empty((rows, n), dtype=np.intp)
-    g = np.empty((T, rows, n))
-    out = np.empty((T, count))
+    g = np.empty((rows, n))
+    out = np.empty(count)
     for lo in range(0, count, rows):
         m = min(rows, count - lo)
         np.add(words[lo: lo + m], offsets, out=idx[:m])
-        np.take(tables, idx[:m], axis=1, out=g[:, :m], mode="clip")  # "raise" would buffer out; indices are in range
-        g[:, :m].sum(axis=2, out=out[:, lo: lo + m])
-    return out.reshape(cols.shape[:-2] + (count,))
+        np.take(table, idx[:m], out=g[:m], mode="clip")  # "raise" would buffer out; indices are in range
+        g[:m].sum(axis=1, out=out[lo: lo + m])
+    return out
+
+
+def _symbol_masks(words: np.ndarray, q: int) -> np.ndarray:
+    """(q, R, ⌈n/64⌉) uint64 masks of the (R, n) words: bit i of mask [a, r] is set where words[r, i] == a."""
+    (R, n), rows = words.shape, max(1, _BLOCK_SYMBOLS // words.shape[1])
+    out = np.zeros((q, R, -(-n // 64) * 8), dtype=np.uint8)
+    for lo, a in _iproduct(range(0, R, rows), range(q)):  # blocks of about _BLOCK_SYMBOLS symbols, a symbol at a time
+        out[a, lo: lo + rows, : -(-n // 8)] = np.packbits(words[lo: lo + rows] == a, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _count_scores(logs: list, words: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """ll[t, p] = Σ_(e, a) N_ae·logs[a][e] in (e, a) order; N_ae = Σ popcount(outs[e, t] & words[a, p]) counts the
+    joint type exactly (``_symbol_masks``); p goes in blocks of about ``_BLOCK_SYMBOLS`` counts; 0·(-inf) is 0."""
+    ll = np.zeros((outs.shape[1], words.shape[1]))
+    cols = max(1, _BLOCK_SYMBOLS // (outs.shape[1] * outs.shape[2]))
+    for lo, e, a in _iproduct(range(0, ll.shape[1], cols), range(len(outs)), range(len(words))):
+        count = np.bitwise_count(outs[e, :, None] & words[a, lo: lo + cols]).sum(axis=-1)
+        ll[:, lo: lo + cols] += count * logs[a][e] if logs[a][e] > -math.inf else np.where(count > 0, -math.inf, 0.0)
+    return ll
 
 
 #: Entries of the largest lookup table of the lane scorer.
@@ -1042,15 +1057,15 @@ def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_distances(p_eve: np.ndarray, words: np.ndarray, S: int, lo: int, hi: int):
-    """Σ|w_p − p̄| for each of the M rows and, if S > 1, Σ|(w_m + ··· + w_{m+S-1})/S − p̄| for m in [lo, hi].
+def _exact_distances(p_eve: np.ndarray, words: np.ndarray, S: int, ms):
+    """Σ|w_p − p̄| for each of the M rows and, if S > 1, Σ|(w_m + ··· + w_{m+S-1})/S − p̄| for each m in ms.
 
-    w_p is Eve's product law given word p (rows mod M) and p̄ their mean. Columns go in blocks of |E|^t that
-    share their first n − t symbols: the largest t with M·|E|^t ≤ ``_BLOCK_SYMBOLS``, but |E|^t ≥ 128 unless
-    the whole row is shorter. A block is its prefix column times the suffix table (prefix ⊗ suffix), multiplied
-    into one reused buffer. Its key mixtures are a running window: rows lo .. lo+S-1 summed, then each next m
-    adds row m-1+S minus row m-1. The block sums meet in a binary tree, which for |E| a power of two is numpy's
-    pairwise tree over the whole row. Distances agree with a long-double table within 1e-12."""
+    w_p is Eve's product law given word p (rows mod M) and p̄ their mean. Columns go in blocks of |E|^t that share
+    their first n − t symbols: the largest t with M·|E|^t ≤ ``_BLOCK_SYMBOLS``, but |E|^t ≥ 128 unless the whole row
+    is shorter. A block is its prefix column times the suffix table (prefix ⊗ suffix), multiplied into one reused
+    buffer. Its key mixtures are running windows, one per run of consecutive m in ms: rows m .. m+S-1 summed at the
+    run's first m, then each next m adds row m-1+S minus row m-1. Block sums meet in a binary tree, for |E| a power
+    of two numpy's pairwise tree over the whole row. Distances agree with a long-double table within 1e-12."""
     (M, n), q = words.shape, p_eve.shape[1]
     t = n
     while t > 0 and M * q ** t > _BLOCK_SYMBOLS:
@@ -1058,21 +1073,23 @@ def _exact_distances(p_eve: np.ndarray, words: np.ndarray, S: int, lo: int, hi: 
     while t < n and q ** t < 128:
         t += 1
     prefix, suffix = _eve_product_rows(p_eve, words[:, : n - t]), _eve_product_rows(p_eve, words[:, n - t:])
-    span = hi - lo + 1 if S > 1 else 0
-    blk, tmp, mix, pbar = np.empty((M, q ** t)), np.empty((M, q ** t)), np.empty((span, q ** t)), np.empty(q ** t)
-    first, leave, enter = np.arange(lo, lo + S), np.arange(lo, hi), np.arange(lo + S, hi + S)  # rows mod M
-    parts = np.empty((prefix.shape[1], M + span))  # per block: the M row sums, then the span's mixture sums
+    cut = np.flatnonzero(np.diff(ms) > 1) + 1  # where a run of consecutive m ends (np.split makes arrays of ms)
+    blk, tmp, mix, pbar = (np.empty(shape) for shape in ((M, q ** t), (M, q ** t), (len(ms) * (S > 1), q ** t), q ** t))
+    wins = [(win, np.arange(r[0], r[0] + S), r[1:] + S - 1, r[:-1])  # rows: its mixtures, first, entering, leaving
+            for win, r in zip(np.split(mix, cut), np.split(ms, cut))] if S > 1 else []
+    parts = np.empty((prefix.shape[1], M + len(mix)))  # per block: the M row sums, then the windows' mixture sums
     for j, part in enumerate(parts):
         np.multiply(prefix[:, j: j + 1], suffix, out=blk)
         np.add.reduce(blk, axis=0, out=pbar)
         pbar /= M  # as w.mean(axis=0)
         np.subtract(blk, pbar, out=tmp)
         np.abs(tmp, out=tmp).sum(axis=1, out=part[:M])
-        if span:
-            np.add.reduce(np.take(blk, first, axis=0, mode="wrap", out=tmp[:S]), axis=0, out=mix[0])
-            np.take(blk, enter, axis=0, mode="wrap", out=mix[1:])
-            mix[1:] -= np.take(blk, leave, axis=0, mode="wrap", out=tmp[: span - 1])
-            np.add.accumulate(mix, axis=0, out=mix)  # window m + 1 = window m + (row m + S − row m)
+        if wins:
+            for win, first, enter, leave in wins:
+                np.add.reduce(np.take(blk, first, axis=0, mode="wrap", out=tmp[:S]), axis=0, out=win[0])
+                np.take(blk, enter, axis=0, mode="wrap", out=win[1:])
+                win[1:] -= np.take(blk, leave, axis=0, mode="wrap", out=tmp[: len(leave)])
+                np.add.accumulate(win, axis=0, out=win)  # window m + 1 = window m + (row m + S − row m)
             mix /= S
             mix -= pbar
             np.abs(mix, out=mix).sum(axis=1, out=part[M:])
@@ -1087,22 +1104,21 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     """Exact (enumerated) or importance-sampled secrecy distances.
 
     Exact mode enumerates Eve's |E|^n outcomes over the M words of each
-    public message, in blocks of columns that stay in cache
-    (``_exact_distances``): a block is a prefix column times one suffix
-    table, and each key mixture of S rows is a running window, so no
-    (M, |E|^n) table is built. Its one limit, (M + S - 1)·|E|^n ≤
+    public message in cache-sized column blocks with running key windows
+    (``_exact_distances``), within 1e-12 of a long-double table and with no
+    (M, |E|^n) table. Its one limit, (M + S - 1)·|E|^n ≤
     ``EXACT_WORK_BUDGET`` = 2^24, bounds one call's work (n ≤ 23 for a
-    binary Eve and M = 2). The distances agree with a long-double table
-    within 1e-12. Each distinct (k, m) is probed once.
+    binary Eve and M = 2). Each distinct (k, m) is probed once.
     Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
     upward, more so the more messages are probed (the report's
     ``messages_probed``), and its standard error is that of the winning mean
-    alone. Each (k, m) scores its trials in blocks, drawn in trial order from
-    its own seeded stream, and sums each block's log-likelihoods with the
-    decoders' ``_row_scores``. ``messages`` restricts the (k, m) pairs
-    probed; by default all pairs are probed, which requires an eagerly
+    alone. Each (k, m) draws from its own seeded stream its T keys, then its
+    T reference words, then Eve's uniforms in trial order, so the trial
+    blocks change no value; its log-likelihoods are sums over exact
+    joint-type counts (``_count_scores``). ``messages`` restricts the (k, m)
+    pairs probed; by default all pairs are probed, which requires an eagerly
     materialized codebook; an empty list, or a pair outside
     [0, K_pub) × [0, M), is a ``ValidationError``.
     """
@@ -1110,7 +1126,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
     _check_config(cfg, codebook)
     p_eve = ch.p_eve
-    n, M, S, K = cfg.n, cfg.M, cfg.S, cfg.K_pub
+    n, M, S, K, T = cfg.n, cfg.M, cfg.S, cfg.K_pub, cfg.trials
     if messages is None:
         if codebook.is_lazy:
             raise BudgetError("probing all (k, m) pairs needs an eager codebook; pass `messages`")
@@ -1123,46 +1139,40 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         if work > EXACT_WORK_BUDGET:
             raise BudgetError(f"exact security work (M+S-1)*|E|^n = {work} exceeds the per-call "
                               f"budget 2^{EXACT_WORK_BUDGET.bit_length() - 1}")
-        by_k = {}
-        for k, m in sorted(set(messages)):
-            by_k.setdefault(k, []).append(m)
         best_full = best_msg = 0.0
-        for k, ms in by_k.items():
-            d_p, d_mix = _exact_distances(p_eve, codebook.inner_block(k, 0, M), S, ms[0], ms[-1])
-            for m in ms:
+        for k, pairs in _groupby(sorted(set(messages)), key=lambda km: km[0]):
+            ms = [m for _, m in pairs]
+            d_p, d_mix = _exact_distances(p_eve, codebook.inner_block(k, 0, M), S, ms)
+            for i, m in enumerate(ms):
                 best_full = max(best_full, float(d_p[(m + np.arange(S)) % M].mean()))
                 if S > 1:  # with S = 1 the key mixture of m is row m itself, whose distance is d_p[m]
-                    best_msg = max(best_msg, float(d_mix[m - ms[0]]))
+                    best_msg = max(best_msg, float(d_mix[i]))
         return SecurityReport(full_criterion=best_full, message_secrecy=best_msg if S > 1 else best_full,
                               mode="exact", messages_probed=probed)
 
     if codebook.is_lazy:
         raise BudgetError("Monte-Carlo security needs every inner word for the reference mixture; "
                           "lazy codebooks are not supported")
-    with np.errstate(divide="ignore"):
-        log_eve = np.log(p_eve).T  # log_eve[e, a] = log p(e | a)
-    T = cfg.trials
-    per = max(1, min(T, _BLOCK_SYMBOLS // (M * n)))  # trials per block: one gather of about _BLOCK_SYMBOLS
-    keys, refs = np.empty((2, per), dtype=np.intp)
-    u = np.empty((per, n))
-    best_full = best_msg = (-np.inf, 0.0)
+    # math.log and math.exp, not numpy's: its SIMD loops differ from libm's in the last bit on some inputs
+    log_eve = [[math.log(p) if p > 0 else -math.inf for p in row] for row in p_eve.tolist()]  # [a][e]
+    per = max(1, min(T, _BLOCK_SYMBOLS // max(M * -(-n // 64), n)))  # (c, M, ⌈n/64⌉) counts, (c, n) uniforms
+    best_full, best_msg, masks_k = (-np.inf, 0.0), (-np.inf, 0.0), None
     for k, m in messages:
         words = codebook.inner_block(k, 0, M)
+        if k != masks_k:  # each public message's words are packed once
+            masks_k, masks = k, _symbol_masks(words, ch.size_a)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SECURITY, k, m]))
+        keys, refs = rng.integers(S, size=T), rng.integers(M, size=T)
         pad = (m + np.arange(S)) % M  # entry s ↦ word f(m, s)
         r_full, r_msg = np.empty(T), np.empty(T)
-        for lo in range(0, T, per):
+        for lo in range(0, T, per):  # the uniforms come in trial order: blocks change no value
             c = min(per, T - lo)
-            for t in range(c):  # trial by trial: its key s, its reference word, then Eve's uniforms
-                keys[t], refs[t] = rng.integers(S), rng.integers(M)
-                rng.random(out=u[t])
-            e_seq = _channel_outputs(ch.cuts_eve, words[refs[:c]], u[:c])
-            ll = _row_scores(log_eve[e_seq], words)  # ll[t, p] = log p(e_t | word p)
+            e_seq = _channel_outputs(ch.cuts_eve, words[refs[lo: lo + c]], rng.random((c, n)))
+            ll = _count_scores(log_eve, masks, _symbol_masks(e_seq, ch.size_e))  # ll[t, p] = log p(e_t | word p)
             log_pbar = np.logaddexp.reduce(ll, axis=1) - math.log(M)
             ll_pad = ll[:, pad]
             log_q = np.logaddexp.reduce(ll_pad, axis=1) - math.log(S)
-            # math.exp, not np.exp: numpy's SIMD exp differs from libm's in the last bit on some inputs
-            r_full[lo: lo + c] = list(map(math.exp, (ll_pad[np.arange(c), keys[:c]] - log_pbar).tolist()))
+            r_full[lo: lo + c] = list(map(math.exp, (ll_pad[np.arange(c), keys[lo: lo + c]] - log_pbar).tolist()))
             r_msg[lo: lo + c] = list(map(math.exp, (log_q - log_pbar).tolist()))
         full, msg = [(float(r.mean()), float(r.std(ddof=1) / math.sqrt(T)) if T > 1 else 0.0)
                      for r in (np.abs(r_full - 1.0), np.abs(r_msg - 1.0))]

@@ -334,6 +334,18 @@ class TestReplayContract:
         assert "OPENBLAS_CORETYPE = 'Prescott'" in lines[0]
         assert "numpy = '1.0.0'" in lines[1] and repr(np.__version__) in lines[1]
 
+    def test_replay_names_a_tool_version_that_differs(self, tmp_path, experiment_spec, run_cli):
+        r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["tool_version"] == cli.__version__
+        manifest["tool_version"] = "0.1.0"
+        (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
+        r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines() == [f"replay: the run used pubpriv '0.1.0', this is {cli.__version__!r}; "
+                                         "outputs may differ where the tool has changed since"]
+
     def test_a_machine_that_is_not_an_object_is_an_input_error(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())

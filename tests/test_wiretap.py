@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -515,19 +516,61 @@ class TestRowScores:
             monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", n * block_rows)
             assert np.array_equal(wt._row_scores(table[:, b].T, words), want)
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 50, 64])
-    def test_a_trial_axis_equals_stacked_2d_calls(self, monkeypatch, block_rows):
-        """(T, n, |A|) columns, as Monte-Carlo security passes them, score like T separate (n, |A|) calls, over
-        1-row blocks, 7-row blocks with a short tail, one block and one clipped block of the 50 rows."""
-        rng = np.random.default_rng(6)
-        T, n = 3, 9
-        words = rng.integers(0, 3, size=(50, n))
-        cols = rng.standard_normal((T, n, 3)) * np.exp(rng.uniform(-30, 30, (T, n, 3)))  # order-sensitive sums
-        cols[1, 4, 2] = -np.inf
-        want = np.stack([wt._row_scores(c, words) for c in cols])
-        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", n * T * block_rows)
-        got = wt._row_scores(cols, words)
-        assert got.shape == (T, 50) and got.tobytes() == want.tobytes()
+
+class TestCountScores:
+    """Monte-Carlo log-likelihoods from joint-type counts: Σ_(e, a) N_ae·log p(e|a), N_ae by popcount."""
+
+    P_EVE = np.array([[0.6, 0.3, 0.1], [0.15, 0.25, 0.6], [0.5, 0.0, 0.5]])  # |A| = |E| = 3, one zero entry
+
+    @staticmethod
+    def _scores(p_eve, words, outs):
+        logs = [[math.log(p) if p > 0 else -math.inf for p in row] for row in p_eve.tolist()]
+        return wt._count_scores(logs, wt._symbol_masks(words, p_eve.shape[0]), wt._symbol_masks(outs, p_eve.shape[1]))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_equals_the_gather_across_word_edges(self, n):
+        """Within 1e-12 of ``log p(e|a)[words, e].sum(-1)``, on either side of each 64-bit word edge, and -inf
+        exactly where a position has p(e|a) = 0."""
+        rng = np.random.default_rng(n)
+        words, outs = rng.integers(0, 3, size=(40, n)).astype(np.uint8), rng.integers(0, 3, size=(9, n))
+        words[:20] %= 2  # half the words never hold a = 2, whose p(1|a) = 0: their scores are finite
+        with np.errstate(divide="ignore"):
+            want = np.log(self.P_EVE)[words[None], outs[:, None]].sum(axis=-1)
+        got = self._scores(self.P_EVE, words, outs)
+        assert got.shape == (9, 40) and np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert finite.any() and np.max(np.abs(got[finite] - want[finite])) <= 1e-12
+
+    def test_words_of_one_joint_type_score_the_same_bits(self):
+        """Shuffling a word's symbols among the positions where the output holds the same value keeps the joint
+        type, and so every bit of the score; a gather would add the same values in another order."""
+        rng = np.random.default_rng(3)
+        n = 100
+        p_eve = rng.dirichlet(np.ones(3), size=3)
+        out, word = rng.integers(0, 3, size=(1, n)), rng.integers(0, 3, size=n)
+        twins = np.tile(word, (20, 1))
+        for twin in twins[1:]:
+            for e in range(3):
+                at = np.flatnonzero(out[0] == e)
+                twin[at] = rng.permutation(twin[at])
+        scores = self._scores(p_eve, twins, out)[0]
+        assert len({s.hex() for s in scores.tolist()}) == 1
+
+    @pytest.mark.parametrize("block", [1, 64, 200])
+    def test_row_and_column_blocks_change_no_bit(self, block, monkeypatch):
+        """The masks pack rows, and the counts go over columns, in blocks of about ``_BLOCK_SYMBOLS``."""
+        rng = np.random.default_rng(block)
+        words, outs = rng.integers(0, 3, size=(50, 70)), rng.integers(0, 3, size=(6, 70))
+        want = self._scores(self.P_EVE, words, outs)
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", block)
+        assert self._scores(self.P_EVE, words, outs).tobytes() == want.tobytes()
+
+    def test_masks_pack_each_symbol_into_whole_words(self):
+        words = np.array([[0, 1, 2] * 22, [2] * 66])
+        masks = wt._symbol_masks(words, 3)
+        assert masks.shape == (3, 2, 2) and masks.dtype == np.uint64
+        assert np.array_equal(np.bitwise_count(masks).sum(axis=-1), [[22, 0], [22, 0], [22, 66]])
+        assert masks[2, 1, 1] == 0b11  # positions 64 and 65, then padding
 
 
 def _pairwise_row_sum(row) -> float:
@@ -1433,27 +1476,28 @@ def broadcast_chain(p_eve, words):
 EVE3 = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.6, 0.3, 0.1], [0.15, 0.25, 0.6]]))
 TWO_LAYER_LAW = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
 
-# Monte-Carlo hex values (full, message, std_err_full, std_err_message), recorded with the per-trial loop.
+# Monte-Carlo hex values (full, message, std_err_full, std_err_message), recorded with each message's array
+# stream (keys, reference words, then uniforms) and log-likelihoods from joint-type counts.
 MC_CASES = {
     "S=1": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=16, S=1, delta=0.5, seed=1, trials=120),
             UNIFORM2, None,
-            ("0x1.d3fddf5090d8dp+0", "0x1.d3fddf5090d8dp+0", "0x1.184a7b39d6526p-2", "0x1.184a7b39d6526p-2")),
+            ("0x1.dc8a17c3e6969p+0", "0x1.dc8a17c3e6969p+0", "0x1.0dbb8454c3a44p-2", "0x1.0dbb8454c3a44p-2")),
     "S=8": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=12, M=32, S=8, delta=0.5, seed=2, trials=150),
             UNIFORM2, None,
-            ("0x1.306816a7b036ep+1", "0x1.f1503838e910ep-1", "0x1.c64a50a2bd439p-2", "0x1.b6ba0456829b0p-5")),
+            ("0x1.114e8f4208b4bp+1", "0x1.02035cbf6c931p+0", "0x1.891aeeb529975p-2", "0x1.cc5bd35c24cc2p-5")),
     "S=3": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=12, S=3, delta=0.5, seed=3, trials=97),
             UNIFORM2, None,
-            ("0x1.a0fa52441b9e2p+0", "0x1.29ae746ef6f1dp+0", "0x1.bd2ccaddc1965p-3", "0x1.35eddeedffd58p-4")),
+            ("0x1.b377def0fdab1p+0", "0x1.120643b828286p+0", "0x1.e7b49096d4ef1p-3", "0x1.3c10e864ee30ap-4")),
     "two-layer": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=8, S=4, K_pub=4, delta=0.4, seed=7, trials=60),
                   TWO_LAYER_LAW, None,
-                  ("0x1.926eca0b21d73p+0", "0x1.3dc8143f5a319p-1", "0x1.9858fe8f6ce0fp-3",
-                   "0x1.1400f4312e059p-5")),
+                  ("0x1.5f4df77a64c9fp+0", "0x1.394c345f4a2f2p-1", "0x1.9bfe5b0f573b4p-3",
+                   "0x1.45c2846ebb4fep-5")),
     "messages": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=9, M=8, S=4, K_pub=4, delta=0.4, seed=5, trials=80),
                  TWO_LAYER_LAW, [(3, 1), (0, 6), (2, 2)],
-                 ("0x1.1a83c4f970882p+0", "0x1.d05e6a476a7e3p-2", "0x1.ef92717e9cdcdp-4",
-                  "0x1.27a35693f3a06p-5")),
+                 ("0x1.e21b8fbc917d5p-1", "0x1.dff40cf0e1afdp-2", "0x1.b5339cb018286p-4",
+                  "0x1.03e3a5dea1b85p-5")),
     "|E|=3": (EVE3, dict(n=8, M=8, S=2, delta=0.9, seed=4, trials=90), UNIFORM2, None,
-              ("0x1.691391dd01aabp+0", "0x1.0e3b8a2facc0ap+0", "0x1.2b63a60c740c3p-3", "0x1.14dfebdb6dd62p-4")),
+              ("0x1.a267124050de5p+0", "0x1.21ccd90b32ec6p+0", "0x1.6fb1a95eca626p-3", "0x1.48e6f6342aa00p-4")),
 }
 
 
@@ -1642,7 +1686,7 @@ class TestSecurity:
         words = np.random.default_rng(n * M + S).integers(0, p_eve.shape[0], size=(M, n))
         rows, mix = long_double_distances(p_eve, words, S)
         for (lo, hi), want in (((0, M - 1), (rows, mix)), ((M - 3, M - 1), (rows, mix[-3:]))):
-            got = wt._exact_distances(p_eve, words, S, lo, hi)
+            got = wt._exact_distances(p_eve, words, S, range(lo, hi + 1))
             assert [g.shape for g in got] == [w.shape for w in want]
             assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-12
 
@@ -1738,8 +1782,59 @@ class TestSecurity:
     @pytest.mark.parametrize("per", [1, 7, 97])
     def test_monte_carlo_trial_blocks_change_no_bit(self, monkeypatch, per):
         """97 trials scored one at a time, in 7-trial blocks with a short tail, and in one block."""
-        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", per * 12 * 10)  # M·n = 120 symbols per trial
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", per * 12)  # M·⌈n/64⌉ = 12 count words per trial, above n = 10
         assert mc_hex("S=3") == MC_CASES["S=3"][-1]
+
+    @pytest.mark.parametrize("case", ["S=3", "two-layer", "|E|=3"])
+    def test_monte_carlo_follows_the_array_stream(self, case):
+        """Each message's stream draws its (T,) keys, then its (T,) reference words, then the (T, n) uniforms;
+        the estimates equal those of likelihoods taken directly as products of p(e|a) (n <= 12), within 1e-11."""
+        ch, kw, law, messages, _ = MC_CASES[case]
+        cfg = CodeConfig(**kw)
+        cb = generate_codebook(cfg, ch, law)
+        T, M, S = cfg.trials, cfg.M, cfg.S
+        for k, m in messages or [(k, m) for k in range(cfg.K_pub) for m in range(M)]:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, wt._TAG_SECURITY, k, m]))
+            keys, refs = rng.integers(S, size=T), rng.integers(M, size=T)
+            words = cb.inner_block(k, 0, M)
+            e = wt._channel_outputs(ch.cuts_eve, words[refs], rng.random((T, cfg.n)))
+            lik = ch.p_eve[words[None], e[:, None]].prod(axis=-1)  # (T, M)
+            pbar, mine = lik.mean(axis=1), lik[:, (m + np.arange(S)) % M]
+            rep = security_distance(cb, cfg, ch, mode="monte_carlo", messages=[(k, m)])
+            for got, ratio in ((rep.full_criterion, mine[np.arange(T), keys] / pbar),
+                               (rep.message_secrecy, mine.mean(axis=1) / pbar)):
+                assert abs(got - np.abs(ratio - 1.0).mean()) <= 1e-11
+
+    def test_monte_carlo_on_an_eve_with_zero_entries(self):
+        """p(e|a) = 0 makes log-likelihoods -inf, never NaN: every estimate is finite and no RuntimeWarning is
+        raised. One message at a time, an estimate is unbiased: it lands within 3 standard errors of exact in at
+        least 19 of 20 seeded cases."""
+        ch = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]))
+        hits = 0
+        for seed, m in product(range(5), range(4)):
+            cfg = CodeConfig(n=5, M=4, S=2, delta=0.9, seed=seed, trials=500)
+            cb = generate_codebook(cfg, ch, UNIFORM2)
+            exact = security_distance(cb, cfg, ch, mode="exact", messages=[(0, m)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mc = security_distance(cb, cfg, ch, mode="monte_carlo", messages=[(0, m)])
+            assert all(math.isfinite(v) for v in (mc.full_criterion, mc.message_secrecy, mc.std_err_full,
+                                                  mc.std_err_message))
+            hits += (abs(exact.full_criterion - mc.full_criterion) <= 3 * max(mc.std_err_full, 1e-12)
+                     and abs(exact.message_secrecy - mc.message_secrecy) <= 3 * max(mc.std_err_message, 1e-12))
+        assert hits >= 19
+
+    @pytest.mark.parametrize("ms", [[0], [0, 63], [3, 4, 5, 40], [0, 2, 4, 6, 62], [10, 20, 30, 31, 32, 63]])
+    def test_sparse_probes_agree_with_the_full_window(self, ms):
+        """Each run of consecutive probed m gets its own window: the key-mixture distances of the probed m
+        agree with those of one window over all M within 1e-12, and the row distances keep every bit."""
+        p_eve = bsc(0.2)
+        words = np.random.default_rng(len(ms)).integers(0, 2, size=(64, 10))
+        for S in (2, 7, 64):
+            rows, mix = wt._exact_distances(p_eve, words, S, range(64))
+            got_rows, got_mix = wt._exact_distances(p_eve, words, S, ms)
+            assert got_rows.tobytes() == rows.tobytes() and got_mix.shape == (len(ms),)
+            assert np.max(np.abs(got_mix - mix[ms])) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
     def test_an_empty_message_list_is_rejected(self, mode):
