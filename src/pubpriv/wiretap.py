@@ -25,10 +25,11 @@ position) through a counter-based hash compared with integer CDF thresholds (no
 float rounding), so lazy and eager generation agree bit-for-bit at any block size;
 error trials draw from (seed, trial index) and security trials from (seed, k, m).
 
-Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``:
-ML replays numpy's pairwise row sum from per-lane lookup tables (``_lane_scores``;
-``TestLaneScores`` guards the order), JT gathers (``_row_scores``). Monte-Carlo
-log-likelihoods sum exact joint-type counts times log p(e|a) (``_count_scores``).
+Decoding scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``: JT
+gathers (``_row_scores``); ML filters every word by its exact joint-type counts with the
+received word and gathers only those within a derived rounding slack of the best
+(``_ml_argmax``). Monte-Carlo log-likelihoods sum exact joint-type counts times log p(e|a)
+(``_count_scores``).
 """
 
 from __future__ import annotations
@@ -99,6 +100,18 @@ class ClassicalWiretap:
     @property
     def size_a(self) -> int:
         return self.p_joint.shape[0]
+
+    @cached_property
+    def _ml_tables(self) -> tuple:
+        """ML decoding's tables (``_ml_argmax``), at first use: log_p = np.log(p(b|a)); the filter's coefficients
+        L[a, 0] − L[0, 0] (a ≥ 1) and L[a, β] − L[a, 0] − L[0, β] + L[0, 0] (a, β ≥ 1) on L, which is log_p with
+        each -inf replaced by the floor F = 256·min(finite log_p) − 1; max |L|; and whether p(b|a) has a zero."""
+        with np.errstate(divide="ignore"):
+            log_p = np.log(self.p_main)  # the brute-force gather's table
+        finite = np.isfinite(log_p)
+        lv = np.where(finite, log_p, 256 * log_p[finite].min() - 1.0)
+        return (log_p, lv[1:, 0] - lv[0, 0], lv[1:, 1:] - lv[1:, :1] - lv[:1, 1:] + lv[0, 0], float(np.abs(lv).max()),
+                not finite.all())
 
     @property
     def size_e(self) -> int:
@@ -482,9 +495,11 @@ class Codebook:
         return self.inner_block(k, p, p + 1)[0]
 
     @cached_property
-    def _lanes(self) -> "_Lanes":
-        """The eager inner words' lane codes, encoded at first use for ``_lane_scores``."""
-        return _encode_lanes(self.inner_words)
+    def _type_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eager inner words' ``_symbol_masks`` of the symbols a >= 1, (|A| - 1, K·M, ⌈n/64⌉), and their
+        counts of each such a, (|A| - 1, K·M) uint8; packed at first use for ML decoding (``_ml_argmax``)."""
+        masks = _symbol_masks(self.inner_words.reshape(-1, self.config.n), self.cond_table.shape[1], first=1)
+        return masks, np.bitwise_count(masks).sum(axis=-1, dtype=np.uint8)
 
 
 def _stream_keys(seed: int, tag: int, k, ids) -> np.ndarray:
@@ -621,12 +636,14 @@ def _row_scores(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symbol_masks(words: np.ndarray, q: int) -> np.ndarray:
-    """(q, R, ⌈n/64⌉) uint64 masks of the (R, n) words: bit i of mask [a, r] is set where words[r, i] == a."""
+def _symbol_masks(words: np.ndarray, q: int, first: int = 0) -> np.ndarray:
+    """(q - first, R, ⌈n/64⌉) uint64 masks of the (R, n) words for the symbols first .. q-1: bit i of mask
+    [a - first, r] is set where words[r, i] == a."""
     (R, n), rows = words.shape, max(1, _BLOCK_SYMBOLS // words.shape[1])
-    out = np.zeros((q, R, -(-n // 64) * 8), dtype=np.uint8)
-    for lo, a in _iproduct(range(0, R, rows), range(q)):  # blocks of about _BLOCK_SYMBOLS symbols, a symbol at a time
-        out[a, lo: lo + rows, : -(-n // 8)] = np.packbits(words[lo: lo + rows] == a, axis=-1, bitorder="little")
+    out = np.zeros((q - first, R, -(-n // 64) * 8), dtype=np.uint8)
+    for lo, a in _iproduct(range(0, R, rows), range(first, q)):  # blocks of about _BLOCK_SYMBOLS symbols
+        out[a - first, lo: lo + rows, : -(-n // 8)] = np.packbits(words[lo: lo + rows] == a, axis=-1,
+                                                                  bitorder="little")
     return out.view(np.uint64)
 
 
@@ -641,93 +658,49 @@ def _count_scores(logs: list, words: np.ndarray, outs: np.ndarray) -> np.ndarray
     return ll
 
 
-#: Entries of the largest lookup table of the lane scorer.
-_LANE_TABLE_CAP = 1 << 12
+def _ml_argmax(b: np.ndarray, codebook: Codebook, ch: ClassicalWiretap) -> int:
+    """The first of the eager codebook's K·M words, in (k, p) order, whose float log-likelihood
+    ``log_p[words, b].sum(axis=1)``, log_p = np.log(p(b|a)), is the largest; 0 when every word has a position of
+    probability 0, as np.argmax of that all -inf gather gives.
 
+    Step 1 filters by exact joint types. A word's log-likelihood Σ N_aβ·L[a, β], N_aβ its positions where it
+    holds a and b holds β, is f = Σ_(a ≥ 1) c_a·(L[a, 0] − L[0, 0]) + Σ_(a, β ≥ 1) N_aβ·(L[a, β] − L[a, 0] −
+    L[0, β] + L[0, 0]) plus a term of b alone: N_a0, N_0β and N_00 follow from the word's counts c_a, b's counts and
+    n by integer subtraction. N_aβ sums the popcounts of the words' and b's ``_symbol_masks`` (a, β ≥ 1) over the
+    ⌈n/64⌉ mask words; words go in blocks of ``_BLOCK_SYMBOLS``. L is log_p with each -inf replaced by the floor
+    F = 256·min(finite log_p) − 1 (``ClassicalWiretap._ml_tables``), so a word with a position of probability 0
+    sums to at most F, at least 1 + 128·|min finite log_p| below any other word (n ≤ 128). Step 2 rescores the
+    words whose f lies within ``slack`` of the largest, in ascending order, with ``_row_scores`` (numpy's own row
+    sum, bit-identical to the gather), and returns the first maximum; a lone candidate needs no rescoring unless
+    p(b|a) has a zero, when it may score -inf.
 
-@dataclass(frozen=True, eq=False)
-class _Lanes:
-    """The (K, M, n) inner words of an eager codebook as indices into lookup tables of partial row sums.
-
-    For n <= 128 numpy's row sum is 0.0 + a pairwise sum: for n >= 8 lane j adds positions j, j+8, ... (below
-    n - n mod 8) in order, the lanes meet as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the tail follows in order;
-    for n < 8 one lane adds every position (starting it from its first value, not 0.0, changes only the sign of
-    a zero, which the final 0.0 + restores). A lane's first t positions, q^t <= ``_LANE_TABLE_CAP`` (t >= 1),
-    share one table over their q^t codes; the later ones and the tail (``extra``) are looked up one by one.
+    slack = 2^-46·n·Λ·(n + |A|·|B|), Λ = max |L|, keeps every maximizer of the gather. With u = 2^-53: numpy's sum
+    of n ≤ 128 terms of size ≤ Λ is within 1.01·n²·Λu of the exact sum; f's coefficients are within 9Λu of
+    exact and the counts they multiply total at most n, which puts f within (6.1·|A|·|B| + 12)·nΛu; twice the sum
+    of the two, plus the rounding of max(f) − slack, is below slack (2^-46 = 128u). The floor's margin exceeds the
+    slack, which is below 1 while |A|·|B| < 10^6 (Λ ≤ 256·745 + 1).
     """
-
-    q: int  # symbols are 0 .. q-1
-    tabled: np.ndarray  # (lanes, t) positions; lanes is 8, or 1 for n < 8
-    steps: int  # untabled positions per lane
-    extra: np.ndarray  # the untabled positions, lane by lane within each step, then the tail
-    codes: np.ndarray  # (lanes + extra.size, K·M) indices into _lane_tables, smallest unsigned dtype
-
-
-def _encode_lanes(words: np.ndarray) -> _Lanes:
-    """Each lane's code d_0·q^(t-1) + ... + d_(t-1) of its t tabled positions (Horner), plus the table's offset."""
-    K, M, n = words.shape
-    q = int(words.max()) + 1
-    lanes = np.arange(n)[None, :] if n < 8 else np.arange(n - n % 8).reshape(-1, 8).T
-    t = 1
-    while t < lanes.shape[1] and q ** (t + 1) <= _LANE_TABLE_CAP:
-        t += 1
-    tabled, nl = lanes[:, :t], len(lanes)
-    extra = np.concatenate([lanes[:, t:].T.ravel(), np.arange(lanes.size, n)])
-    size = nl * q ** t  # entries of the lane tables; the extra columns follow
-    offsets = np.concatenate([np.arange(nl) * q ** t, size + np.arange(extra.size) * q])
-    flat = words.reshape(K * M, n)
-    codes = np.empty((offsets.size, K * M), dtype=np.min_scalar_type(size + extra.size * q - 1))
-    rows = max(1, _BLOCK_SYMBOLS // n)
-    for lo in range(0, K * M, rows):
-        w = flat[lo: lo + rows]
-        c = w[:, tabled[:, 0]].astype(np.intp)  # widened: the words' dtype need not hold a code
-        for i in range(1, t):
-            c *= q
-            c += w[:, tabled[:, i]]
-        codes[:nl, lo: lo + rows] = (c + offsets[:nl]).T
-        codes[nl:, lo: lo + rows] = (w[:, extra] + offsets[nl:]).T
-    return _Lanes(q=q, tabled=tabled, steps=lanes.shape[1] - t, extra=extra, codes=codes)
-
-
-def _lane_tables(cols: np.ndarray, lanes: _Lanes) -> np.ndarray:
-    """Flat lookup tables for the (n, |A|) score columns of one received word: the lanes' partial sums added
-    by broadcast in each lane's order, then the ``extra`` columns."""
-    cols, tabled = cols[:, : lanes.q], lanes.tabled
-    tab = cols[tabled[:, 0]]
-    for i in range(1, tabled.shape[1]):
-        tab = (tab[:, :, None] + cols[tabled[:, i]][:, None, :]).reshape(len(tabled), -1)
-    return np.concatenate([tab.ravel(), cols[lanes.extra].ravel()])
-
-
-def _lane_scores(tables: np.ndarray, lanes: _Lanes) -> np.ndarray:
-    """Row sums of the words behind the (C, R) ``lanes.codes``: ``table[words, b[None, :]].sum(axis=1)`` to the bit.
-
-    Words look up their C values in one ``np.take`` per block of about ``_BLOCK_SYMBOLS`` values, then add
-    them as numpy's pairwise sum would: the untabled steps into the lanes, the rest of the tree, the tail, 0.0.
-    """
-    codes = lanes.codes
-    width, count = codes.shape
-    nl = len(lanes.tabled)
-    rows = max(1, min(count, _BLOCK_SYMBOLS // width))
-    idx = np.empty((width, rows), dtype=np.intp)
-    g = np.empty((width, rows))
-    out = np.empty(count)
-    for lo in range(0, count, rows):
-        m = min(rows, count - lo)
-        np.copyto(idx[:, :m], codes[:, lo: lo + m])
-        np.take(tables, idx[:, :m], out=g[:, :m], mode="clip")  # "raise" would buffer out; indices are in range
-        r = g[:nl, :m]
-        for s in range(1, 1 + lanes.steps):
-            r += g[s * nl: (s + 1) * nl, :m]
-        while len(r) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            np.add(r[0::2], r[1::2], out=r[0::2])
-            r = r[0::2]
-        res = out[lo: lo + m]
-        np.copyto(res, r[0])
-        for c in range(nl * (1 + lanes.steps), width):
-            res += g[c, :m]
-    out += 0.0  # the reduction's start value: turns -0.0 into 0.0
-    return out
+    n = len(b)
+    log_p, coef_a, coef_ab, big, zeros = ch._ml_tables
+    slack = 2.0 ** -46 * n * big * (n + log_p.size)
+    masks, counts = codebook._type_masks
+    outs = _symbol_masks(b[None], log_p.shape[1], first=1)[:, 0]  # (|B| - 1, ⌈n/64⌉)
+    f = np.zeros(counts.shape[1])
+    for lo in range(0, f.size, _BLOCK_SYMBOLS):
+        blk, rows = f[lo: lo + _BLOCK_SYMBOLS], slice(lo, lo + _BLOCK_SYMBOLS)
+        for a, (m_a, c_a) in enumerate(zip(masks[:, rows], counts[:, rows])):
+            blk += c_a * coef_a[a]
+            for beta, o in enumerate(outs):
+                n_ab = np.bitwise_count(m_a[:, 0] & o[0])
+                for j in range(1, len(o)):
+                    n_ab += np.bitwise_count(m_a[:, j] & o[j])
+                blk += n_ab * coef_ab[a, beta]
+    cand = np.flatnonzero(f >= f.max() - slack)
+    if cand.size == 1 and not zeros:  # every maximizer is a candidate, and no word scores -inf
+        return int(cand[0])
+    scores = _row_scores(log_p[:, b].T, codebook.inner_words.reshape(-1, n)[cand])
+    best = int(np.argmax(scores))
+    return int(cand[best]) if scores[best] > -np.inf else 0
 
 
 def _check_config(cfg: CodeConfig, codebook: Codebook) -> None:
@@ -842,10 +815,12 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     as None and counted as an error by the callers.
 
     Scores are bit-identical to ``table[words, b[None, :]].sum(axis=1)``, so
-    ties and window edges turn on the same last bit. ML scores come from the
-    words' lane codes, encoded once per codebook, and lookup tables built
-    once per received word (``_lane_scores``: this replays numpy's pairwise
-    row sum). JT walks each public message's words in blocks of
+    ties and window edges turn on the same last bit. ML (``_ml_argmax``)
+    scores every word from its exact joint type with b: popcounts of the
+    words' symbol masks, packed once per codebook, against b's, times the
+    log-likelihood table. Only the words within a derived rounding slack of
+    the best such score are summed again by numpy (``_row_scores``), and
+    the first maximum of those sums is returned. JT walks each public message's words in blocks of
     ``_JT_BLOCK`` = 4,096, each through ``_jt_block``, gathered directly
     (``_row_scores``), and returns None at the block that holds the second
     hit, so a lazy codebook regenerates no words past that block. A block
@@ -882,11 +857,7 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     if cfg.decoder == "ML":
         if codebook.is_lazy:
             raise BudgetError(f"ML decoding needs the words in memory, but this codebook of {K * M} words is lazy")
-        lanes = codebook._lanes
-        with np.errstate(divide="ignore"):
-            cols = np.log(ch.p_main)[:, b].T  # the whole table, as one contiguous log
-        ll = _lane_scores(_lane_tables(cols, lanes), lanes)
-        return divmod(int(np.argmax(ll)), M)  # first maximum = lexicographically smallest (k, p)
+        return divmod(_ml_argmax(b, codebook, ch), M)  # first maximum = lexicographically smallest (k, p)
 
     v, h = _jt_tables(codebook, ch)
     in_window, low, high = _jt_window(cfg.n, h, cfg.delta)

@@ -453,24 +453,6 @@ class TestOneCallCodegen:
             decode(wt._channel_outputs(ch.cuts_main, a, rng.random(a.size)), cb, cfg, ch)
         assert built == []
 
-    def test_lane_codes_widen_uint8_words(self):
-        """q = 4 and n = 48 table t = 6 positions a lane, so codes reach 4^6 - 1 = 4,095: the Horner step must not
-        run in the words' uint8."""
-        rng = np.random.default_rng(9)
-        words = rng.integers(0, 4, size=(2, 50, 48))
-        words[0, 0] = 3
-        small, wide = wt._encode_lanes(words.astype(np.uint8)), wt._encode_lanes(words.astype(np.intp))
-        assert small.tabled.shape[1] == 6 and small.codes.max() >= 4095
-        assert np.array_equal(small.codes, wide.codes)
-        ch = ClassicalWiretap.from_marginals(rng.dirichlet(np.ones(4), size=4), np.full((4, 1), 1.0))
-        cfg = CodeConfig(n=48, M=50, K_pub=2, delta=3.0)
-        books = [Codebook(config=cfg, outer_p=UNIFORM2, cond_table=np.full((2, 4), 0.25),
-                          outer_words=np.zeros((2, 48), dtype=np.uint8), inner_words=words.astype(dtype),
-                          record=wt.GenerationRecord(acceptance_inner=1.0)) for dtype in (np.uint8, np.intp)]
-        for _ in range(20):
-            b = wt._channel_outputs(ch.cuts_main, words[rng.integers(2), rng.integers(50)], rng.random(48))
-            assert decode(b, books[0], cfg, ch) == decode(b, books[1], cfg, ch)
-
 
 class TestRowScores:
     """``_row_scores`` sums the values of the 2-D gather ``table[words, b[None, :]].sum(axis=1)``
@@ -573,107 +555,93 @@ class TestCountScores:
         assert masks[2, 1, 1] == 0b11  # positions 64 and 65, then padding
 
 
-def _pairwise_row_sum(row) -> float:
-    """numpy's row sum of n <= 128 values, one float add at a time: the reduction's 0.0 plus the pairwise sum,
-    which keeps 8 lane accumulators for n >= 8 and is a plain sequential sum from 0.0 for n < 8."""
-    n = len(row)
-    if n < 8:
-        res = 0.0
-        for x in row:
-            res += x
-    else:
-        r = list(row[:8])
-        for i in range(8, n - n % 8):
-            r[i % 8] += row[i]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in row[n - n % 8:]:
-            res += x
-    return 0.0 + res
+def _ml_book(words, q):
+    """An eager codebook over the (K, M, n) words on the alphabet 0 .. q-1, without generation."""
+    K, M, n = words.shape
+    return Codebook(config=CodeConfig(n=n, M=M, K_pub=K, delta=3.0), outer_p=np.ones(1),
+                    cond_table=np.full((1, q), 1.0 / q), outer_words=np.zeros((K, n), dtype=np.uint8),
+                    inner_words=words, record=wt.GenerationRecord(acceptance_inner=1.0))
 
 
-class TestLaneScores:
-    """ML scores come from per-lane lookup tables that replay numpy's pairwise row sum, so they equal ``table[words, b[None, :]].sum(axis=1)`` to the last bit, the sign of zero included."""
+class TestMLDecode:
+    """ML decodes come from exact joint-type counts plus a numpy rescoring of the words within the slack of the
+    best count score (``_ml_argmax``), so they equal the first argmax of ``log p[words, b].sum(-1)``, near-ties
+    included."""
 
     @staticmethod
-    def _tables(rng, q):
-        """(q, min(q, 3)) tables: TestRowScores' ones with rows indexed modulo 3, wide noise, signed zeros."""
-        shape = (q, min(q, 3))
-        tables = {name: t[np.arange(q) % 3, : shape[1]] for name, t in TestRowScores._tables(rng, 3).items()}
-        tables["noisy"] = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
-        tables["zeros"] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
-        return tables
-
-    @staticmethod
-    def _check(words, b, table):
-        lanes = wt._encode_lanes(words[None])
-        got = wt._lane_scores(wt._lane_tables(table[:, b].T, lanes), lanes)
-        want = table[words, b[None, :]].sum(axis=1)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        return lanes
-
-    def test_numpy_row_sum_is_the_8_lane_pairwise_sum(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 129):
-            a = rng.standard_normal((6, n)) * np.exp(rng.uniform(-40, 40, (6, n)))  # order-sensitive sums
-            a[0] = -0.0
-            want = np.array([_pairwise_row_sum(row.tolist()) for row in a])
-            assert a.sum(axis=1).tobytes() == want.tobytes(), (
-                f"numpy's row sum at n={n} is no longer 0.0 + the 8-lane pairwise sum; ML scoring "
-                f"(wiretap._lane_scores) replays that order and would no longer be bit-identical to it")
-
-    @pytest.mark.parametrize("n", list(range(1, 18)) + [40, 63, 64, 65, 127, 128])
-    def test_equals_the_2d_gather(self, n):
-        rng = np.random.default_rng(n)
-        for q in (1, 2, 3, 5):
-            words = rng.integers(0, q, size=(300, n))
-            words[0] = 0  # with b = 0 below, a row of -0.0 entries in the "zeros" table
-            b = rng.integers(0, min(q, 3), size=n)
-            b[: n // 2] = 0
-            for name, table in self._tables(rng, q).items():
-                self._check(words, b, table)
-
-    @pytest.mark.parametrize("q, n, tabled, steps", [
-        (2, 96, 12, 0), (2, 104, 12, 1), (4, 48, 6, 0), (4, 56, 6, 1), (4, 5, 5, 0), (4, 7, 6, 1),
-        (4099, 9, 1, 0), (4099, 17, 1, 1), (2, 15, 1, 0), (2, 40, 5, 0)])
-    def test_lane_tables_at_and_past_the_cap(self, q, n, tabled, steps):
-        """q^t reaches the 4096-entry cap exactly, or the lanes hold one position more than fits."""
-        rng = np.random.default_rng(q * 1000 + n)
-        words = rng.integers(0, q, size=(200, n))
-        words[0, 0] = q - 1
-        b = rng.integers(0, min(q, 3), size=n)
-        for table in self._tables(rng, q).values():
-            lanes = self._check(words, b, table)
-        assert (lanes.tabled.shape[1], lanes.steps) == (tabled, steps)
-        size = wt._lane_tables(table[:, b].T, lanes).size
-        assert lanes.codes.dtype == np.min_scalar_type(size - 1)
-
-    def test_untabled_steps_and_tail(self, monkeypatch):
-        """A 4-entry cap leaves 2 of each lane's positions in its table and the rest to per-position lookups."""
-        monkeypatch.setattr(wt, "_LANE_TABLE_CAP", 4)
-        rng = np.random.default_rng(3)
-        for n in (7, 45, 128):
-            words = rng.integers(0, 2, size=(100, n))
-            b = rng.integers(0, 2, size=n)
-            for table in self._tables(rng, 2).values():
-                lanes = self._check(words, b, table)
-            assert lanes.tabled.shape[1] == 2
-
-    def test_block_boundaries_do_not_change_scores(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        n = 21  # 8 lanes of 2 positions and a tail of 5: 13 values per word
-        words = rng.integers(0, 3, size=(50, n))
-        b = rng.integers(0, 3, size=n)
-        table = rng.standard_normal((3, 3))
-        assert self._check(words, b, table).codes.shape[0] == 13
-        # 50 rows: 1-row blocks, 7-row blocks with a short tail, one block, one clipped block
-        for block_rows in (1, 7, 50, 64):
-            monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", 13 * block_rows)
-            self._check(words, b, table)
+    def _channels(rng, qa, qb):
+        """p(b|a) tables: Dirichlet, Dirichlet with entries near 1e-300, with zero entries, and a symmetric one,
+        whose many words of one score but different joint types round differently."""
+        dirichlet = rng.dirichlet(np.ones(qb), size=qa)
+        tiny = dirichlet.copy()
+        tiny[rng.random((qa, qb)) < 0.4] = 1e-300 * rng.uniform(0.5, 2.0)
+        zeros = dirichlet.copy()
+        zeros[rng.random((qa, qb)) < 0.4] = 0.0
+        zeros[np.arange(qa), rng.integers(qb, size=qa)] += 0.1  # each row keeps a positive entry
+        symmetric = np.full((qa, qb), 0.1)
+        symmetric[np.arange(qa), np.arange(qa) % qb] = 0.9
+        return {name: t / t.sum(axis=1, keepdims=True)
+                for name, t in (("dirichlet", dirichlet), ("tiny", tiny), ("zeros", zeros), ("symmetric", symmetric))}
 
     @staticmethod
     def _brute_force_ml(cb, ch, b):
-        ll = np.log(ch.p_main)[cb.inner_words, b].sum(axis=-1)
+        with np.errstate(divide="ignore"):
+            ll = np.log(ch.p_main)[cb.inner_words, b].sum(axis=-1)
         return divmod(int(np.argmax(ll.ravel())), cb.inner_words.shape[1])
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 40, 63, 64, 65, 127, 128])
+    def test_decodes_equal_the_brute_force_argmax(self, n):
+        rng = np.random.default_rng(n)
+        for qa, qb in product((1, 2, 3, 5), (1, 2, 3)):
+            words = rng.integers(0, qa, size=(3, 40, n)).astype(np.uint8)
+            words[1, 7] = words[0, 3]  # a repeated word: a tie that only the first maximum breaks
+            cb = _ml_book(words, qa)
+            cfg = cb.config
+            for name, p_main in self._channels(rng, qa, qb).items():
+                ch = ClassicalWiretap.from_marginals(p_main, np.ones((qa, 1)))
+                for t in range(8):
+                    a = words[1, 7] if t == 0 else words[rng.integers(3), rng.integers(40)]
+                    # received words from the channel, and arbitrary ones, which may be impossible for every word
+                    b = (wt._channel_outputs(ch.cuts_main, a, rng.random(n)) if t < 6 else
+                         rng.integers(0, qb, size=n))
+                    assert decode(b, cb, cfg, ch) == self._brute_force_ml(cb, ch, b), (qa, qb, name, t)
+
+    def test_a_word_no_codeword_can_produce_decodes_to_0_0(self):
+        """Every word scores -inf: b = 1 needs a = 0 and b = 2 needs a = 1, and no word is 011."""
+        ch = ClassicalWiretap.from_marginals(np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]), np.ones((2, 1)))
+        words = np.array([[[1, 1, 0], [0, 0, 1], [1, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 1, 0]]], dtype=np.uint8)
+        cb = _ml_book(words, 2)
+        b = np.array([1, 2, 2])
+        assert decode(b, cb, cb.config, ch) == (0, 0) == self._brute_force_ml(cb, ch, b)
+        b = np.array([1, 2, 1])  # only the last word, 010, can produce it
+        assert decode(b, cb, cb.config, ch) == (1, 2) == self._brute_force_ml(cb, ch, b)
+
+    def test_of_two_words_at_the_least_distance_the_higher_float_sum_wins(self):
+        """The tie rule as it stands: two words at Hamming distance 3 from b, of different joint types, whose
+        log-likelihood sums round differently; ML returns the later one, whose sum rounds higher. Its joint-type
+        score rounds lower than the first word's, so a filter without the slack would return the first."""
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        b = np.array([int(c) for c in "0001110111000001001101001100000011010000"])
+        words = np.tile(b, (3, 1))
+        words[0, [11, 21, 25]] ^= 1
+        words[1, [1, 6, 14]] ^= 1
+        words[2, :8] ^= 1
+        cb = _ml_book(words[None].astype(np.uint8), 2)
+        sums = np.log(ch.p_main)[words, b].sum(axis=-1)
+        assert sums[1] > sums[0] and np.isclose(sums[0], sums[1], rtol=1e-15, atol=0)
+        assert decode(b, cb, cb.config, ch) == (0, 1) == self._brute_force_ml(cb, ch, b)
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_word_blocks_change_no_decode(self, block, monkeypatch):
+        """The filter goes over the words in blocks of ``_BLOCK_SYMBOLS``."""
+        rng = np.random.default_rng(block)
+        words = rng.integers(0, 3, size=(2, 60, 70)).astype(np.uint8)
+        cb = _ml_book(words, 3)
+        ch = ClassicalWiretap.from_marginals(rng.dirichlet(np.ones(2), size=3), np.ones((3, 1)))
+        bs = [wt._channel_outputs(ch.cuts_main, words[i % 2, i], rng.random(70)) for i in range(12)]
+        want = [decode(b, cb, cb.config, ch) for b in bs]
+        monkeypatch.setattr(wt, "_BLOCK_SYMBOLS", block)
+        assert [decode(b, cb, cb.config, ch) for b in bs] == want == [self._brute_force_ml(cb, ch, b) for b in bs]
 
     def _check_decodes(self, cb, cfg, ch, seed):
         rng = np.random.default_rng(seed)
@@ -690,8 +658,8 @@ class TestLaneScores:
         two = CodeConfig(n=21, M=32, K_pub=6, delta=0.5, seed=3)
         cb = generate_codebook(two, ch, TWO_LAYER_LAW)
         self._check_decodes(cb, two, ch, 1)
-        kept = expurgate(cb, [0.3, 0.1, 0.5, 0.0, 0.2, 0.4])  # keeps k = 1, 3, 4: new words, new lane codes
-        assert kept._lanes is not cb._lanes
+        kept = expurgate(cb, [0.3, 0.1, 0.5, 0.0, 0.2, 0.4])  # keeps k = 1, 3, 4: new words, new masks
+        assert kept._type_masks is not cb._type_masks
         self._check_decodes(kept, kept.config, ch, 2)
 
 
