@@ -11,7 +11,7 @@ Subpackages:
 - cli:       command-line front end with reproducible manifests
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .qcore import (
     DensityOperator,

@@ -1084,9 +1084,10 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
     the reported maximum of these means over the probed messages is biased
     upward, more so the more messages are probed (the report's
-    ``messages_probed``), and its standard error is that of the winning mean
-    alone. Each (k, m) draws from its own seeded stream its T keys, then its
-    T reference words, then Eve's uniforms in trial order, so the trial
+    ``messages_probed``), and is clipped at 2, the largest L1 distance; its
+    standard error is that of the winning mean alone. Each (k, m)
+    draws from its own seeded stream its T keys, then its T reference
+    words, then Eve's uniforms in trial order, so the trial
     blocks change no value; its log-likelihoods are sums over exact
     joint-type counts (``_count_scores``). ``messages`` restricts the (k, m)
     pairs probed; by default all pairs are probed, which requires an eagerly
@@ -1149,8 +1150,9 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                      for r in (np.abs(r_full - 1.0), np.abs(r_msg - 1.0))]
         best_full = max(best_full, full, key=lambda b: b[0])  # ties keep the earlier message
         best_msg = max(best_msg, msg, key=lambda b: b[0])
-    return SecurityReport(full_criterion=best_full[0], message_secrecy=best_msg[0], mode="monte_carlo",
-                          std_err_full=best_full[1], std_err_message=best_msg[1], messages_probed=probed)
+    return SecurityReport(full_criterion=min(best_full[0], 2.0), message_secrecy=min(best_msg[0], 2.0),
+                          mode="monte_carlo", std_err_full=best_full[1], std_err_message=best_msg[1],
+                          messages_probed=probed)
 
 
 # ---------------------------------------------------------------------------

@@ -1445,14 +1445,15 @@ EVE3 = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.6, 0.3, 0.1], [0.1
 TWO_LAYER_LAW = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
 
 # Monte-Carlo hex values (full, message, std_err_full, std_err_message), recorded with each message's array
-# stream (keys, reference words, then uniforms) and log-likelihoods from joint-type counts.
+# stream (keys, reference words, then uniforms) and log-likelihoods from joint-type counts; S=8's full criterion,
+# 0x1.114e8f4208b4bp+1 as the largest mean, is reported clipped at 2.
 MC_CASES = {
     "S=1": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=16, S=1, delta=0.5, seed=1, trials=120),
             UNIFORM2, None,
             ("0x1.dc8a17c3e6969p+0", "0x1.dc8a17c3e6969p+0", "0x1.0dbb8454c3a44p-2", "0x1.0dbb8454c3a44p-2")),
     "S=8": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=12, M=32, S=8, delta=0.5, seed=2, trials=150),
             UNIFORM2, None,
-            ("0x1.114e8f4208b4bp+1", "0x1.02035cbf6c931p+0", "0x1.891aeeb529975p-2", "0x1.cc5bd35c24cc2p-5")),
+            ("0x1.0000000000000p+1", "0x1.02035cbf6c931p+0", "0x1.891aeeb529975p-2", "0x1.cc5bd35c24cc2p-5")),
     "S=3": (ClassicalWiretap.bsc_pair(0.05, 0.2), dict(n=10, M=12, S=3, delta=0.5, seed=3, trials=97),
             UNIFORM2, None,
             ("0x1.b377def0fdab1p+0", "0x1.120643b828286p+0", "0x1.e7b49096d4ef1p-3", "0x1.3c10e864ee30ap-4")),
@@ -1746,6 +1747,16 @@ class TestSecurity:
     @pytest.mark.parametrize("case", list(MC_CASES))
     def test_monte_carlo_values_are_pinned(self, case):
         assert mc_hex(case) == MC_CASES[case][-1]
+
+    def test_monte_carlo_maximum_is_clipped_at_2(self):
+        """On the benchmark's mc-n32 setting 27 of the 64 per-message means exceed 2, the largest L1 distance, and
+        the largest is 4.38 (message 54): the report says 2, with message 54's standard error. Clipping each mean
+        before the maximum would tie 27 messages at 2 and report the first one's."""
+        ch = ClassicalWiretap.bsc_pair(0.05, 0.2)
+        cfg = CodeConfig(n=32, M=64, S=1, delta=0.5, seed=7, trials=200)
+        rep = security_distance(generate_codebook(cfg, ch, UNIFORM2), cfg, ch, mode="monte_carlo")
+        assert rep.full_criterion == rep.message_secrecy == 2.0
+        assert rep.std_err_full.hex() == rep.std_err_message.hex() == "0x1.dda360209c845p-1"
 
     @pytest.mark.parametrize("per", [1, 7, 97])
     def test_monte_carlo_trial_blocks_change_no_bit(self, monkeypatch, per):
