@@ -101,6 +101,10 @@ class ClassicalWiretap:
     def size_a(self) -> int:
         return self.p_joint.shape[0]
 
+    @property
+    def size_e(self) -> int:
+        return self.p_joint.shape[2]
+
     @cached_property
     def _ml_tables(self) -> tuple:
         """ML decoding's tables (``_ml_argmax``), at first use: log_p = np.log(p(b|a)); the filter's coefficients
@@ -112,10 +116,6 @@ class ClassicalWiretap:
         lv = np.where(finite, log_p, 256 * log_p[finite].min() - 1.0)
         return (log_p, lv[1:, 0] - lv[0, 0], lv[1:, 1:] - lv[1:, :1] - lv[:1, 1:] + lv[0, 0], float(np.abs(lv).max()),
                 not finite.all())
-
-    @property
-    def size_e(self) -> int:
-        return self.p_joint.shape[2]
 
     @classmethod
     def from_marginals(cls, p_b_given_a, p_e_given_a) -> "ClassicalWiretap":
@@ -681,8 +681,8 @@ def _ml_argmax(b: np.ndarray, codebook: Codebook, ch: ClassicalWiretap) -> int:
     slack, which is below 1 while |A|·|B| < 10^6 (Λ ≤ 256·745 + 1).
     """
     n = len(b)
-    log_p, coef_a, coef_ab, big, zeros = ch._ml_tables
-    slack = 2.0 ** -46 * n * big * (n + log_p.size)
+    log_p, coef_a, coef_ab, max_abs, zeros = ch._ml_tables
+    slack = 2.0 ** -46 * n * max_abs * (n + log_p.size)
     masks, counts = codebook._type_masks
     outs = _symbol_masks(b[None], log_p.shape[1], first=1)[:, 0]  # (|B| - 1, ⌈n/64⌉)
     f = np.zeros(counts.shape[1])
