@@ -589,8 +589,9 @@ class TestMLDecode:
             ll = np.log(ch.p_main)[cb.inner_words, b].sum(axis=-1)
         return divmod(int(np.argmax(ll.ravel())), cb.inner_words.shape[1])
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 40, 63, 64, 65, 127, 128])
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [40, 63, 64, 65, 127, 128])
     def test_decodes_equal_the_brute_force_argmax(self, n):
+        """Every n up to 17 runs numpy's 8-way unrolled row sum through each of its tail lengths."""
         rng = np.random.default_rng(n)
         for qa, qb in product((1, 2, 3, 5), (1, 2, 3)):
             words = rng.integers(0, qa, size=(3, 40, n)).astype(np.uint8)
@@ -605,6 +606,32 @@ class TestMLDecode:
                     b = (wt._channel_outputs(ch.cuts_main, a, rng.random(n)) if t < 6 else
                          rng.integers(0, qb, size=n))
                     assert decode(b, cb, cfg, ch) == self._brute_force_ml(cb, ch, b), (qa, qb, name, t)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 40, 63, 64, 65, 127, 128])
+    def test_the_slack_covers_the_filter_and_row_sum_rounding(self, n):
+        """The filter score f, accumulated as ``_ml_argmax`` does from exact joint-type counts, differs from numpy's
+        row sum by a per-b constant plus an error: between two feasible words the errors differ by less than the
+        slack, and a word with a position of probability 0 scores more than the slack below every feasible word."""
+        rng = np.random.default_rng(1000 + n)
+        for qa, qb in ((2, 2), (3, 3), (5, 2), (2, 3)):
+            words = rng.integers(0, qa, size=(400, n))
+            for name, p_main in self._channels(rng, qa, qb).items():
+                ch = ClassicalWiretap.from_marginals(p_main, np.ones((qa, 1)))
+                log_p, coef_a, coef_ab, max_abs, _ = ch._ml_tables
+                slack = 2.0 ** -46 * n * max_abs * (n + log_p.size)
+                b = rng.integers(0, qb, size=n)
+                f = np.zeros(len(words))
+                for a in range(1, qa):
+                    f += (words == a).sum(axis=1, dtype=np.uint8) * coef_a[a - 1]
+                    for beta in range(1, qb):
+                        f += ((words == a) & (b == beta)).sum(axis=1, dtype=np.uint8) * coef_ab[a - 1, beta - 1]
+                with np.errstate(divide="ignore"):
+                    sums = log_p[words, b].sum(axis=1)
+                feasible = np.isfinite(sums)
+                err = f[feasible] - sums[feasible]
+                if err.size:
+                    assert err.max() - err.min() < slack, (qa, qb, name)
+                    assert (f[~feasible] < f[feasible].min() - slack).all(), (qa, qb, name)
 
     def test_a_word_no_codeword_can_produce_decodes_to_0_0(self):
         """Every word scores -inf: b = 1 needs a = 0 and b = 2 needs a = 1, and no word is 011."""
@@ -631,9 +658,10 @@ class TestMLDecode:
         assert sums[1] > sums[0] and np.isclose(sums[0], sums[1], rtol=1e-15, atol=0)
         assert decode(b, cb, cb.config, ch) == (0, 1) == self._brute_force_ml(cb, ch, b)
 
-    @pytest.mark.parametrize("block", [1, 7, 40])
+    @pytest.mark.parametrize("block", [1, 7, 40, 119, 120, 121])
     def test_word_blocks_change_no_decode(self, block, monkeypatch):
-        """The filter goes over the words in blocks of ``_BLOCK_SYMBOLS``."""
+        """The filter goes over the words in blocks of ``_BLOCK_SYMBOLS``: 120 words in many blocks, in one block
+        with one word left over, in exactly one, and in one clipped block."""
         rng = np.random.default_rng(block)
         words = rng.integers(0, 3, size=(2, 60, 70)).astype(np.uint8)
         cb = _ml_book(words, 3)
