@@ -8,17 +8,23 @@ alone may be as large as min{dim A', dim B}² + 1.
 
 Layout: the inputs are stored as one validated (|X|, |Y|, d, d) array,
 ``InputEnsemble.states``, and evolved in one matmul into B⊗E outputs of
-shape (|X|, |Y|, d_B·d_E, d_B·d_E). ``build_cq_state`` runs in two stages,
-one batched eigensolve per stage and system K in {B, E}:
+shape (|X|, |Y|, d_B·d_E, d_B·d_E). ``build_cq_state`` runs in three
+stages per system K in {B, E}, each later one reading one more law:
 - the state stage (``cq_marginals``) reads the states only: it evolves
   them, takes both partial traces and returns, per K, the marginals
   σ_{x,y} with their entropies S(σ_{x,y});
-- the law stage reads p(x) and p(y|x) as well: it averages
-  σ_x = Σ_y p(y|x) σ_{x,y} and σ = Σ_x p(x) σ_x and takes S(σ_x), S(σ).
-Together they give the table ``CqState.entropies[K]`` = (S(σ_{x,y}) as an
-|X|×|Y| array, S(σ_x) as an |X| array, S(σ)). A caller that moves only the
-laws, like the optimizer's probability blocks, passes the state stage it
-already has. The six mutual informations are weighted sums over the table.
+- the conditional stage reads p(y|x) as well: σ_x = Σ_y p(y|x) σ_{x,y}
+  and S(σ_x);
+- the marginal stage reads p(x) as well: σ = Σ_x p(x) σ_x and S(σ).
+A fresh conditional stage is computed with the marginal stage, in one
+batched eigensolve of [σ_x; σ] per system. Given a conditional stage, the
+marginal stage of a system is computed only when a quantity reads S(σ):
+the eigensolver treats each matrix of a stack on its own, so S(σ) alone has
+the bits it has as the last row of [σ_x; σ]. ``CqState.entropies[K]`` is the
+full table (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an |X| array, S(σ)).
+A caller that moves only the laws, like the optimizer's probability blocks,
+passes the stages it already has. The six mutual informations are weighted
+sums over the table.
 An ensemble is checked where it enters the library (``InputEnsemble``) and where it
 leaves (the optimizer's witness); ``build_cq_state`` reads p_x, p_y_given_x, states.
 
@@ -29,7 +35,7 @@ bug rather than rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -97,17 +103,33 @@ class InputEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class CqState:
-    """The ensemble's laws p(x), p(y|x) and the entropy table of the module docstring; arrays only."""
+    """The ensemble's laws p(x), p(y|x) and the three stages of the module docstring, per system K:
+    ``marginals[K]`` = (σ_{x,y}, S(σ_{x,y})), ``conditionals[K]`` = (σ_x, S(σ_x)) and ``s_total[K]`` = S(σ),
+    filled on first read."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
     dim_B: int
     dim_E: int
-    entropies: dict
+    marginals: dict
+    conditionals: dict
+    s_total: dict = field(default_factory=dict)
 
     @property
     def weights(self) -> np.ndarray:
         return self.p_x[:, None] * self.p_y_given_x
+
+    def total_entropy(self, system: str) -> float:
+        """S(σ) of the marginal stage, σ = Σ_x p(x) σ_x."""
+        if system not in self.s_total:
+            sigma = np.einsum("x,xij->ij", self.p_x, self.conditionals[system][0])
+            self.s_total[system] = float(von_neumann_entropy(sigma))
+        return self.s_total[system]
+
+    @property
+    def entropies(self) -> dict:
+        """The full table K → (S(σ_{x,y}), S(σ_x), S(σ))."""
+        return {k: (s_xy, self.conditionals[k][1], self.total_entropy(k)) for k, (_, s_xy) in self.marginals.items()}
 
 
 def cq_marginals(states: np.ndarray, iso: IsometricExtension) -> dict:
@@ -123,18 +145,24 @@ def cq_marginals(states: np.ndarray, iso: IsometricExtension) -> dict:
     return marginals
 
 
-def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None) -> CqState:
-    """Tabulate both marginals' entropies; reads p_x, p_y_given_x and, unless ``marginals`` holds the state stage
-    ``cq_marginals(ens.states, iso)`` already, states."""
+def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None,
+                   conditionals: dict | None = None) -> CqState:
+    """The stages of ``ens`` under ``iso``; reads p_x, p_y_given_x and, unless ``marginals`` holds the state stage
+    ``cq_marginals(ens.states, iso)`` already, states. ``conditionals`` may hold the conditional stage of those
+    marginals under ens.p_y_given_x; an empty dict passed there is filled with the one this call computes."""
     if marginals is None:
         marginals = cq_marginals(ens.states, iso)
-    entropies = {}
-    for name, (sigma_xy, s_xy) in marginals.items():
-        sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
-        sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
-        ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
-        entropies[name] = (s_xy, ent[:-1], float(ent[-1]))
-    return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E, entropies=entropies)
+    conditionals = {} if conditionals is None else conditionals
+    s_total = {}
+    if not conditionals:
+        for name, (sigma_xy, _) in marginals.items():
+            sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
+            sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
+            ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
+            conditionals[name] = (sigma_x, ent[:-1])
+            s_total[name] = float(ent[-1])
+    return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E,
+                   marginals=marginals, conditionals=conditionals, s_total=s_total)
 
 
 def _fold(first, terms: np.ndarray):
@@ -147,20 +175,18 @@ def _fold(first, terms: np.ndarray):
 
 def _holevo(s: CqState, system: str) -> float:
     """I(X;·) = S(σ) - Σ_x p(x) S(σ_x)."""
-    _, s_x, s_all = s.entropies[system]
-    return _clamp(float(_fold(s_all, s.p_x * s_x)))
+    return _clamp(float(_fold(s.total_entropy(system), s.p_x * s.conditionals[system][1])))
 
 
 def _cond_info(s: CqState, system: str) -> float:
     """I(Y;·|X) = Σ_x p(x) [S(σ_x) - Σ_y p(y|x) S(σ_{x,y})]."""
-    s_xy, s_x, _ = s.entropies[system]
+    s_xy, s_x = s.marginals[system][1], s.conditionals[system][1]
     return _clamp(float(_fold(0.0, -s.p_x * _fold(s_x, s.p_y_given_x * s_xy))))
 
 
 def _joint_info(s: CqState, system: str) -> float:
     """I(XY;·) with (x, y) treated as a single classical index."""
-    s_xy, _, s_all = s.entropies[system]
-    return _clamp(float(_fold(s_all, (s.weights * s_xy).ravel())))
+    return _clamp(float(_fold(s.total_entropy(system), (s.weights * s.marginals[system][1]).ravel())))
 
 
 def mutual_info_XB(s: CqState) -> float:

@@ -38,14 +38,15 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2; counters numerical drift before eigensolves."""
-    return (m + _dagger(m)) / 2.0
+def _hermitize(m: np.ndarray, dag: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M†)/2 of M, given dag = M†; counters numerical drift before eigensolves."""
+    return (m + dag) / 2.0
 
 
-def _check_hermitian(m: np.ndarray) -> None:
-    """Raise ValidationError unless max |M - M†| <= ``VALIDATION_TOL``; a NaN or inf entry fails too."""
-    herm = np.max(np.abs(m - _dagger(m)))
+def _check_hermitian(m: np.ndarray, dag: np.ndarray) -> None:
+    """Raise ValidationError unless max |M - M†| <= ``VALIDATION_TOL``, given dag = M†; a NaN or inf entry
+    fails too."""
+    herm = np.max(np.abs(m - dag))
     if not herm <= VALIDATION_TOL:
         what = "not Hermitian" if np.isfinite(herm) else "non-finite entry"
         raise ValidationError(f"{what}: max |M - M†| = {herm:.3e}")
@@ -68,12 +69,13 @@ def validate_states(m: np.ndarray) -> None:
     """Raise ValidationError unless every matrix of the (..., d, d) stack is Hermitian, of unit
     trace and PSD, each within ``VALIDATION_TOL``; one batched eigensolve checks the whole stack.
     The checks are written so that NaN fails them."""
-    _check_hermitian(m)
+    dag = _dagger(m)
+    _check_hermitian(m, dag)
     traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     tr = traces[np.argmax(np.abs(traces - 1.0))]
     if not abs(tr - 1.0) <= VALIDATION_TOL:
         raise ValidationError(f"trace is {tr:.12f}, expected 1")
-    lo = float(np.linalg.eigvalsh(_hermitize(m)).min())
+    lo = float(np.linalg.eigvalsh(_hermitize(m, dag)).min())
     if not lo >= -VALIDATION_TOL:
         raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
 
@@ -210,8 +212,9 @@ def von_neumann_entropy(rho):
     (...); every matrix in it must be Hermitian within ``VALIDATION_TOL``.
     """
     m = _as_stack(rho)
-    _check_hermitian(m)
-    lam = np.linalg.eigvalsh(_hermitize(m))
+    dag = _dagger(m)
+    _check_hermitian(m, dag)
+    lam = np.linalg.eigvalsh(_hermitize(m, dag))
     lam = np.where(lam < EIGENVALUE_CLIP, 0.0, lam)
     s = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
     s = np.where(s > 0.0, s, 0.0)
@@ -226,8 +229,8 @@ def trace_norm_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    diff = _hermitize(rho.matrix - sigma.matrix)
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    diff = rho.matrix - sigma.matrix
+    return float(np.abs(np.linalg.eigvalsh(_hermitize(diff, _dagger(diff)))).sum())
 
 
 def maximally_correlated_state(d: int) -> DensityOperator:

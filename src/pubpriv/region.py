@@ -77,11 +77,11 @@ class SkpPair(NamedTuple):
     i_ye: float
 
 
-def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None
-                         ) -> RegionConstraints:
-    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate; ``marginals``,
-    if given, is the state stage ``cq_marginals(ens.states, iso)`` of ``build_cq_state``."""
-    s = build_cq_state(ens, iso, marginals)
+def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None,
+                         conditionals: dict | None = None) -> RegionConstraints:
+    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate; ``marginals`` and
+    ``conditionals``, if given, are the state and conditional stages ``build_cq_state`` takes."""
+    s = build_cq_state(ens, iso, marginals, conditionals)
     return RegionConstraints(a=mutual_info_XB(s), b=cond_mutual_info_YB_given_X(s), c=cond_mutual_info_YE_given_X(s),
                              ensemble=ens)
 
@@ -187,11 +187,14 @@ class _Parametrization:
 
     def decode(self, theta: np.ndarray) -> SimpleNamespace:
         """A candidate's p_x, p_y_given_x and states: valid by construction, so left unchecked."""
-        return SimpleNamespace(**self.decode_laws(theta), states=self.decode_states(theta))
+        return SimpleNamespace(p_x=self.decode_p_x(theta), p_y_given_x=self.decode_p_y_given_x(theta),
+                               states=self.decode_states(theta))
 
-    def decode_laws(self, theta: np.ndarray) -> dict:
-        """p_x and p_y_given_x from the two probability blocks."""
-        return dict(p_x=_softmax(theta[self.sl_px]), p_y_given_x=_softmax(theta[self.sl_py].reshape(self.nx, self.ny)))
+    def decode_p_x(self, theta: np.ndarray) -> np.ndarray:
+        return _softmax(theta[self.sl_px])
+
+    def decode_p_y_given_x(self, theta: np.ndarray) -> np.ndarray:
+        return _softmax(theta[self.sl_py].reshape(self.nx, self.ny))
 
     def decode_states(self, theta: np.ndarray) -> np.ndarray:
         """The (|X|, |Y|, d, d) states from the state block."""
@@ -262,12 +265,14 @@ def optimize_region(
     structured basis ensemble, the rest from seeded random draws; each
     restart cycles Nelder-Mead over the probability and state blocks until
     the improvement per sweep drops below ``CONVERGENCE_TOL`` or the
-    iteration budget runs out. Every evaluation recomputes the law stage of
-    ``build_cq_state`` (σ_x, σ and their entropies), but the state stage
-    (evolution, both partial traces, S(σ_{x,y})) is kept for the last state
-    block scored: the p(x) and p(y|x) blocks reuse it throughout their runs,
-    and only the state block's run recomputes it, at each new point.
-    ``converged`` reports the winning restart:
+    iteration budget runs out. Of the three stages of ``build_cq_state``,
+    the state stage (evolution, both partial traces, S(σ_{x,y})) is kept for
+    the last state block scored, and the conditional stage (σ_x, S(σ_x)) for
+    the last pair of state and p(y|x) blocks. So the p(x) block's run reuses
+    both, and each of its evaluations computes only σ^B and S(σ^B), the
+    marginal stage that a = I(X;B) reads; the p(y|x) block's run reuses the
+    state stage, and the state block's run recomputes all three at each new
+    point. ``converged`` reports the winning restart:
     False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
     When the best ensemble has R_S + b - c < 0, it certifies no P >= 0, so the
@@ -281,6 +286,7 @@ def optimize_region(
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 
     memo = {}  # one entry: the last state block's bytes → its states and state stage
+    cond_memo = {}  # one entry: the last (state block, p(y|x) block) bytes → p(y|x) and its conditional stage
 
     def score(theta: np.ndarray) -> float:
         block = theta[par.sl_states].tobytes()
@@ -289,7 +295,13 @@ def optimize_region(
             states = par.decode_states(theta)
             memo[block] = states, cq_marginals(states, iso)
         states, marginals = memo[block]
-        rc = one_shot_constraints(SimpleNamespace(**par.decode_laws(theta), states=states), iso, marginals)
+        key = block, theta[par.sl_py].tobytes()
+        if key not in cond_memo:
+            cond_memo.clear()
+            cond_memo[key] = par.decode_p_y_given_x(theta), {}  # the first build_cq_state fills the stage
+        p_y_given_x, conditionals = cond_memo[key]
+        ens = SimpleNamespace(p_x=par.decode_p_x(theta), p_y_given_x=p_y_given_x, states=states)
+        rc = one_shot_constraints(ens, iso, marginals, conditionals)
         t = _achieved_triple(rc, r_s)
         return w_r * t.R + w_p * t.P
 

@@ -10,6 +10,7 @@ from pubpriv.channels import (
     identity_channel,
     isometric_extension,
 )
+from pubpriv import entropics
 from pubpriv.entropics import (
     InputEnsemble,
     build_cq_state,
@@ -268,7 +269,8 @@ def table_bytes(entropies):
 
 
 class TestTwoStages:
-    """A state stage passed in, even one computed under other laws, gives the one-eigensolve table to the byte."""
+    """A state stage passed in, even one computed under other laws, gives the one-eigensolve table to the byte, and so
+    does a conditional stage kept from a build under another p(x)."""
 
     @pytest.mark.parametrize("nx", [1, 2, 5])
     @pytest.mark.parametrize("pure", [True, False])
@@ -284,6 +286,42 @@ class TestTwoStages:
                 want = table_bytes(one_stack_entropies(e, iso))
                 assert table_bytes(build_cq_state(e, iso, marginals).entropies) == want
                 assert table_bytes(build_cq_state(e, iso).entropies) == want
+
+    @pytest.mark.parametrize("nx", [1, 2, 5])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_kept_conditional_stage_gives_the_one_stack_table(self, rng, nx, pure):
+        for _ in range(4):
+            d_in = int(rng.integers(2, 4))
+            ens = rand_ensemble(rng, nx, 3, d_in, pure=pure)
+            iso = isometric_extension(rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(1, 4))))
+            marginals, conditionals = cq_marginals(ens.states, iso), {}
+            first = build_cq_state(ens, iso, marginals, conditionals)
+            assert first.conditionals is conditionals and set(conditionals) == {"B", "E"}
+            other = InputEnsemble(p_x=rand_simplex(rng, nx), p_y_given_x=ens.p_y_given_x, rho_xy=ens.states)
+            for e in (ens, other):
+                kept, fresh = build_cq_state(e, iso, marginals, conditionals), build_cq_state(e, iso)
+                assert [f(kept).hex() for f in SIX] == [f(fresh).hex() for f in SIX]
+                assert table_bytes(kept.entropies) == table_bytes(one_stack_entropies(e, iso))
+
+    def test_marginal_stage_is_computed_when_a_quantity_reads_it(self, rng, monkeypatch):
+        """With the state and conditional stages given, a build runs no eigensolve; I(X;B) runs one, for S(σ^B),
+        the conditional informations none, and each S(σ) is computed once."""
+        ens = rand_ensemble(rng, 3, 2, 2)
+        iso = isometric_extension(depolarizing_channel(0.3))
+        marginals, conditionals = cq_marginals(ens.states, iso), {}
+        entropy, solves = entropics.von_neumann_entropy, []
+        monkeypatch.setattr(entropics, "von_neumann_entropy", lambda m: solves.append(m.shape) or entropy(m))
+        build_cq_state(ens, iso, marginals, conditionals)
+        assert solves == [(4, 2, 2), (4, 4, 4)]  # [σ_x; σ] per system: d_B = 2, d_E = 4
+        s = build_cq_state(ens, iso, marginals, conditionals)
+        after = []
+        for f in (cond_mutual_info_YB_given_X, cond_mutual_info_YE_given_X, mutual_info_XB, mutual_info_XYB,
+                  mutual_info_XE, mutual_info_XYE):
+            f(s)
+            after.append(len(solves) - 2)
+        assert after == [0, 0, 1, 1, 2, 2] and solves[2:] == [(2, 2), (4, 4)]
+        s.entropies
+        assert len(solves) == 4
 
     @pytest.mark.parametrize("pure", [True, False])
     def test_flipped_skp_path(self, rng, pure):
