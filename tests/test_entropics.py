@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pubpriv import entropics
 from pubpriv.channels import (
     QuantumChannel,
     dephasing_channel,
@@ -10,7 +11,6 @@ from pubpriv.channels import (
     identity_channel,
     isometric_extension,
 )
-from pubpriv import entropics
 from pubpriv.entropics import (
     InputEnsemble,
     build_cq_state,
