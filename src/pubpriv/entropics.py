@@ -35,7 +35,7 @@ bug rather than rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -113,7 +113,7 @@ class CqState:
     dim_E: int
     marginals: dict
     conditionals: dict
-    s_total: dict = field(default_factory=dict)
+    s_total: dict
 
     @property
     def weights(self) -> np.ndarray:
