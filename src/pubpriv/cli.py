@@ -118,9 +118,10 @@ def _write_json(path: str | None, doc: dict, sort_keys: bool = False):
 
 
 @functools.cache
-def _build() -> dict:
-    """The Python and numpy versions, numpy's BLAS, the OpenBLAS kernel forced by OPENBLAS_CORETYPE (when set) and
-    numpy's enabled SIMD dispatch targets: read once per process."""
+def _machine() -> dict:
+    """What can move a run's last bits from one machine to the next: the Python and numpy versions, numpy's BLAS, the
+    OpenBLAS kernel forced by OPENBLAS_CORETYPE (when set) and numpy's enabled SIMD dispatch targets; read once per
+    process. Every command runs on numpy alone, so no other library is named."""
     config = np.__config__.CONFIG
     blas = config["Build Dependencies"]["blas"]
     build = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
@@ -129,13 +130,6 @@ def _build() -> dict:
     if "OPENBLAS_CORETYPE" in os.environ:
         build["OPENBLAS_CORETYPE"] = os.environ["OPENBLAS_CORETYPE"]
     return build
-
-
-def _machine() -> dict:
-    """What can move a run's last bits from one machine to the next: ``_build``, and scipy's version once a
-    command has loaded scipy (it is never imported for this)."""
-    scipy = sys.modules.get("scipy")
-    return {**_build(), **({"scipy": scipy.__version__} if scipy is not None else {})}
 
 
 def _dispatch(args: argparse.Namespace, digests: dict):

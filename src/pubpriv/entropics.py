@@ -13,8 +13,9 @@ stages per system K in {B, E}, each later one reading one more law:
 - the state stage (``cq_marginals``) reads the states only: it evolves
   them, takes both partial traces and returns, per K, the marginals
   σ_{x,y} with their entropies S(σ_{x,y});
-- the conditional stage reads p(y|x) as well: σ_x = Σ_y p(y|x) σ_{x,y}
-  and S(σ_x);
+- the conditional stage reads p(y|x) as well: σ_x = Σ_y p(y|x) σ_{x,y},
+  S(σ_x) and the per-x differences S(σ_x) − Σ_y p(y|x) S(σ_{x,y}) that
+  I(Y;·|X) weighs by p(x);
 - the marginal stage reads p(x) as well: σ = Σ_x p(x) σ_x and S(σ).
 A fresh conditional stage is computed with the marginal stage, in one
 batched eigensolve of [σ_x; σ] per system. Given a conditional stage, the
@@ -104,8 +105,8 @@ class InputEnsemble:
 @dataclass(frozen=True, eq=False)
 class CqState:
     """The ensemble's laws p(x), p(y|x) and the three stages of the module docstring, per system K:
-    ``marginals[K]`` = (σ_{x,y}, S(σ_{x,y})), ``conditionals[K]`` = (σ_x, S(σ_x)) and ``s_total[K]`` = S(σ),
-    filled on first read."""
+    ``marginals[K]`` = (σ_{x,y}, S(σ_{x,y})), ``conditionals[K]`` = (σ_x, S(σ_x), the per-x differences
+    S(σ_x) − Σ_y p(y|x) S(σ_{x,y})) and ``s_total[K]`` = S(σ), filled on first read."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
@@ -155,11 +156,11 @@ def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict 
     conditionals = {} if conditionals is None else conditionals
     s_total = {}
     if not conditionals:
-        for name, (sigma_xy, _) in marginals.items():
+        for name, (sigma_xy, s_xy) in marginals.items():
             sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
             sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
             ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
-            conditionals[name] = (sigma_x, ent[:-1])
+            conditionals[name] = (sigma_x, ent[:-1], _fold(ent[:-1], ens.p_y_given_x * s_xy))
             s_total[name] = float(ent[-1])
     return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E,
                    marginals=marginals, conditionals=conditionals, s_total=s_total)
@@ -179,9 +180,8 @@ def _holevo(s: CqState, system: str) -> float:
 
 
 def _cond_info(s: CqState, system: str) -> float:
-    """I(Y;·|X) = Σ_x p(x) [S(σ_x) - Σ_y p(y|x) S(σ_{x,y})]."""
-    s_xy, s_x = s.marginals[system][1], s.conditionals[system][1]
-    return _clamp(float(_fold(0.0, -s.p_x * _fold(s_x, s.p_y_given_x * s_xy))))
+    """I(Y;·|X) = Σ_x p(x) [S(σ_x) - Σ_y p(y|x) S(σ_{x,y})], the bracket kept in the conditional stage."""
+    return _clamp(float(_fold(0.0, -s.p_x * s.conditionals[system][2])))
 
 
 def _joint_info(s: CqState, system: str) -> float:

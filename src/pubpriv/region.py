@@ -245,6 +245,58 @@ def _achieved_triple(rc: RegionConstraints, r_s: float) -> RateTriple:
     return RateTriple(R=rc.a, P=p, R_S=r_s)
 
 
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, int]:
+    """Minimize f from x0 by adaptive Nelder–Mead (Gao and Han, Comput. Optim. Appl. 51, 259, 2012).
+
+    A step-for-step port of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=True``, no bounds and no
+    ``maxfev``: the same numpy operations in the same order, so every path and result keeps its bits, argsort ties
+    included. Returns the best vertex, the least value and the iteration count (scipy's ``x``, ``fun``, ``nit``).
+    """
+    N = len(x0)
+    rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(N + 1, np.inf)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    for _ in range(2):  # scipy sorts twice here; argsort need not keep the order of ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), iterations
+
+
 def _check_point(r_s: float, w_r: float, w_p: float):
     """Reject a key rate or weight pair that no optimizer run accepts; NaN and inf fail too."""
     if not (w_r >= 0 and w_p >= 0 and 0 < w_r + w_p < np.inf):
@@ -263,23 +315,23 @@ def optimize_region(
 
     Multi-start coordinate-block refinement: restart 0 starts from the
     structured basis ensemble, the rest from seeded random draws; each
-    restart cycles Nelder-Mead over the probability and state blocks until
-    the improvement per sweep drops below ``CONVERGENCE_TOL`` or the
-    iteration budget runs out. Of the three stages of ``build_cq_state``,
-    the state stage (evolution, both partial traces, S(σ_{x,y})) is kept for
-    the last state block scored, and the conditional stage (σ_x, S(σ_x)) for
-    the last pair of state and p(y|x) blocks. So the p(x) block's run reuses
-    both, and each of its evaluations computes only σ^B and S(σ^B), the
-    marginal stage that a = I(X;B) reads; the p(y|x) block's run reuses the
-    state stage, and the state block's run recomputes all three at each new
-    point. ``converged`` reports the winning restart:
-    False when its budget ran out first. Identical seed and config give
+    restart cycles adaptive Nelder–Mead (``_nelder_mead``, numpy only) over
+    the probability and state blocks until the improvement per sweep drops
+    below ``CONVERGENCE_TOL`` or the iteration budget runs out. Of the
+    three stages of ``build_cq_state``, the state stage (evolution, both
+    partial traces, S(σ_{x,y})) is kept for the last state block scored,
+    and the conditional stage (σ_x, S(σ_x) and the per-x differences that
+    I(Y;·|X) weighs) for the last pair of state and p(y|x) blocks. So the
+    p(x) block's run reuses both, and each of its evaluations computes only
+    σ^B and S(σ^B), the marginal stage that a = I(X;B) reads; the p(y|x)
+    block's run reuses the state stage, and the state block's run
+    recomputes all three at each new point. ``converged`` reports the
+    winning restart: False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
     When the best ensemble has R_S + b - c < 0, it certifies no P >= 0, so the
     returned witness is its Y-collapse {p(x), Σ_y p(y|x) ρ_{x,y}}: the same
     σ_x, hence the same a, and b = c = 0.
     """
-    from scipy.optimize import minimize  # deferred: scipy is slow to import and only the optimizer needs it
     w_r, w_p = float(weights[0]), float(weights[1])
     _check_point(r_s, w_r, w_p)
     nx, ny = cfg.resolve_alphabets(iso)
@@ -322,29 +374,19 @@ def optimize_region(
             for sl in (par.sl_px, par.sl_py, par.sl_states):
                 if budget <= 0:
                     break
-                x0 = theta[sl].copy()
 
                 def neg(xb, _sl=sl):
                     t2 = theta.copy()
                     t2[_sl] = xb
                     return -score(t2)
 
-                res = minimize(
-                    neg,
-                    x0,
-                    method="Nelder-Mead",
-                    options={
-                        "maxiter": min(budget, 40 * max(1, sl.stop - sl.start)),
-                        "xatol": 1e-7,
-                        "fatol": CONVERGENCE_TOL / 10.0,
-                        "adaptive": True,
-                    },
-                )
-                budget -= max(1, int(res.nit))
-                if -res.fun > val:
-                    val = -res.fun
+                x, fun, nit = _nelder_mead(neg, theta[sl], maxiter=min(budget, 40 * max(1, sl.stop - sl.start)),
+                                           xatol=1e-7, fatol=CONVERGENCE_TOL / 10.0)
+                budget -= max(1, nit)
+                if -fun > val:
+                    val = -fun
                     theta = theta.copy()
-                    theta[sl] = res.x
+                    theta[sl] = x
             if val - sweep_start < CONVERGENCE_TOL:
                 converged = True
                 break

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,10 +278,11 @@ class TestManifestContents:
 
 
     def test_machine_fields(self, tmp_path, experiment_spec, run_cli, monkeypatch):
-        """The Python, numpy and BLAS versions, numpy's enabled dispatch targets, OPENBLAS_CORETYPE only when set and
-        scipy's version only when scipy is loaded."""
+        """The Python, numpy and BLAS versions, numpy's enabled dispatch targets and OPENBLAS_CORETYPE only when set;
+        no scipy field, even where scipy is loaded."""
+        monkeypatch.setitem(sys.modules, "scipy", SimpleNamespace(__version__="1.17.1"))
         for coretype in (None, "Haswell"):
-            cli._build.cache_clear()
+            cli._machine.cache_clear()
             if coretype:
                 monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
             else:
@@ -294,10 +296,8 @@ class TestManifestContents:
                     "numpy_cpu_dispatch": np.__config__.CONFIG["SIMD Extensions"]["found"]}
             if coretype:
                 want["OPENBLAS_CORETYPE"] = coretype
-            if "scipy" in sys.modules:
-                want["scipy"] = sys.modules["scipy"].__version__
             assert machine == want
-        cli._build.cache_clear()
+        cli._machine.cache_clear()
 
     def test_the_machine_loads_no_scipy(self):
         code = ("import sys, pubpriv.cli as cli; machine = cli._machine(); "
@@ -324,15 +324,17 @@ class TestReplayContract:
         r = run_cli(["replay", "--manifest", "s.csv.manifest.json"], tmp_path)
         assert r.returncode == 0 and "machine" not in r.stderr, r.stderr
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        manifest["machine"].update(numpy="1.0.0", OPENBLAS_CORETYPE="Prescott")
+        # scipy: as older region manifests have it
+        manifest["machine"].update(numpy="1.0.0", OPENBLAS_CORETYPE="Prescott", scipy="1.17.1")
         (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
         r = run_cli(["replay", "--manifest", "old.manifest.json"], tmp_path)
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "s.csv").read_bytes() == first
         lines = r.stderr.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
         assert "OPENBLAS_CORETYPE = 'Prescott'" in lines[0]
         assert "numpy = '1.0.0'" in lines[1] and repr(np.__version__) in lines[1]
+        assert "scipy = '1.17.1', this one has None" in lines[2]
 
     def test_replay_names_a_tool_version_that_differs(self, tmp_path, experiment_spec, run_cli):
         r = run_cli(["simulate", "--config", experiment_spec, "--out", "s.csv"], tmp_path)
@@ -582,16 +584,28 @@ class TestColdStart:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
 
-    def test_simulate_loads_no_scipy(self, tmp_path):
-        """`simulate` on the README spec imports no scipy module, and writes the same CSV where scipy cannot load."""
-        (tmp_path / "experiment.json").write_text(json.dumps(readme_experiment_spec()))
+    @staticmethod
+    def assert_loads_no_scipy(tmp_path, argv):
+        """`pubpriv argv --out ...` in a child imports no scipy module, and writes the same CSV where scipy cannot
+        load."""
         code = ("import sys\n{block}from pubpriv import cli\n"
-                "code = cli.main(['simulate', '--config', 'experiment.json', '--out', sys.argv[1]])\n"
+                "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
                 "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
                 "sys.exit(code)\n")
         for out, block in (("free.csv", ""), ("blocked.csv", "sys.modules['scipy'] = None\n")):
-            r = subprocess.run([sys.executable, "-c", code.format(block=block), out], cwd=tmp_path,
+            r = subprocess.run([sys.executable, "-c", code.format(block=block), out, *argv], cwd=tmp_path,
                                capture_output=True, text=True, env=cli_env(), timeout=300)
             assert r.returncode == 0, r.stderr
             assert r.stdout.strip() == "[]"
         assert (tmp_path / "free.csv").read_bytes() == (tmp_path / "blocked.csv").read_bytes()
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        (tmp_path / "experiment.json").write_text(json.dumps(readme_experiment_spec()))
+        self.assert_loads_no_scipy(tmp_path, ["simulate", "--config", "experiment.json"])
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--zoo", "dephasing", "--p", "0.5", "--rs", "0", "0.5", "--weights", "1,0", "0,1"] + FAST_REGION,
+        ["skp", "--zoo", "depolarizing", "--p", "0.3", "--rs", "0", "0.5", "--restarts", "2", "--max-iters", "100"],
+    ], ids=["region", "skp"])
+    def test_the_optimizer_loads_no_scipy(self, tmp_path, argv):
+        self.assert_loads_no_scipy(tmp_path, argv)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -366,6 +367,85 @@ class TestBitIdentity:
         assert _hex_and_digest(res) == (
             ("0x1.8345410000000p-29", "0x1.ffffffe1be931p-1", "0x1.9f5fd8901853fp-1", "0x1.60a02769da932p-1"),
             "6dd3f479b3fee37a")
+
+
+def _constant(x):
+    return 0.0
+
+
+def _quadratic(x):
+    v = x.tolist()
+    return sum((i + 1) * (a - 0.25 * i) ** 2 for i, a in enumerate(v)) + 0.5 * sum(a * b for a, b in zip(v, v[1:]))
+
+
+def _rosenbrock(x):
+    v = x.tolist()
+    return sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(v, v[1:]))
+
+
+def _terraced(x):
+    return float(math.floor(4.0 * sum(a * a for a in x.tolist())))
+
+
+def _coupled(x):
+    v = x.tolist()
+    return sum((1 + i % 3) * (a - i / 8) ** 2 for i, a in enumerate(v)) + 0.1 * sum(a * b for a, b in zip(v, v[1:]))
+
+
+# scipy.optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-8,
+# "adaptive": True}) (scipy 1.17.1), recorded so that this module needs no scipy. The objectives are plain Python, so
+# the values do not depend on numpy's SIMD kernels. name: (f, x0, maxiter, res.x, res.fun, res.nit, res.nfev)
+NELDER_MEAD_SCIPY = {
+    # skp's p(x) block: |X| = 1, so the softmax is constant; N = 1 gives σ = 0
+    "n1_constant": (_constant, [0.0], 40, ["0x0.0p+0"], "0x0.0p+0", 2, 5),
+    "zero_coordinates": (
+        _quadratic, [0.0, 0.5, 0.0, -1.25, 0.0], 1000,
+        ["-0x1.9f73565cf2138p-5", "0x1.9f736bd72b33cp-3", "0x1.b620c52fdc102p-2", "0x1.535e788208908p-1",
+         "0x1.ef0812e4251c8p-1"], "0x1.1e3531b1f8b41p-1", 689, 1178),
+    "stops_at_maxiter": (
+        _rosenbrock, [-1.2, 1.0, -1.2, 1.0], 30,
+        ["-0x1.cb30d986d5a90p-2", "0x1.05308605c3300p-5", "-0x1.1a36b636379b3p+0", "0x1.db1bc6dcd2df8p+0"],
+        "0x1.5a37cbcade064p+7", 30, 51),
+    # 39 of its 57 iterations shrink, and 53 of their 57 sorts see tied values
+    "shrinks_on_ties": (
+        _terraced, [1.5, 0.0, -2.0], 200,
+        ["0x1.f2fc673da6c10p-1", "0x1.047474a7eca78p-9", "-0x1.2cf6c80d5b21ap-3"], "0x1.8000000000000p+1", 58, 230),
+    "n16": (
+        _coupled, [(i % 5 - 2) / 4 for i in range(16)], 640,
+        ["0x1.43e2cb4657614p-3", "-0x1.a816d14ba2850p-4", "-0x1.11362e8a96addp-8", "0x1.c565611579462p-1",
+         "0x1.a30268ca94aecp-2", "0x1.21507ba7f22a1p-1", "-0x1.746cb581b6f24p-3", "0x1.a6286d638c112p-9",
+         "0x1.f4db90cc41a08p-1", "0x1.45729ea9d8323p+0", "0x1.3893872bb64dep+0", "0x1.2ab8b67e1ec68p+0",
+         "0x1.3d4b4a5c30b33p-9", "0x1.a6f9ed71716f5p+0", "0x1.91571e003b4a9p+0", "0x1.e69f5bfe24e4cp+0"],
+        "0x1.a1a4d82448a9ep+2", 640, 969),
+}
+
+
+class TestNelderMead:
+    """The optimizer's Nelder-Mead is scipy's adaptive one to the bit: the same x, fun, iteration and call count."""
+
+    @pytest.mark.parametrize("name", NELDER_MEAD_SCIPY)
+    def test_equals_scipy(self, name):
+        f, x0, maxiter, want_x, want_fun, want_nit, want_calls = NELDER_MEAD_SCIPY[name]
+        calls = []
+        x0 = np.array(x0)
+        x, fun, nit = region._nelder_mead(lambda v: calls.append(v.copy()) or f(v), x0, maxiter, 1e-7, 1e-8)
+        assert ([v.hex() for v in x.tolist()], float(fun).hex(), nit, len(calls)) == (
+            want_x, want_fun, want_nit, want_calls)
+        assert x0.tolist() == NELDER_MEAD_SCIPY[name][1]  # the start is left as it was
+
+    def test_equals_scipy_when_argsort_reverses_ties(self, monkeypatch):
+        """Sorts of up to 8 values keep the order of ties, longer ones may not. With an argsort that puts tied
+        values in descending index order, scipy 1.17.1 (run with the same argsort) gives another path on the
+        terraced objective, and the port gives scipy's: every sort scipy makes, it makes too."""
+        argsort = np.argsort
+
+        def reversed_ties(a, *args, **kwargs):
+            return argsort(a, *args, **kwargs) if args or kwargs else len(a) - 1 - argsort(a[::-1], kind="stable")
+
+        monkeypatch.setattr(np, "argsort", reversed_ties)
+        x, fun, nit = region._nelder_mead(_terraced, np.array([1.5, 0.0, -2.0]), 200, 1e-7, 1e-8)
+        assert ([v.hex() for v in x.tolist()], float(fun).hex(), nit) == (
+            ["0x1.7b2dad6303a91p+0", "0x1.ac863e03ba0e4p-9", "0x1.97a7dbe58b490p-4"], "0x1.0000000000000p+3", 57)
 
 
 def reference_state(raw, d, pure):
