@@ -52,11 +52,6 @@ class QuantumChannel:
             what = "Kraus completeness violated" if np.isfinite(residual) else "non-finite Kraus entry"
             raise ValidationError(f"{what}: max |ΣK†K - I| = {residual:.3e}")
 
-    @classmethod
-    def from_kraus(cls, kraus) -> "QuantumChannel":
-        """Validate a Kraus family and wrap it as a channel."""
-        return cls(tuple(kraus))
-
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """N(ρ) = Σ_i K_i ρ K_i†."""
         if rho.dim != self.dim_in:
@@ -140,7 +135,7 @@ def identity_channel(d: int = 2) -> QuantumChannel:
     """The identity on a d-dimensional system (single Kraus operator I)."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    return QuantumChannel.from_kraus([np.eye(d, dtype=np.complex128)])
+    return QuantumChannel([np.eye(d, dtype=np.complex128)])
 
 
 def dephasing_channel(p: float) -> QuantumChannel:
@@ -155,7 +150,7 @@ def dephasing_channel(p: float) -> QuantumChannel:
     k0 = np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128)
     k1 = np.sqrt(p) * np.diag([1.0, 0.0]).astype(np.complex128)
     k2 = np.sqrt(p) * np.diag([0.0, 1.0]).astype(np.complex128)
-    return QuantumChannel.from_kraus(_prune_zero([k0, k1, k2]))
+    return QuantumChannel(_prune_zero([k0, k1, k2]))
 
 
 def depolarizing_channel(p: float) -> QuantumChannel:
@@ -172,7 +167,7 @@ def depolarizing_channel(p: float) -> QuantumChannel:
         np.sqrt(p / 4.0) * _PAULI_Y,
         np.sqrt(p / 4.0) * _PAULI_Z,
     ]
-    return QuantumChannel.from_kraus(_prune_zero(ops))
+    return QuantumChannel(_prune_zero(ops))
 
 
 def erasure_channel(p: float, d: int = 2) -> QuantumChannel:
@@ -192,7 +187,7 @@ def erasure_channel(p: float, d: int = 2) -> QuantumChannel:
         flag = np.zeros((d + 1, d), dtype=np.complex128)
         flag[d, k] = np.sqrt(p)
         ops.append(flag)
-    return QuantumChannel.from_kraus(_prune_zero(ops))
+    return QuantumChannel(_prune_zero(ops))
 
 
 def cq_embedding_channel(p_b_given_a) -> QuantumChannel:
@@ -215,7 +210,7 @@ def cq_embedding_channel(p_b_given_a) -> QuantumChannel:
                 k = np.zeros((n_b, n_a), dtype=np.complex128)
                 k[b, a] = np.sqrt(t[a, b])
                 ops.append(k)
-    return QuantumChannel.from_kraus(ops)
+    return QuantumChannel(ops)
 
 
 #: The named channels of `zoo`, each built by its function from that function's own parameters.

@@ -27,7 +27,6 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -98,13 +97,11 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: str | None, doc: dict, sort_keys: bool = False):

@@ -110,8 +110,6 @@ class CqState:
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
-    dim_B: int
-    dim_E: int
     marginals: dict
     conditionals: dict
     s_total: dict
@@ -162,8 +160,8 @@ def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict 
             ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
             conditionals[name] = (sigma_x, ent[:-1], _fold(ent[:-1], ens.p_y_given_x * s_xy))
             s_total[name] = float(ent[-1])
-    return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, dim_B=iso.dim_B, dim_E=iso.dim_E,
-                   marginals=marginals, conditionals=conditionals, s_total=s_total)
+    return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, marginals=marginals, conditionals=conditionals,
+                   s_total=s_total)
 
 
 def _fold(first, terms: np.ndarray):

@@ -185,11 +185,6 @@ class _Parametrization:
         self.sl_states = slice(n_px + n_py, n_px + n_py + n_states)
         self.total = n_px + n_py + n_states
 
-    def decode(self, theta: np.ndarray) -> SimpleNamespace:
-        """A candidate's p_x, p_y_given_x and states: valid by construction, so left unchecked."""
-        return SimpleNamespace(p_x=self.decode_p_x(theta), p_y_given_x=self.decode_p_y_given_x(theta),
-                               states=self.decode_states(theta))
-
     def decode_p_x(self, theta: np.ndarray) -> np.ndarray:
         return _softmax(theta[self.sl_px])
 
@@ -245,12 +240,12 @@ def _achieved_triple(rc: RegionConstraints, r_s: float) -> RateTriple:
     return RateTriple(R=rc.a, P=p, R_S=r_s)
 
 
-def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, int]:
+def _nelder_mead(f, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, int]:
     """Minimize f from x0 by adaptive Nelder–Mead (Gao and Han, Comput. Optim. Appl. 51, 259, 2012).
 
-    A step-for-step port of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=True``, no bounds and no
-    ``maxfev``: the same numpy operations in the same order, so every path and result keeps its bits, argsort ties
-    included. Returns the best vertex, the least value and the iteration count (scipy's ``x``, ``fun``, ``nit``).
+    A step-for-step port of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=True``, ``xatol=1e-7``,
+    ``fatol=1e-8``, no bounds and no ``maxfev``: the same numpy operations in the same order, so every path and
+    result keeps its bits, argsort ties included. Returns scipy's (x, fun, nit): best vertex, least value, iterations.
     """
     N = len(x0)
     rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
@@ -265,7 +260,7 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) ->
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-7 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8:
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -380,8 +375,7 @@ def optimize_region(
                     t2[_sl] = xb
                     return -score(t2)
 
-                x, fun, nit = _nelder_mead(neg, theta[sl], maxiter=min(budget, 40 * max(1, sl.stop - sl.start)),
-                                           xatol=1e-7, fatol=CONVERGENCE_TOL / 10.0)
+                x, fun, nit = _nelder_mead(neg, theta[sl], maxiter=min(budget, 40 * max(1, sl.stop - sl.start)))
                 budget -= max(1, nit)
                 if -fun > val:
                     val = -fun
@@ -393,8 +387,8 @@ def optimize_region(
         if val > best_val:
             best_val, best_theta, best_converged = val, theta, converged
 
-    best = par.decode(best_theta)
-    ens = InputEnsemble(p_x=best.p_x, p_y_given_x=best.p_y_given_x, rho_xy=best.states)  # the witness is checked
+    ens = InputEnsemble(p_x=par.decode_p_x(best_theta), p_y_given_x=par.decode_p_y_given_x(best_theta),
+                        rho_xy=par.decode_states(best_theta))  # the witness is checked
     rc = one_shot_constraints(ens, iso)
     if r_s + rc.b - rc.c < 0.0:
         rho_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, ens.states)

@@ -182,11 +182,8 @@ def apply_rule(expr: ResourceExpr, rule: Rule) -> ResourceExpr:
                         f"rule {rule.name!r} does not uniformize its input and cannot consume "
                         f"the relative public channel [c→c:π]_pub"
                     )
-            if take_rel > 0:
-                out = out.remove(ResourceKind.PUBLIC_CC, take_rel, relative=True)
-            remainder = t.coefficient - take_rel
-            if remainder > 0:
-                out = out.remove(ResourceKind.PUBLIC_CC, remainder, relative=False)
+            out = out.remove(ResourceKind.PUBLIC_CC, take_rel, relative=True)
+            out = out.remove(ResourceKind.PUBLIC_CC, t.coefficient - take_rel, relative=False)
         else:
             out = out.remove(t.kind, t.coefficient, relative=t.relative)
     for t in rule.produces.terms:
@@ -209,8 +206,6 @@ def cancel_key(expr: ResourceExpr, amount, allow_sublinear: bool = False) -> Res
         raise ValidationError("cannot cancel a negative amount")
     have = expr.coeff(ResourceKind.PRIVATE_KEY)
     if not allow_sublinear:
-        if amount == 0:
-            return expr
         return expr.remove(ResourceKind.PRIVATE_KEY, amount)
     out = expr.remove(ResourceKind.PRIVATE_KEY, min(have, amount))
     return out.add(ResourceKind.SUBLINEAR_KEY, Fraction(1))

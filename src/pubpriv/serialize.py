@@ -51,7 +51,7 @@ def channel_from_json(data) -> "QuantumChannel":
     kraus = json_field(data, "kraus", "channel JSON")
     if not isinstance(kraus, list):
         raise ValidationError("channel JSON 'kraus' must be a list of matrices")
-    ch = QuantumChannel.from_kraus([matrix_from_json(k) for k in kraus])
+    ch = QuantumChannel([matrix_from_json(k) for k in kraus])
     for key in ("dim_in", "dim_out"):
         if key in data and data[key] != getattr(ch, key):
             raise ValidationError(f"channel JSON {key}={data[key]} contradicts kraus shape {getattr(ch, key)}")

@@ -53,9 +53,9 @@ EAGER_WORD_LIMIT = 1 << 20
 EXACT_WORK_BUDGET = 1 << 24
 #: The modes of `security_distance`.
 SECURITY_MODES = ("exact", "monte_carlo")
-#: Joint-typicality scan budget per decode on lazy codebooks, checked after each ``_JT_CHUNK`` words.
+#: Joint-typicality scan budget per decode on lazy codebooks, checked at each ``_JT_CHUNK`` boundary and message end.
 JT_SCAN_BUDGET = 1 << 21
-#: Words a joint-typicality scan covers between budget checks.
+#: Words a joint-typicality scan covers between budget checks, a multiple of ``_JT_BLOCK``.
 _JT_CHUNK = 1 << 16
 #: Words a joint-typicality scan fetches and scores at a time; it stops at the block that holds the second hit.
 _JT_BLOCK = 1 << 12
@@ -278,9 +278,10 @@ class PrunedDistribution:
     marker).
 
     ``entropy`` (the window centers), ``log2_acceptance`` and ``all_typical`` are (K,) arrays, each entry bit for
-    bit that of the one-word law on x^n(k): the centers are the same row sums, and the acceptance of each distinct
-    (type, center) pair is enumerated once, in k order, so the first k below ``MIN_ACCEPTANCE`` raises. The
-    thresholds of x^n(k) are columns of ``cuts``, gathered when its words are drawn.
+    bit that of the one-word law on x^n(k): the centers are the same row sums, and the acceptances are kept in one
+    dict keyed by (type counts, center) and filled in k order, so each distinct pair is enumerated once and the
+    first k below ``MIN_ACCEPTANCE`` raises. The thresholds of x^n(k) are columns of ``cuts``, gathered when its
+    words are drawn.
 
     ``all_typical[k]``: whether every word the thresholds can draw is typical, so sampling needs no typicality
     test. Symbol j can be drawn given x when its threshold interval, from cuts[j-1, x] (0 for j = 0) to
@@ -318,20 +319,15 @@ class PrunedDistribution:
         h_rows = np.array([(r[r > 0] * s[r > 0]).sum() for r, s in zip(t, surprisal)])
         entropy = h_rows[x].sum(axis=1) / n
         counts = np.bincount((x + np.arange(K)[:, None] * X).ravel(), minlength=K * X).reshape(K, X)
-        keys = np.column_stack([counts, entropy.view(np.int64)])
-        order = np.lexsort(keys.T)  # stable, so each run of equal (type, center) keys starts at its first k
-        new = np.r_[True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1)]
-        group = np.empty(K, dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
-        firsts = order[new]
-        acc = np.empty(len(firsts))
-        for g in np.argsort(firsts):  # in k order
-            k = firsts[g]
-            groups = tuple((c, tuple(t[v].tolist())) for v, c in enumerate(counts[k].tolist()) if c)
-            acc[g] = _window_mass_log2(groups, float(entropy[k]), self.delta)
-            if acc[g] < np.log2(MIN_ACCEPTANCE):
-                raise ConfigurationError(f"typical-set acceptance 2^{acc[g]:.2f} is below {MIN_ACCEPTANCE:g} at "
-                                         f"n={n}, delta={self.delta}; increase delta")
+        keys = list(zip(map(tuple, counts.tolist()), entropy.tolist()))  # (type, window center) of each k
+        acc = {}
+        for key in keys:  # in k order
+            if key not in acc:
+                groups = tuple((c, tuple(t[v].tolist())) for v, c in enumerate(key[0]) if c)
+                acc[key] = _window_mass_log2(groups, key[1], self.delta)
+                if acc[key] < np.log2(MIN_ACCEPTANCE):
+                    raise ConfigurationError(f"typical-set acceptance 2^{acc[key]:.2f} is below {MIN_ACCEPTANCE:g} "
+                                             f"at n={n}, delta={self.delta}; increase delta")
         cuts = _thresholds(np.cumsum(t, axis=1))
         top = np.full((1, X), 1 << 53, dtype=np.uint64)
         edges = np.concatenate([np.zeros_like(top), cuts[: q - 1], top])
@@ -340,7 +336,8 @@ class PrunedDistribution:
         for end in (np.where(drawable, surprisal, np.inf).min(1), np.where(drawable, surprisal, -np.inf).max(1)):
             typical &= np.abs(end[x].sum(axis=1) / n - entropy) <= self.delta + 1e-12
         for name, value in (("table", t), ("outer_words", x), ("cuts", cuts), ("surprisal", surprisal),
-                            ("entropy", entropy), ("log2_acceptance", acc[group]), ("all_typical", typical)):
+                            ("entropy", entropy), ("log2_acceptance", np.array([acc[key] for key in keys])),
+                            ("all_typical", typical)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -834,9 +831,10 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     no summation order could put its score in the window, and the
     survivors are scored whole, so the hits, Nones and budget errors are
     those of the unstaged scan. On a lazy codebook the ``JT_SCAN_BUDGET`` check
-    comes where it always did: after each ``_JT_CHUNK`` = 65,536 words and
-    at the end of each public message, so every hit, None and
-    ``BudgetError`` is that of a whole-chunk scan.
+    follows each block that ends a public message or a multiple of
+    ``_JT_CHUNK`` = 65,536 words, where the k·M + hi words of messages 0..k
+    scanned so far are counted, so every hit, None and ``BudgetError`` is
+    that of a scan in whole chunks.
 
     ``b_seq`` must be a 1-D integer word of length n with symbols in
     [0, |B|): another shape is a ``DimensionError``, another dtype or an
@@ -863,21 +861,18 @@ def decode(b_seq, codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap):
     in_window, low, high = _jt_window(cfg.n, h, cfg.delta)
     cuts = sorted({-(-cfg.n // 4), -(-cfg.n // 2)} - {cfg.n}) if codebook.is_lazy and M >= _JT_STAGE_MIN else []
     hits = []
-    scanned = 0
     for k in range(K):
         cols = v[codebook.outer_words[k], :, b]
         staged = bool(cuts) and codebook.inner_law.all_typical[k]
         stages = _jt_stages(cols, low, high, cuts) if staged else []
-        for start in range(0, M, _JT_CHUNK):
-            end = min(M, start + _JT_CHUNK)
-            for lo in range(start, end, _JT_BLOCK):
-                hi = min(end, lo + _JT_BLOCK)
-                ok, stages = _jt_block(codebook, k, lo, hi, cols, in_window, stages)
-                hits += [(k, lo + int(idx)) for idx in ok[:2]]
-                if len(hits) >= 2:
-                    return None
-            scanned += end - start
-            if codebook.is_lazy and scanned >= JT_SCAN_BUDGET and (end < M or k < K - 1):
+        for lo in range(0, M, _JT_BLOCK):
+            hi = min(M, lo + _JT_BLOCK)
+            ok, stages = _jt_block(codebook, k, lo, hi, cols, in_window, stages)
+            hits += [(k, lo + int(idx)) for idx in ok[:2]]
+            if len(hits) >= 2:
+                return None
+            if (codebook.is_lazy and (hi % _JT_CHUNK == 0 or hi == M) and k * M + hi >= JT_SCAN_BUDGET
+                    and (hi < M or k < K - 1)):
                 raise BudgetError(
                     "joint-typicality scan budget exhausted on a lazy codebook without resolving "
                     "uniqueness; use ML on a smaller codebook or a larger delta"

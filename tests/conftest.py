@@ -50,7 +50,7 @@ def rand_channel(rng: np.random.Generator, dim_in: int, dim_out: int, n_kraus: i
     q, _ = np.linalg.qr(g)
     v = q[:, :dim_in]
     kraus = [v[i * dim_out:(i + 1) * dim_out, :] for i in range(n_kraus)]
-    return QuantumChannel.from_kraus(kraus)
+    return QuantumChannel(kraus)
 
 
 def rand_simplex(rng: np.random.Generator, k: int) -> np.ndarray:

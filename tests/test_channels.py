@@ -43,24 +43,24 @@ def plus_state():
 
 class TestFromKraus:
     def test_identity(self):
-        ch = QuantumChannel.from_kraus([np.eye(2)])
+        ch = QuantumChannel([np.eye(2)])
         assert ch.dim_in == ch.dim_out == 2
 
     def test_completely_dephasing_family(self):
-        ch = QuantumChannel.from_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        ch = QuantumChannel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         assert len(ch.kraus) == 2
 
     def test_pauli_depolarizing_family_completeness(self):
         # {sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z} is complete for any p
         for p in (0.1, 0.5, 0.9):
             ops = [np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 3) * X, np.sqrt(p / 3) * Y, np.sqrt(p / 3) * Z]
-            ch = QuantumChannel.from_kraus(ops)
+            ch = QuantumChannel(ops)
             acc = sum(k.conj().T @ k for k in ch.kraus)
             assert np.max(np.abs(acc - np.eye(2))) < 1e-12
 
     def test_completeness_violation_reports_residual(self):
         with pytest.raises(ValidationError, match="completeness"):
-            QuantumChannel.from_kraus([0.5 * np.eye(2)])
+            QuantumChannel([0.5 * np.eye(2)])
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_kraus_entry_is_rejected(self, entry):
@@ -68,11 +68,11 @@ class TestFromKraus:
         k[0, 1] = entry
         with pytest.raises(ValidationError, match="non-finite Kraus entry"):
             with np.errstate(invalid="ignore"):
-                QuantumChannel.from_kraus([k])
+                QuantumChannel([k])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            QuantumChannel.from_kraus([np.eye(2), np.eye(3)])
+            QuantumChannel([np.eye(2), np.eye(3)])
 
 
 class TestIsometricExtension:

@@ -49,7 +49,7 @@ class TestBuildCqState:
         ens = basis_ensemble_over_x([0.5, 0.5])
         iso = isometric_extension(identity_channel(2))
         s = build_cq_state(ens, iso)
-        assert s.dim_E == 1
+        assert iso.dim_E == 1
         joint = iso.evolve(ens.states)
         assert np.allclose(joint[0, 0], ket(0).matrix)
         assert np.allclose(joint[1, 0], ket(1).matrix)
@@ -145,7 +145,7 @@ class TestDataProcessing:
             post = rand_channel(rng, 2, 2, 2)
             ens = rand_ensemble(rng, 3, 1, 2)
             before = mutual_info_XB(build_cq_state(ens, isometric_extension(ch)))
-            composed = QuantumChannel.from_kraus([a @ b for a in post.kraus for b in ch.kraus])  # post ∘ ch
+            composed = QuantumChannel([a @ b for a in post.kraus for b in ch.kraus])  # post ∘ ch
             after = mutual_info_XB(build_cq_state(ens, isometric_extension(composed)))
             assert after <= before + 1e-9
 

@@ -428,7 +428,7 @@ class TestNelderMead:
         f, x0, maxiter, want_x, want_fun, want_nit, want_calls = NELDER_MEAD_SCIPY[name]
         calls = []
         x0 = np.array(x0)
-        x, fun, nit = region._nelder_mead(lambda v: calls.append(v.copy()) or f(v), x0, maxiter, 1e-7, 1e-8)
+        x, fun, nit = region._nelder_mead(lambda v: calls.append(v.copy()) or f(v), x0, maxiter)
         assert ([v.hex() for v in x.tolist()], float(fun).hex(), nit, len(calls)) == (
             want_x, want_fun, want_nit, want_calls)
         assert x0.tolist() == NELDER_MEAD_SCIPY[name][1]  # the start is left as it was
@@ -443,7 +443,7 @@ class TestNelderMead:
             return argsort(a, *args, **kwargs) if args or kwargs else len(a) - 1 - argsort(a[::-1], kind="stable")
 
         monkeypatch.setattr(np, "argsort", reversed_ties)
-        x, fun, nit = region._nelder_mead(_terraced, np.array([1.5, 0.0, -2.0]), 200, 1e-7, 1e-8)
+        x, fun, nit = region._nelder_mead(_terraced, np.array([1.5, 0.0, -2.0]), 200)
         assert ([v.hex() for v in x.tolist()], float(fun).hex(), nit) == (
             ["0x1.7b2dad6303a91p+0", "0x1.ac863e03ba0e4p-9", "0x1.97a7dbe58b490p-4"], "0x1.0000000000000p+3", 57)
 
@@ -473,9 +473,8 @@ class TestDecode:
             raw = theta[par.sl_states].reshape(5, 4, par.state_len)
             raw[3, 1] = 0.0
             theta[par.sl_states] = raw.reshape(-1)
-            ens = par.decode(theta)
             want = [[reference_state(raw[x, y], d, pure) for y in range(4)] for x in range(5)]
-            assert np.array_equal(ens.states, np.array(want))
+            assert np.array_equal(par.decode_states(theta), np.array(want))
 
     @pytest.mark.parametrize("pure", [True, False])
     def test_all_zero_state_block(self, pure):
@@ -484,32 +483,32 @@ class TestDecode:
         raw = theta[par.sl_states].reshape(2, 3, par.state_len)
         raw[1, 2] = 0.0
         theta[par.sl_states] = raw.reshape(-1)
-        ens = par.decode(theta)
+        states = par.decode_states(theta)
         want = np.diag([1.0, 0.0]) if pure else np.eye(2) / 2
-        assert np.array_equal(ens.states[1, 2], want)
-        assert not np.array_equal(ens.states[0, 0], want)
+        assert np.array_equal(states[1, 2], want)
+        assert not np.array_equal(states[0, 0], want)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("pure", [True, False])
     def test_candidates_are_valid_ensembles(self, d, pure):
-        """decode runs no check, so its candidates are checked here, for random and all-zero thetas:
+        """The decoders run no check, so their candidates are checked here, for random and all-zero thetas:
         they pass both checks unchanged, so the witness built from one holds the same arrays."""
         rng = np.random.default_rng(9)
         par = _Parametrization(5, 4, d, pure)
         for theta in [np.zeros(par.total)] + [par.random_start(rng) * scale for scale in (1e-3, 1.0, 30.0)]:
-            cand = par.decode(theta)
-            assert np.array_equal(validate_probabilities(cand.p_x, "p_x"), cand.p_x)
-            assert np.array_equal(validate_probabilities(cand.p_y_given_x, "p_y_given_x"), cand.p_y_given_x)
-            assert cand.states.shape == (5, 4, d, d) and cand.states.dtype == np.complex128
-            validate_states(cand.states)
+            p_x, p_y_given_x, states = par.decode_p_x(theta), par.decode_p_y_given_x(theta), par.decode_states(theta)
+            assert np.array_equal(validate_probabilities(p_x, "p_x"), p_x)
+            assert np.array_equal(validate_probabilities(p_y_given_x, "p_y_given_x"), p_y_given_x)
+            assert states.shape == (5, 4, d, d) and states.dtype == np.complex128
+            validate_states(states)
 
     def test_rows_of_p_y_given_x_are_softmaxes(self):
         par = _Parametrization(3, 4, 2, True)
         theta = par.random_start(np.random.default_rng(5))
-        ens = par.decode(theta)
+        p_y_given_x = par.decode_p_y_given_x(theta)
         for x, z in enumerate(theta[par.sl_py].reshape(3, 4)):
             e = np.exp(z - z.max())
-            assert np.array_equal(ens.p_y_given_x[x], e / e.sum())
+            assert np.array_equal(p_y_given_x[x], e / e.sum())
 
 
 class TestCertificates:

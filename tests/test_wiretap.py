@@ -187,6 +187,44 @@ class TestPrunedDistribution:
                 got, want = law.log2_prob(word, k), one.log2_prob(word, 0)
                 assert got == want and (got == -np.inf) != bool(law.is_typical(word, k))
 
+    def test_per_k_acceptances_equal_the_one_word_law(self, monkeypatch):
+        """Repeated words, one type at two window centers (the row sums round apart) and distinct types: each
+        entry is the one-word law's to the bit, and each distinct (type, center) pair is enumerated once."""
+        table = np.array([[0.7, 0.3, 0.0], [0.1, 0.2, 0.7], [0.25, 0.25, 0.5]])
+        outer = np.array([[0, 2, 2, 1, 0, 1], [0, 0, 1, 2, 1, 2], [0, 2, 2, 1, 0, 1], [1, 1, 1, 1, 1, 1],
+                          [0, 0, 0, 0, 0, 0], [0, 0, 1, 2, 1, 2], [1, 1, 1, 1, 1, 1]])
+        enumerate_mass, calls = wt._window_mass_log2, []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_mass(*args)
+
+        monkeypatch.setattr(wt, "_window_mass_log2", counted)
+        law = wt.PrunedDistribution(table, outer, 0.3)
+        assert law.entropy[0].hex() != law.entropy[1].hex()  # the same type, two centers
+        assert len(calls) == 4
+        for k in range(len(outer)):
+            one = wt.PrunedDistribution(table, outer[k: k + 1], 0.3)
+            assert law.log2_acceptance[k].hex() == one.log2_acceptance[0].hex()
+            assert law.entropy[k].hex() == one.entropy[0].hex()
+
+    def test_the_first_acceptance_below_the_minimum_in_k_order_raises(self):
+        """The second distinct (type, center) pair, x^n(2), is the first below MIN_ACCEPTANCE: 2^-21.20. x^n(3),
+        later in k order, is below it too, at 2^-21.38, and its window center is the smallest of the four."""
+        e, n = 1e-3, 36
+        table = np.array([[1 - e, e], [0.7, 0.3]])
+        outer = np.array([[0] * k + [1] * (n - k) for k in (2, 2, 1, 8)])
+        with pytest.raises(ConfigurationError) as one:
+            wt.PrunedDistribution(table, outer[2:3], 0.015)
+        with pytest.raises(ConfigurationError) as later:
+            wt.PrunedDistribution(table, outer[3:4], 0.015)
+        assert "acceptance 2^-21.20 is below 1e-06" in str(one.value)
+        assert "acceptance 2^-21.38 is below 1e-06" in str(later.value)
+        assert wt.PrunedDistribution(table, outer[:2], 0.015).log2_acceptance[0] > np.log2(wt.MIN_ACCEPTANCE)
+        with pytest.raises(ConfigurationError) as err:
+            wt.PrunedDistribution(table, outer, 0.015)
+        assert str(err.value) == str(one.value)
+
     def test_lgamma_table_multinomial_equals_the_per_count_one(self):
         rng = np.random.default_rng(23)
         for _ in range(4000):
@@ -940,6 +978,40 @@ class TestDecoding:
                     decode(b, cb, cfg, ch)
             else:
                 assert decode(b, cb, cfg, ch) is None
+
+    def test_jt_budget_on_a_lazy_two_layer_codebook(self, monkeypatch):
+        """Three public messages of M = 70,000 words, past one 65,536-word chunk: the budget is checked where a
+        block ends a chunk or a message, on the words of the messages scanned so far, and never after the last
+        block. b = 1^5 is atypical for every inner word (each holds one 1), so no block has a hit."""
+        ch = ClassicalWiretap.from_marginals(noiseless(2), bsc(0.5))
+        law = (UNIFORM2, np.array([[0.8, 0.2], [0.8, 0.2]]))
+        cfg = CodeConfig(n=5, M=70_000, K_pub=3, S=1, delta=0.05, seed=3, decoder="joint_typicality")
+        monkeypatch.setattr(wt, "EAGER_WORD_LIMIT", 16)
+        cb = generate_codebook(cfg, ch, law)
+        assert cb.is_lazy
+        blocks, jt_block = [], wt._jt_block
+
+        def recorded(cb, k, lo, hi, *args):
+            blocks.append((k, lo, hi))
+            return jt_block(cb, k, lo, hi, *args)
+
+        monkeypatch.setattr(wt, "_jt_block", recorded)
+        b = np.ones(5, dtype=np.intp)
+        every = [(k, lo, min(lo + wt._JT_BLOCK, cfg.M)) for k in range(3) for lo in range(0, cfg.M, wt._JT_BLOCK)]
+        for budget, last in ((cfg.M + 65_536, (1, 61_440, 65_536)),  # reached at the chunk end in message 1
+                             (cfg.M + 65_537, (1, 69_632, 70_000)),  # first reached at the end of message 1
+                             (2 * cfg.M, (1, 69_632, 70_000)),
+                             (2 * cfg.M + 1, (2, 61_440, 65_536))):
+            monkeypatch.setattr(wt, "JT_SCAN_BUDGET", budget)
+            blocks.clear()
+            with pytest.raises(BudgetError, match="scan budget"):
+                decode(b, cb, cfg, ch)
+            assert blocks == every[: every.index(last) + 1]
+        for budget in (2 * cfg.M + 65_537, 3 * cfg.M):  # reached only after the last block: the scan completes
+            monkeypatch.setattr(wt, "JT_SCAN_BUDGET", budget)
+            blocks.clear()
+            assert decode(b, cb, cfg, ch) is None
+            assert blocks == every
 
     def test_lazy_jt_stops_at_the_block_of_the_second_hit(self, monkeypatch):
         """A lazy decode that finds two window hits generates the words up to the end of the block that holds
