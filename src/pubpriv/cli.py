@@ -37,7 +37,6 @@ from . import __version__
 from .channels import cq_embedding_channel, isometric_extension, zoo
 from .errors import BudgetError, CapacityError, PubPrivError, ValidationError
 from .region import OptimizerConfig, PARETO_CSV_COLUMNS, pareto_csv_rows, pareto_surface
-from .resources import DERIVATIONS
 from .serialize import channel_from_json, ensemble_from_json, float_array, json_field
 from .entropics import (
     build_cq_state,
@@ -48,7 +47,6 @@ from .entropics import (
     mutual_info_XYB,
     mutual_info_XYE,
 )
-from . import wiretap as wt
 
 #: JSON value types accepted for a field of each Python type (bool is checked apart).
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
@@ -229,8 +227,10 @@ SIMULATE_CSV_COLUMNS = ("n", "rate_public", "rate_private", "rate_key", "decoder
                         "error", "ci_low", "ci_high", "full_criterion", "message_secrecy", "seed")
 
 
-def _code_config(keys: dict) -> wt.CodeConfig:
+def _code_config(keys: dict):
     """A CodeConfig from experiment-spec keys, each checked against its field's type."""
+    from . import wiretap as wt
+
     fields = {f.name: f for f in dataclasses.fields(wt.CodeConfig)}
     unknown = sorted(set(keys) - set(fields))
     missing = [name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in keys]
@@ -243,6 +243,8 @@ def _code_config(keys: dict) -> wt.CodeConfig:
 
 def run_simulation_spec(spec: dict, seed_override: int | None = None):
     """Execute an experiment spec, checked whole before the first codebook; returns (header, rows)."""
+    from . import wiretap as wt  # here, so that the other subcommands do not load it
+
     chd = json_field(spec, "channel", "experiment spec")
     unknown = sorted(set(spec) - set(_SPEC_KEYS))
     if unknown:
@@ -292,6 +294,8 @@ def cmd_simulate(args, digests):
 
 
 def cmd_resources(args, digests):
+    from .resources import DERIVATIONS
+
     if args.action != "derive":
         raise ValidationError(f"unknown resources action {args.action!r}; available: derive")
     name = args.name
@@ -381,7 +385,10 @@ def cmd_replay(args, digests):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: ``main`` may run many times in one process, and each
+    run parses into a new namespace whose list defaults are never changed in place."""
     parser = argparse.ArgumentParser(prog="pubpriv", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -8,26 +8,28 @@ alone may be as large as min{dim A', dim B}² + 1.
 
 Layout: the inputs are stored as one validated (|X|, |Y|, d, d) array,
 ``InputEnsemble.states``, and evolved in one matmul into B⊗E outputs of
-shape (|X|, |Y|, d_B·d_E, d_B·d_E). ``build_cq_state`` runs in three
-stages per system K in {B, E}, each later one reading one more law:
+shape (|X|, |Y|, d_B·d_E, d_B·d_E). The quantities come in three stages
+per system K in {B, E}, each later one reading one more law:
 - the state stage (``cq_marginals``) reads the states only: it evolves
   them, takes both partial traces and returns, per K, the marginals
   σ_{x,y} with their entropies S(σ_{x,y});
-- the conditional stage reads p(y|x) as well: σ_x = Σ_y p(y|x) σ_{x,y},
-  S(σ_x) and the per-x differences S(σ_x) − Σ_y p(y|x) S(σ_{x,y}) that
-  I(Y;·|X) weighs by p(x);
+- the conditional stage (``conditional_stage``) reads p(y|x) as well:
+  σ_x = Σ_y p(y|x) σ_{x,y}, S(σ_x) and the per-x differences
+  S(σ_x) − Σ_y p(y|x) S(σ_{x,y}) that I(Y;·|X) weighs by p(x);
 - the marginal stage reads p(x) as well: σ = Σ_x p(x) σ_x and S(σ).
 A fresh conditional stage is computed with the marginal stage, in one
-batched eigensolve of [σ_x; σ] per system. Given a conditional stage, the
-marginal stage of a system is computed only when a quantity reads S(σ):
-the eigensolver treats each matrix of a stack on its own, so S(σ) alone has
-the bits it has as the last row of [σ_x; σ]. ``CqState.entropies[K]`` is the
-full table (S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an |X| array, S(σ)).
-A caller that moves only the laws, like the optimizer's probability blocks,
-passes the stages it already has. The six mutual informations are weighted
-sums over the table.
+batched eigensolve of [σ_x; σ]; given a conditional stage, S(σ) is one
+eigensolve of σ (``marginal_entropy``): the eigensolver treats each matrix
+of a stack on its own, so S(σ) alone, or S(σ_x) without σ, has the bits it
+has in [σ_x; σ]. ``build_cq_state`` computes all three stages of both
+systems into a ``CqState``, whose ``entropies[K]`` is the full table
+(S(σ_{x,y}) as an |X|×|Y| array, S(σ_x) as an |X| array, S(σ)), and the
+six mutual informations are weighted sums over it. ``staged_infos`` gives
+the three that the region reads, (I(X;B), I(Y;B|X), I(Y;E|X)), from stages
+a caller keeps, like the optimizer's probability blocks, on plain arrays.
 An ensemble is checked where it enters the library (``InputEnsemble``) and where it
-leaves (the optimizer's witness); ``build_cq_state`` reads p_x, p_y_given_x, states.
+leaves (the optimizer's witness); the stages read p_x, p_y_given_x and states, and
+every stack they solve is checked to be Hermitian and finite (``qcore.stack_entropies``).
 
 All quantities are in bits. Tiny negative values (float noise) are clamped
 to zero; anything below -1e-6, or NaN, raises, because that signals a real
@@ -43,7 +45,9 @@ import numpy as np
 
 from .channels import IsometricExtension
 from .errors import DimensionError, ValidationError
-from .qcore import partial_trace, validate_probabilities, validate_states, von_neumann_entropy
+from .qcore import partial_trace, stack_entropies, validate_probabilities, validate_states
+# Not called here, since the stages use stack_entropies; still importable, as perfbench/tracing.py wraps it here.
+from .qcore import von_neumann_entropy  # noqa: F401
 
 CLAMP_TOL = 1e-6
 
@@ -106,7 +110,7 @@ class InputEnsemble:
 class CqState:
     """The ensemble's laws p(x), p(y|x) and the three stages of the module docstring, per system K:
     ``marginals[K]`` = (σ_{x,y}, S(σ_{x,y})), ``conditionals[K]`` = (σ_x, S(σ_x), the per-x differences
-    S(σ_x) − Σ_y p(y|x) S(σ_{x,y})) and ``s_total[K]`` = S(σ), filled on first read."""
+    S(σ_x) − Σ_y p(y|x) S(σ_{x,y})) and ``s_total[K]`` = S(σ)."""
 
     p_x: np.ndarray
     p_y_given_x: np.ndarray
@@ -118,50 +122,63 @@ class CqState:
     def weights(self) -> np.ndarray:
         return self.p_x[:, None] * self.p_y_given_x
 
-    def total_entropy(self, system: str) -> float:
-        """S(σ) of the marginal stage, σ = Σ_x p(x) σ_x."""
-        if system not in self.s_total:
-            sigma = np.einsum("x,xij->ij", self.p_x, self.conditionals[system][0])
-            self.s_total[system] = float(von_neumann_entropy(sigma))
-        return self.s_total[system]
-
     @property
     def entropies(self) -> dict:
         """The full table K → (S(σ_{x,y}), S(σ_x), S(σ))."""
-        return {k: (s_xy, self.conditionals[k][1], self.total_entropy(k)) for k, (_, s_xy) in self.marginals.items()}
+        return {k: (s_xy, self.conditionals[k][1], self.s_total[k]) for k, (_, s_xy) in self.marginals.items()}
 
 
 def cq_marginals(states: np.ndarray, iso: IsometricExtension) -> dict:
     """The state stage: evolve an (|X|, |Y|, d, d) stack at once; K in {B, E} → (σ_{x,y}, S(σ_{x,y}))."""
     joint = iso.evolve(states)
-    nx, ny = states.shape[:2]
     dims = [iso.dim_B, iso.dim_E]
     marginals = {}
     for keep, name in enumerate("BE"):
         sigma_xy = partial_trace(joint, keep=[keep], dims=dims)
-        s_xy = von_neumann_entropy(sigma_xy.reshape(nx * ny, *sigma_xy.shape[2:])).reshape(nx, ny)
-        marginals[name] = (sigma_xy, s_xy)
+        marginals[name] = (sigma_xy, stack_entropies(sigma_xy))
     return marginals
 
 
-def build_cq_state(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None,
-                   conditionals: dict | None = None) -> CqState:
-    """The stages of ``ens`` under ``iso``; reads p_x, p_y_given_x and, unless ``marginals`` holds the state stage
-    ``cq_marginals(ens.states, iso)`` already, states. ``conditionals`` may hold the conditional stage of those
-    marginals under ens.p_y_given_x; an empty dict passed there is filled with the one this call computes."""
-    if marginals is None:
-        marginals = cq_marginals(ens.states, iso)
-    conditionals = {} if conditionals is None else conditionals
-    s_total = {}
-    if not conditionals:
-        for name, (sigma_xy, s_xy) in marginals.items():
-            sigma_x = np.einsum("xy,xyij->xij", ens.p_y_given_x, sigma_xy)
-            sigma = np.einsum("x,xij->ij", ens.p_x, sigma_x)
-            ent = von_neumann_entropy(np.concatenate([sigma_x, sigma[None]]))
-            conditionals[name] = (sigma_x, ent[:-1], _fold(ent[:-1], ens.p_y_given_x * s_xy))
-            s_total[name] = float(ent[-1])
+def conditional_stage(p_y_given_x: np.ndarray, sigma_xy: np.ndarray, s_xy: np.ndarray,
+                      p_x: np.ndarray | None = None):
+    """One system's conditional stage (σ_x, S(σ_x), S(σ_x) − Σ_y p(y|x) S(σ_{x,y})) from its state stage, and, given
+    p_x, S(σ) of its marginal stage from the same eigensolve as S(σ_x) (else None)."""
+    sigma_x = np.einsum("xy,xyij->xij", p_y_given_x, sigma_xy)
+    if p_x is None:
+        s_x, s_total = stack_entropies(sigma_x), None
+    else:
+        ent = stack_entropies(np.concatenate([sigma_x, np.einsum("x,xij->ij", p_x, sigma_x)[None]]))
+        s_x, s_total = ent[:-1], float(ent[-1])
+    return (sigma_x, s_x, _fold(s_x, p_y_given_x * s_xy)), s_total
+
+
+def marginal_entropy(p_x: np.ndarray, sigma_x: np.ndarray) -> float:
+    """S(σ) of the marginal stage, σ = Σ_x p(x) σ_x, from a conditional stage's σ_x."""
+    return float(stack_entropies(np.einsum("x,xij->ij", p_x, sigma_x)))
+
+
+def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
+    """All three stages of ``ens`` under ``iso``, for both systems; reads p_x, p_y_given_x and states."""
+    marginals = cq_marginals(ens.states, iso)
+    conditionals, s_total = {}, {}
+    for name, (sigma_xy, s_xy) in marginals.items():
+        conditionals[name], s_total[name] = conditional_stage(ens.p_y_given_x, sigma_xy, s_xy, ens.p_x)
     return CqState(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, marginals=marginals, conditionals=conditionals,
                    s_total=s_total)
+
+
+def staged_infos(p_x: np.ndarray, p_y_given_x: np.ndarray, marginals: dict, conditionals: dict) -> tuple:
+    """(I(X;B), I(Y;B|X), I(Y;E|X)) in bits from the state stage ``marginals`` and the conditional stage
+    ``conditionals`` of p_y_given_x, with no CqState. An empty ``conditionals`` is filled: one eigensolve of
+    [σ_x; σ] for B and one of σ_x for E, since none of the three reads S(σ^E). A filled one is read, and p_x costs
+    one eigensolve, S(σ^B). Each value equals its ``build_cq_state`` counterpart to the bit."""
+    if conditionals:
+        s_b = marginal_entropy(p_x, conditionals["B"][0])
+    else:
+        conditionals["B"], s_b = conditional_stage(p_y_given_x, *marginals["B"], p_x)
+        conditionals["E"], _ = conditional_stage(p_y_given_x, *marginals["E"])
+    return (_holevo_info(s_b, p_x, conditionals["B"][1]), _cond_info(p_x, conditionals["B"][2]),
+            _cond_info(p_x, conditionals["E"][2]))
 
 
 def _fold(first, terms: np.ndarray):
@@ -172,39 +189,39 @@ def _fold(first, terms: np.ndarray):
     return np.array([reduce(float.__sub__, row, f) for f, row in zip(first.tolist(), terms.tolist())])
 
 
-def _holevo(s: CqState, system: str) -> float:
+def _holevo_info(s_total: float, p_x: np.ndarray, s_x: np.ndarray) -> float:
     """I(X;·) = S(σ) - Σ_x p(x) S(σ_x)."""
-    return _clamp(float(_fold(s.total_entropy(system), s.p_x * s.conditionals[system][1])))
+    return _clamp(_fold(s_total, p_x * s_x))
 
 
-def _cond_info(s: CqState, system: str) -> float:
+def _cond_info(p_x: np.ndarray, diffs: np.ndarray) -> float:
     """I(Y;·|X) = Σ_x p(x) [S(σ_x) - Σ_y p(y|x) S(σ_{x,y})], the bracket kept in the conditional stage."""
-    return _clamp(float(_fold(0.0, -s.p_x * s.conditionals[system][2])))
+    return _clamp(_fold(0.0, -p_x * diffs))
 
 
 def _joint_info(s: CqState, system: str) -> float:
     """I(XY;·) with (x, y) treated as a single classical index."""
-    return _clamp(float(_fold(s.total_entropy(system), (s.weights * s.marginals[system][1]).ravel())))
+    return _clamp(_fold(s.s_total[system], (s.weights * s.marginals[system][1]).ravel()))
 
 
 def mutual_info_XB(s: CqState) -> float:
     """I(X;B) in bits."""
-    return _holevo(s, "B")
+    return _holevo_info(s.s_total["B"], s.p_x, s.conditionals["B"][1])
 
 
 def mutual_info_XE(s: CqState) -> float:
     """I(X;E) in bits (eavesdropper side)."""
-    return _holevo(s, "E")
+    return _holevo_info(s.s_total["E"], s.p_x, s.conditionals["E"][1])
 
 
 def cond_mutual_info_YB_given_X(s: CqState) -> float:
     """I(Y;B|X) in bits."""
-    return _cond_info(s, "B")
+    return _cond_info(s.p_x, s.conditionals["B"][2])
 
 
 def cond_mutual_info_YE_given_X(s: CqState) -> float:
     """I(Y;E|X) in bits."""
-    return _cond_info(s, "E")
+    return _cond_info(s.p_x, s.conditionals["E"][2])
 
 
 def mutual_info_XYB(s: CqState) -> float:

@@ -35,7 +35,7 @@ MAX_COMPOSITE_DIM = 4096
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
-    return np.swapaxes(m, -1, -2).conj()
+    return m.swapaxes(-1, -2).conj()
 
 
 def _hermitize(m: np.ndarray, dag: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ def _hermitize(m: np.ndarray, dag: np.ndarray) -> np.ndarray:
 def _check_hermitian(m: np.ndarray, dag: np.ndarray) -> None:
     """Raise ValidationError unless max |M - M†| <= ``VALIDATION_TOL``, given dag = M†; a NaN or inf entry
     fails too."""
-    herm = np.max(np.abs(m - dag))
+    herm = np.abs(m - dag).max()
     if not herm <= VALIDATION_TOL:
         what = "not Hermitian" if np.isfinite(herm) else "non-finite entry"
         raise ValidationError(f"{what}: max |M - M†| = {herm:.3e}")
@@ -203,21 +203,26 @@ def partial_trace(rho, keep, dims):
     return DensityOperator(out) if isinstance(rho, DensityOperator) else out
 
 
-def von_neumann_entropy(rho):
-    """S(ρ) = -Σ λ log2 λ in bits, with 0·log 0 := 0.
-
-    Eigenvalues below ``EIGENVALUE_CLIP`` are clipped to zero; the result is
-    clamped into [0, log2 dim] against float noise. A (..., d, d) stack of
-    matrices goes through one batched eigensolve and gives an array of shape
-    (...); every matrix in it must be Hermitian within ``VALIDATION_TOL``.
-    """
-    m = _as_stack(rho)
+def stack_entropies(m: np.ndarray) -> np.ndarray:
+    """The entropy kernel: S = -Σ λ log2 λ in bits of every matrix of a (..., d, d) ndarray stack, as an array of
+    shape (...), from one batched eigensolve of the Hermitian parts. Raises ValidationError unless every matrix is
+    Hermitian within ``VALIDATION_TOL``, so a NaN or inf entry fails instead of giving S = 0. Eigenvalues below
+    ``EIGENVALUE_CLIP`` count as zero, and S is clamped at 0."""
     dag = _dagger(m)
     _check_hermitian(m, dag)
     lam = np.linalg.eigvalsh(_hermitize(m, dag))
     lam = np.where(lam < EIGENVALUE_CLIP, 0.0, lam)
     s = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
-    s = np.where(s > 0.0, s, 0.0)
+    return np.where(s > 0.0, s, 0.0)
+
+
+def von_neumann_entropy(rho):
+    """S(ρ) = -Σ λ log2 λ in bits, with 0·log 0 := 0, of a DensityOperator (a float) or of every matrix of a
+    (..., d, d) stack (an array of shape (...)), by ``stack_entropies``: eigenvalues below ``EIGENVALUE_CLIP`` are
+    clipped to zero, the result is clamped into [0, log2 dim] against float noise, and every matrix must be
+    Hermitian within ``VALIDATION_TOL``.
+    """
+    s = stack_entropies(_as_stack(rho))
     return float(s) if isinstance(rho, DensityOperator) else s
 
 

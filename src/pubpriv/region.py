@@ -36,6 +36,7 @@ from .entropics import (
     cq_marginals,
     mutual_info_XB,
     mutual_info_XE,
+    staged_infos,
 )
 from .errors import DimensionError, ValidationError, check_integers
 
@@ -77,11 +78,9 @@ class SkpPair(NamedTuple):
     i_ye: float
 
 
-def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension, marginals: dict | None = None,
-                         conditionals: dict | None = None) -> RegionConstraints:
-    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble or optimizer candidate; ``marginals`` and
-    ``conditionals``, if given, are the state and conditional stages ``build_cq_state`` takes."""
-    s = build_cq_state(ens, iso, marginals, conditionals)
+def one_shot_constraints(ens: InputEnsemble, iso: IsometricExtension) -> RegionConstraints:
+    """Evaluate (a, b, c) = (I(X;B), I(Y;B|X), I(Y;E|X)) for one ensemble."""
+    s = build_cq_state(ens, iso)
     return RegionConstraints(a=mutual_info_XB(s), b=cond_mutual_info_YB_given_X(s), c=cond_mutual_info_YE_given_X(s),
                              ensemble=ens)
 
@@ -235,17 +234,22 @@ class _Parametrization:
         return theta
 
 
+def _private_rate(b: float, c: float, r_s: float) -> float:
+    """The largest P with P <= b and P <= R_S + b - c, or 0 when there is none."""
+    return max(0.0, min(b, r_s + b - c))
+
+
 def _achieved_triple(rc: RegionConstraints, r_s: float) -> RateTriple:
-    p = max(0.0, min(rc.b, r_s + rc.b - rc.c))
-    return RateTriple(R=rc.a, P=p, R_S=r_s)
+    return RateTriple(R=rc.a, P=_private_rate(rc.b, rc.c, r_s), R_S=r_s)
 
 
-def _nelder_mead(f, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, int]:
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, f0: float | None = None) -> tuple[np.ndarray, float, int]:
     """Minimize f from x0 by adaptive Nelder–Mead (Gao and Han, Comput. Optim. Appl. 51, 259, 2012).
 
     A step-for-step port of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=True``, ``xatol=1e-7``,
     ``fatol=1e-8``, no bounds and no ``maxfev``: the same numpy operations in the same order, so every path and
-    result keeps its bits, argsort ties included. Returns scipy's (x, fun, nit): best vertex, least value, iterations.
+    result keeps its bits, argsort ties included. ``f0``, if given, is f(x0), which is then not called again.
+    Returns scipy's (x, fun, nit): best vertex, least value, iterations.
     """
     N = len(x0)
     rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
@@ -253,7 +257,8 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, in
     for k in range(N):
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.full(N + 1, np.inf)
-    for k in range(N + 1):
+    fsim[0] = f(sim[0]) if f0 is None else f0
+    for k in range(1, N + 1):
         fsim[k] = f(sim[k])
     for _ in range(2):  # scipy sorts twice here; argsort need not keep the order of ties
         ind = np.argsort(fsim)
@@ -312,15 +317,18 @@ def optimize_region(
     structured basis ensemble, the rest from seeded random draws; each
     restart cycles adaptive Nelder–Mead (``_nelder_mead``, numpy only) over
     the probability and state blocks until the improvement per sweep drops
-    below ``CONVERGENCE_TOL`` or the iteration budget runs out. Of the
-    three stages of ``build_cq_state``, the state stage (evolution, both
+    below ``CONVERGENCE_TOL`` or the iteration budget runs out; each run
+    starts from the score the loop already holds for θ. A candidate is
+    scored on plain arrays by ``staged_infos``, with no ensemble object: of
+    the three stages of ``entropics``, the state stage (evolution, both
     partial traces, S(σ_{x,y})) is kept for the last state block scored,
     and the conditional stage (σ_x, S(σ_x) and the per-x differences that
     I(Y;·|X) weighs) for the last pair of state and p(y|x) blocks. So the
     p(x) block's run reuses both, and each of its evaluations computes only
     σ^B and S(σ^B), the marginal stage that a = I(X;B) reads; the p(y|x)
     block's run reuses the state stage, and the state block's run
-    recomputes all three at each new point. ``converged`` reports the
+    recomputes all three at each new point. Only the witness is built as an
+    ``InputEnsemble`` and checked. ``converged`` reports the
     winning restart: False when its budget ran out first. Identical seed and config give
     bit-identical output; ties between restarts resolve to the lower index.
     When the best ensemble has R_S + b - c < 0, it certifies no P >= 0, so the
@@ -332,25 +340,21 @@ def optimize_region(
     nx, ny = cfg.resolve_alphabets(iso)
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 
-    memo = {}  # one entry: the last state block's bytes → its states and state stage
+    memo = {}  # one entry: the last state block's bytes → its state stage
     cond_memo = {}  # one entry: the last (state block, p(y|x) block) bytes → p(y|x) and its conditional stage
 
     def score(theta: np.ndarray) -> float:
         block = theta[par.sl_states].tobytes()
         if block not in memo:
             memo.clear()
-            states = par.decode_states(theta)
-            memo[block] = states, cq_marginals(states, iso)
-        states, marginals = memo[block]
+            memo[block] = cq_marginals(par.decode_states(theta), iso)
         key = block, theta[par.sl_py].tobytes()
         if key not in cond_memo:
             cond_memo.clear()
-            cond_memo[key] = par.decode_p_y_given_x(theta), {}  # the first build_cq_state fills the stage
+            cond_memo[key] = par.decode_p_y_given_x(theta), {}  # the first staged_infos fills the stage
         p_y_given_x, conditionals = cond_memo[key]
-        ens = SimpleNamespace(p_x=par.decode_p_x(theta), p_y_given_x=p_y_given_x, states=states)
-        rc = one_shot_constraints(ens, iso, marginals, conditionals)
-        t = _achieved_triple(rc, r_s)
-        return w_r * t.R + w_p * t.P
+        a, b, c = staged_infos(par.decode_p_x(theta), p_y_given_x, memo[block], conditionals)
+        return w_r * a + w_p * _private_rate(b, c, r_s)
 
     best_theta = None
     best_val = -np.inf
@@ -375,7 +379,7 @@ def optimize_region(
                     t2[_sl] = xb
                     return -score(t2)
 
-                x, fun, nit = _nelder_mead(neg, theta[sl], maxiter=min(budget, 40 * max(1, sl.stop - sl.start)))
+                x, fun, nit = _nelder_mead(neg, theta[sl], min(budget, 40 * max(1, sl.stop - sl.start)), -val)
                 budget -= max(1, nit)
                 if -fun > val:
                     val = -fun

@@ -1136,11 +1136,13 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         for lo in range(0, T, per):  # the uniforms come in trial order: blocks change no value
             c = min(per, T - lo)
             e_seq = _channel_outputs(ch.cuts_eve, words[refs[lo: lo + c]], rng.random((c, n)))
-            ll = _count_scores(log_eve, masks, _symbol_masks(e_seq, ch.size_e))  # ll[t, p] = log p(e_t | word p)
-            log_pbar = np.logaddexp.reduce(ll, axis=1) - math.log(M)
-            ll_pad = ll[:, pad]
-            log_q = np.logaddexp.reduce(ll_pad, axis=1) - math.log(S)
-            r_full[lo: lo + c] = list(map(math.exp, (ll_pad[np.arange(c), keys[lo: lo + c]] - log_pbar).tolist()))
+            # ll[p, t] = log p(e_t | word p), transposed into rows per word, so that each reduce folds word after
+            # word, left to right as along a trial's row, over all c trials at once
+            ll = _count_scores(log_eve, masks, _symbol_masks(e_seq, ch.size_e)).T.copy()
+            log_pbar = np.logaddexp.reduce(ll, axis=0) - math.log(M)
+            ll_pad = ll[pad]
+            log_q = np.logaddexp.reduce(ll_pad, axis=0) - math.log(S)
+            r_full[lo: lo + c] = list(map(math.exp, (ll_pad[keys[lo: lo + c], np.arange(c)] - log_pbar).tolist()))
             r_msg[lo: lo + c] = list(map(math.exp, (log_q - log_pbar).tolist()))
         full, msg = [(float(r.mean()), float(r.std(ddof=1) / math.sqrt(T)) if T > 1 else 0.0)
                      for r in (np.abs(r_full - 1.0), np.abs(r_msg - 1.0))]

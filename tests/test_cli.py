@@ -577,6 +577,36 @@ def test_library_type_error_propagates(tmp_path, monkeypatch):
         cli.main(["region", "--zoo", "identity", "--rs", "0", "--out", "r.csv"])
 
 
+def test_repeated_main_calls_write_what_fresh_processes_write(tmp_path, run_cli):
+    """`cli.main` builds its parser once per process. Run in one process, `region` without --rs, with --rs 0.5 and
+    without it again, and then the replay of the first run's manifest, write the CSVs that a fresh process writes for
+    each, byte for byte: no run's options, the list defaults of --rs and --weights among them, reach the next."""
+    argv = ["region", "--zoo", "dephasing", "--p", "0.5", "--alphabet-x", "2", "--alphabet-y", "2", "--restarts", "1",
+            "--max-iters", "30"]
+    runs = {"first.csv": [], "rs.csv": ["--rs", "0.5"], "again.csv": []}
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    got, want = {}, {}
+    for out, extra in runs.items():
+        assert run_cli(argv + extra + ["--out", out], here).returncode == 0
+        got[out] = (here / out).read_bytes()
+        assert run_process(argv + extra + ["--out", out], fresh).returncode == 0
+        want[out] = (fresh / out).read_bytes()
+    (here / "first.csv").unlink()
+    assert run_cli(["replay", "--manifest", "first.csv.manifest.json"], here).returncode == 0
+    got["replayed"], want["replayed"] = (here / "first.csv").read_bytes(), want["first.csv"]
+    assert got == want
+    assert want["rs.csv"] != want["first.csv"] == want["again.csv"]
+
+
+OPTIMIZER_RUNS = {
+    "region": ["region", "--zoo", "dephasing", "--p", "0.5", "--rs", "0", "0.5", "--weights", "1,0", "0,1"]
+    + FAST_REGION,
+    "skp": ["skp", "--zoo", "depolarizing", "--p", "0.3", "--rs", "0", "0.5", "--restarts", "2", "--max-iters", "100"],
+}
+
+
 class TestColdStart:
     def test_import_loads_no_scipy(self):
         code = "import sys, pubpriv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -603,9 +633,17 @@ class TestColdStart:
         (tmp_path / "experiment.json").write_text(json.dumps(readme_experiment_spec()))
         self.assert_loads_no_scipy(tmp_path, ["simulate", "--config", "experiment.json"])
 
-    @pytest.mark.parametrize("argv", [
-        ["region", "--zoo", "dephasing", "--p", "0.5", "--rs", "0", "0.5", "--weights", "1,0", "0,1"] + FAST_REGION,
-        ["skp", "--zoo", "depolarizing", "--p", "0.3", "--rs", "0", "0.5", "--restarts", "2", "--max-iters", "100"],
-    ], ids=["region", "skp"])
+    @pytest.mark.parametrize("argv", OPTIMIZER_RUNS.values(), ids=OPTIMIZER_RUNS.keys())
     def test_the_optimizer_loads_no_scipy(self, tmp_path, argv):
         self.assert_loads_no_scipy(tmp_path, argv)
+
+    @pytest.mark.parametrize("argv", OPTIMIZER_RUNS.values(), ids=OPTIMIZER_RUNS.keys())
+    def test_the_optimizer_loads_no_wiretap(self, tmp_path, argv):
+        """`cli` imports the wiretap and resources modules in the subcommands that use them only."""
+        code = ("import sys\nfrom pubpriv import cli\ncode = cli.main(sys.argv[1:] + ['--out', 'out.csv'])\n"
+                "print(sorted(m for m in sys.modules if m in ('pubpriv.wiretap', 'pubpriv.resources')))\n"
+                "sys.exit(code)\n")
+        r = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, capture_output=True, text=True,
+                           env=cli_env(), timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"

@@ -15,12 +15,15 @@ from pubpriv.entropics import (
     InputEnsemble,
     build_cq_state,
     cond_mutual_info_YB_given_X,
+    conditional_stage,
     cq_marginals,
     cond_mutual_info_YE_given_X,
+    marginal_entropy,
     mutual_info_XB,
     mutual_info_XE,
     mutual_info_XYB,
     mutual_info_XYE,
+    staged_infos,
 )
 from pubpriv.errors import DimensionError, ValidationError
 from pubpriv.region import skp_constraints
@@ -270,7 +273,8 @@ def table_bytes(entropies):
 
 class TestTwoStages:
     """A state stage passed in, even one computed under other laws, gives the one-eigensolve table to the byte, and so
-    does a conditional stage kept from a build under another p(x)."""
+    does a conditional stage kept from a build under another p(x); the infos computed from kept stages equal those of
+    a from-scratch build to the bit."""
 
     @pytest.mark.parametrize("nx", [1, 2, 5])
     @pytest.mark.parametrize("pure", [True, False])
@@ -284,7 +288,11 @@ class TestTwoStages:
                                   rho_xy=ens.states)
             for e in (ens, other):
                 want = table_bytes(one_stack_entropies(e, iso))
-                assert table_bytes(build_cq_state(e, iso, marginals).entropies) == want
+                table = {}
+                for name, (sigma_xy, s_xy) in marginals.items():
+                    (_, s_x, _), s = conditional_stage(e.p_y_given_x, sigma_xy, s_xy, e.p_x)
+                    table[name] = (s_xy, s_x, s)
+                assert table_bytes(table) == want
                 assert table_bytes(build_cq_state(e, iso).entropies) == want
 
     @pytest.mark.parametrize("nx", [1, 2, 5])
@@ -295,31 +303,37 @@ class TestTwoStages:
             ens = rand_ensemble(rng, nx, 3, d_in, pure=pure)
             iso = isometric_extension(rand_channel(rng, d_in, int(rng.integers(2, 4)), int(rng.integers(1, 4))))
             marginals, conditionals = cq_marginals(ens.states, iso), {}
-            first = build_cq_state(ens, iso, marginals, conditionals)
-            assert first.conditionals is conditionals and set(conditionals) == {"B", "E"}
+            first = staged_infos(ens.p_x, ens.p_y_given_x, marginals, conditionals)
+            assert set(conditionals) == {"B", "E"}
             other = InputEnsemble(p_x=rand_simplex(rng, nx), p_y_given_x=ens.p_y_given_x, rho_xy=ens.states)
-            for e in (ens, other):
-                kept, fresh = build_cq_state(e, iso, marginals, conditionals), build_cq_state(e, iso)
-                assert [f(kept).hex() for f in SIX] == [f(fresh).hex() for f in SIX]
-                assert table_bytes(kept.entropies) == table_bytes(one_stack_entropies(e, iso))
+            kept = [(e, staged_infos(e.p_x, e.p_y_given_x, marginals, conditionals)) for e in (ens, other)]
+            for e, got in [(ens, first)] + kept:
+                fresh = build_cq_state(e, iso)
+                want = (mutual_info_XB(fresh), cond_mutual_info_YB_given_X(fresh), cond_mutual_info_YE_given_X(fresh))
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                table = {k: (s_xy, conditionals[k][1], marginal_entropy(e.p_x, conditionals[k][0]))
+                         for k, (_, s_xy) in marginals.items()}
+                assert table_bytes(table) == table_bytes(one_stack_entropies(e, iso))
 
     def test_marginal_stage_is_computed_when_a_quantity_reads_it(self, rng, monkeypatch):
-        """With the state and conditional stages given, a build runs no eigensolve; I(X;B) runs one, for S(σ^B),
-        the conditional informations none, and each S(σ) is computed once."""
+        """``staged_infos`` solves S(σ^B), which I(X;B) reads, and never S(σ^E), which none of its three reads: with
+        the state stage given it runs [σ_x^B; σ^B] and σ_x^E, and with the conditional stage given only σ^B.
+        ``build_cq_state`` solves the whole table once, and reading the six infos and the table solves nothing."""
         ens = rand_ensemble(rng, 3, 2, 2)
         iso = isometric_extension(depolarizing_channel(0.3))
         marginals, conditionals = cq_marginals(ens.states, iso), {}
-        entropy, solves = entropics.von_neumann_entropy, []
-        monkeypatch.setattr(entropics, "von_neumann_entropy", lambda m: solves.append(m.shape) or entropy(m))
-        build_cq_state(ens, iso, marginals, conditionals)
-        assert solves == [(4, 2, 2), (4, 4, 4)]  # [σ_x; σ] per system: d_B = 2, d_E = 4
-        s = build_cq_state(ens, iso, marginals, conditionals)
-        after = []
+        entropy, solves = entropics.stack_entropies, []
+        monkeypatch.setattr(entropics, "stack_entropies", lambda m: solves.append(m.shape) or entropy(m))
+        staged_infos(ens.p_x, ens.p_y_given_x, marginals, conditionals)
+        assert solves == [(4, 2, 2), (3, 4, 4)]  # d_B = 2, d_E = 4
+        staged_infos(ens.p_x, ens.p_y_given_x, marginals, conditionals)
+        assert solves[2:] == [(2, 2)]
+        del solves[:]
+        s = build_cq_state(ens, iso)
+        assert solves == [(3, 2, 2, 2), (3, 2, 4, 4), (4, 2, 2), (4, 4, 4)]
         for f in (cond_mutual_info_YB_given_X, cond_mutual_info_YE_given_X, mutual_info_XB, mutual_info_XYB,
                   mutual_info_XE, mutual_info_XYE):
             f(s)
-            after.append(len(solves) - 2)
-        assert after == [0, 0, 1, 1, 2, 2] and solves[2:] == [(2, 2), (4, 4)]
         s.entropies
         assert len(solves) == 4
 
@@ -328,7 +342,7 @@ class TestTwoStages:
         ens = rand_ensemble(rng, 1, 4, 2, pure=pure)
         iso = isometric_extension(dephasing_channel(0.3))
         flipped = InputEnsemble(p_x=ens.p_y_given_x[0], p_y_given_x=np.ones((4, 1)), rho_xy=ens.states[0, :, None])
-        s = build_cq_state(flipped, iso, cq_marginals(flipped.states, iso))
+        s = build_cq_state(flipped, iso)
         assert table_bytes(s.entropies) == table_bytes(one_stack_entropies(flipped, iso))
         assert skp_constraints(ens, iso) == (mutual_info_XB(s), mutual_info_XE(s))
 

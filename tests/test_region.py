@@ -147,6 +147,37 @@ class TestSkpReduction:
             skp_constraints(rand_ensemble(rng, 2, 2, 2), ISO_ID)
 
 
+def record_staged_scores(monkeypatch, solves=()):
+    """Record every optimizer candidate, which ``region.staged_infos`` scores from the stages the optimizer kept
+    (the witness goes through ``region.one_shot_constraints`` instead). ``recorder.scored`` gets (candidate,
+    (a, b, c), state stage) per candidate, the candidate being the (p_x, p_y_given_x, states) namespace that a fresh
+    ``one_shot_constraints`` reads, with the states whose state stage ``region.cq_marginals`` made.
+    ``recorder.moves`` gets (move, eigensolves): a p(x) move keeps the conditional stage, a p(y|x) move the state
+    stage of the candidate before it, and a state move neither; ``solves`` grows by one per eigensolve. Returns
+    ``region.one_shot_constraints`` and the recorder."""
+    stage, infos = region.cq_marginals, region.staged_infos
+    recorder = SimpleNamespace(stages=[], scored=[], moves=[])
+
+    def state_stage(states, iso):
+        marginals = stage(states, iso)
+        recorder.stages.append((marginals, states))
+        return marginals
+
+    def recorded(p_x, p_y_given_x, marginals, conditionals):
+        kept, before = bool(conditionals), len(solves)
+        abc = infos(p_x, p_y_given_x, marginals, conditionals)
+        states = next(states for m, states in reversed(recorder.stages) if m is marginals)
+        previous = recorder.scored[-1][2] if recorder.scored else None
+        move = "p_x" if kept else "p_y_given_x" if previous is marginals else "states"
+        recorder.scored.append((SimpleNamespace(p_x=p_x, p_y_given_x=p_y_given_x, states=states), abc, marginals))
+        recorder.moves.append((move, len(solves) - before))
+        return abc
+
+    monkeypatch.setattr(region, "cq_marginals", state_stage)
+    monkeypatch.setattr(region, "staged_infos", recorded)
+    return region.one_shot_constraints, recorder
+
+
 class TestOptimizer:
     def test_identity_public_capacity(self):
         res = optimize_region(ISO_ID, 0.0, (1.0, 0.0), FAST_CFG)
@@ -236,27 +267,19 @@ class TestOptimizer:
         monkeypatch.setattr(_Parametrization, "decode_states",
                             lambda par, theta: state_blocks.append(theta[par.sl_states].tobytes())
                             or decode_states(par, theta))
-        score = region.one_shot_constraints
-        scored = []
-
-        def recorded(*args):
-            rc = score(*args)
-            scored.append((args, rc))
-            return rc
-
-        monkeypatch.setattr(region, "one_shot_constraints", recorded)
+        score, staged = record_staged_scores(monkeypatch)
+        witnesses = []
+        monkeypatch.setattr(region, "one_shot_constraints", lambda *args: witnesses.append(args) or score(*args))
         res = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 1.0), OptimizerConfig(restarts=2, seed=7, **kw))
         n_evolved = len(evolved)
-        candidates = [(args[0], rc) for args, rc in scored if len(args) == 4]
-        witnesses = len(scored) - len(candidates)
-        assert witnesses == (2 if res.ensemble.size_y == 1 < ISO_DEPH_HALF.dim_in ** 2 else 1)
+        candidates = [(cand, abc) for cand, abc, _ in staged.scored]
+        assert len(witnesses) == (2 if res.ensemble.size_y == 1 < ISO_DEPH_HALF.dim_in ** 2 else 1)
         distinct = len(set(state_blocks))
-        assert n_evolved - witnesses == distinct and len(candidates) > 4 * distinct
+        assert n_evolved - len(witnesses) == distinct and len(candidates) > 4 * distinct
         assert distinct == 2 if kw["max_iters"] == 8 else distinct > 2
-        for cand, rc in candidates:
-            fresh = score(SimpleNamespace(p_x=cand.p_x, p_y_given_x=cand.p_y_given_x, states=cand.states),
-                          ISO_DEPH_HALF)
-            assert (rc.a, rc.b, rc.c) == (fresh.a, fresh.b, fresh.c)
+        for cand, abc in candidates:
+            fresh = score(cand, ISO_DEPH_HALF)
+            assert abc == (fresh.a, fresh.b, fresh.c)
 
     @pytest.mark.parametrize("iso, kw", [
         (ISO_DEPOL_03, dict(alphabet_x=2, alphabet_y=2)),  # d_B = 2, d_E = 4
@@ -266,27 +289,17 @@ class TestOptimizer:
     def test_every_block_move_scores_as_a_fresh_build(self, monkeypatch, iso, kw):
         """Each candidate is scored from the stages the optimizer kept: a p(x) move keeps the conditional stage and
         runs one eigensolve, S(σ^B); a p(y|x) move keeps the state stage, and a state move keeps nothing, each
-        with one eigensolve of [σ_x; σ] per system. Every score equals a from-scratch build to the bit."""
-        entropy, score = entropics.von_neumann_entropy, region.one_shot_constraints
-        solves, scored = [], []
-        monkeypatch.setattr(entropics, "von_neumann_entropy", lambda m: solves.append(1) or entropy(m))
-
-        def recorded(ens, iso_, marginals=None, conditionals=None):
-            kept, before = bool(conditionals), len(solves)
-            rc = score(ens, iso_, marginals, conditionals)
-            if marginals is not None:
-                move = "p_x" if kept else "p_y_given_x" if scored and scored[-1][1] is marginals else "states"
-                scored.append((move, marginals, ens, rc, len(solves) - before))
-            return rc
-
-        monkeypatch.setattr(region, "one_shot_constraints", recorded)
+        with two eigensolves, of [σ_x^B; σ^B] and of σ_x^E. Every score equals a from-scratch build to the bit."""
+        entropy, solves = entropics.stack_entropies, []
+        monkeypatch.setattr(entropics, "stack_entropies", lambda m: solves.append(1) or entropy(m))
+        score, staged = record_staged_scores(monkeypatch, solves)
         optimize_region(iso, 0.5, (1.0, 1.0), OptimizerConfig(restarts=2, max_iters=200, seed=5, **kw))
-        moves = [move for move, *_ in scored]
+        moves = [move for move, *_ in staged.moves]
         assert all(moves.count(move) > 2 for move in ("p_x", "p_y_given_x", "states"))
-        for move, _, ens, rc, n_solves in scored:
+        for (move, n_solves), (ens, abc, _) in zip(staged.moves, staged.scored):
             assert n_solves == (1 if move == "p_x" else 2)
-            fresh = score(SimpleNamespace(p_x=ens.p_x, p_y_given_x=ens.p_y_given_x, states=ens.states), iso)
-            assert [v.hex() for v in (rc.a, rc.b, rc.c)] == [v.hex() for v in (fresh.a, fresh.b, fresh.c)]
+            fresh = score(ens, iso)
+            assert [v.hex() for v in abc] == [v.hex() for v in (fresh.a, fresh.b, fresh.c)]
 
     @pytest.mark.xfail(strict=True, reason="the probability blocks use up the default iteration budget")
     def test_default_budget_reaches_the_state_block(self, monkeypatch):
@@ -563,13 +576,8 @@ class TestChecksAtTheBoundary:
     def test_optimizer_checks_only_its_witness(self, monkeypatch):
         shapes = self._checked_shapes(monkeypatch)
         evals = []
-        score = region.one_shot_constraints
-
-        def counted(*args):
-            evals.append(args)
-            return score(*args)
-
-        monkeypatch.setattr(region, "one_shot_constraints", counted)
+        infos = region.staged_infos
+        monkeypatch.setattr(region, "staged_infos", lambda *args: evals.append(args) or infos(*args))
         cfg = OptimizerConfig(restarts=1, max_iters=20, alphabet_x=2, alphabet_y=2)
         res = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 0.0), cfg)
         assert len(evals) > 1
@@ -582,6 +590,24 @@ class TestChecksAtTheBoundary:
                               OptimizerConfig(restarts=2, max_iters=25, seed=1, alphabet_x=1))
         assert shapes == [(1, 4, 2, 2), (1, 1, 2, 2)]
         assert isinstance(res.ensemble, InputEnsemble)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("block", ["sl_px", "sl_py", "sl_states"])
+    def test_a_candidate_that_decodes_to_nan_is_an_error(self, monkeypatch, block):
+        """No candidate is checked as an ensemble, but every stack the stages solve is checked to be Hermitian and
+        finite: a θ whose p(x), p(y|x) or state block decodes to NaN raises, where the entropy clamp alone would
+        score its NaN entropies as 0."""
+        start = _Parametrization.structured_start
+
+        def nan_start(par):
+            theta = start(par)
+            theta[getattr(par, block)][0] = np.nan
+            return theta
+
+        monkeypatch.setattr(_Parametrization, "structured_start", nan_start)
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 1.0), OptimizerConfig(restarts=1, max_iters=8, alphabet_x=2,
+                                                                             alphabet_y=2))
 
     def test_skp_constraints_checks_nothing(self, monkeypatch):
         ens = InputEnsemble.over_y([0.25, 0.75], [ket(0), ket(1)])

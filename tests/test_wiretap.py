@@ -1543,6 +1543,7 @@ def broadcast_chain(p_eve, words):
 # A three-output Eve on a binary input: a non-square p(e|a).
 EVE3 = ClassicalWiretap.from_marginals(bsc(0.1), np.array([[0.6, 0.3, 0.1], [0.15, 0.25, 0.6]]))
 TWO_LAYER_LAW = (UNIFORM2, np.array([[0.85, 0.15], [0.15, 0.85]]))
+EVE_Z = ClassicalWiretap.from_marginals(bsc(0.05), np.array([[1.0, 0.0], [0.6, 0.4]]))
 
 # Monte-Carlo hex values (full, message, std_err_full, std_err_message), recorded with each message's array
 # stream (keys, reference words, then uniforms) and log-likelihoods from joint-type counts; S=8's full criterion,
@@ -1567,6 +1568,10 @@ MC_CASES = {
                   "0x1.03e3a5dea1b85p-5")),
     "|E|=3": (EVE3, dict(n=8, M=8, S=2, delta=0.9, seed=4, trials=90), UNIFORM2, None,
               ("0x1.a267124050de5p+0", "0x1.21ccd90b32ec6p+0", "0x1.6fb1a95eca626p-3", "0x1.48e6f6342aa00p-4")),
+    # p(e=1|a=0) = 0: 3,411 of the 6,400 log-likelihoods are -inf
+    "zero-probability": (EVE_Z, dict(n=8, M=8, S=2, delta=0.5, seed=6, trials=100), UNIFORM2, None,
+                         ("0x1.4f9da6157e504p+0", "0x1.fc278feee12b4p-1", "0x1.0e3895ad3a8b7p-3",
+                          "0x1.10cc2eab7af6ep-4")),
 }
 
 
