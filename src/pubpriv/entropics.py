@@ -167,7 +167,8 @@ def build_cq_state(ens: InputEnsemble, iso: IsometricExtension) -> CqState:
                    s_total=s_total)
 
 
-def staged_infos(p_x: np.ndarray, p_y_given_x: np.ndarray, marginals: dict, conditionals: dict) -> tuple:
+def staged_infos(p_x: np.ndarray, p_y_given_x: np.ndarray, marginals: dict,
+                 conditionals: dict) -> tuple[float, float, float]:
     """(I(X;B), I(Y;B|X), I(Y;E|X)) in bits from the state stage ``marginals`` and the conditional stage
     ``conditionals`` of p_y_given_x, with no CqState. An empty ``conditionals`` is filled: one eigensolve of
     [σ_x; σ] for B and one of σ_x for E, since none of the three reads S(σ^E). A filled one is read, and p_x costs

@@ -248,7 +248,7 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, f0: float | None = None) -> tu
 
     A step-for-step port of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=True``, ``xatol=1e-7``,
     ``fatol=1e-8``, no bounds and no ``maxfev``: the same numpy operations in the same order, so every path and
-    result keeps its bits, argsort ties included. ``f0``, if given, is f(x0), which is then not called again.
+    result keeps its bits, argsort ties included. ``f0``, if given, is f(x0), and f is then not called at x0.
     Returns scipy's (x, fun, nit): best vertex, least value, iterations.
     """
     N = len(x0)
