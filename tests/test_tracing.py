@@ -32,8 +32,9 @@ def test_tracer_counts_one_score_span_per_evaluation(tmp_path):
     assert metrics["code"] == 0
     assert metrics["region.points"] == 1
     # The candidates are scored on plain arrays (entropics.staged_infos), so the score and build spans count the
-    # witness checks; the state stages of both still go through the evolve and partial-trace spans.
-    assert metrics["region.score_evals"] == metrics["entropics.build_cq_state.calls"] >= 1
+    # witness checks, one here (the witness is not Y-collapsed); the state stages of candidates and witness alike
+    # still go through the evolve and partial-trace spans.
+    assert metrics["region.score_evals"] == metrics["entropics.build_cq_state.calls"] == 1
     assert metrics["channels.evolve.calls"] > metrics["region.score_evals"]
     assert metrics["qcore.partial_trace.calls"] == 2 * metrics["channels.evolve.calls"]
 
