@@ -21,6 +21,7 @@ scope, so every reported point is a one-shot lower bound.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -297,12 +298,21 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, f0: float | None = None) -> tu
     return sim[0], np.min(fsim), iterations
 
 
-def _check_point(r_s: float, w_r: float, w_p: float):
-    """Reject a key rate or weight pair that no optimizer run accepts; NaN and inf fail too."""
+def _check_point(r_s: float, weights) -> tuple[float, float, float]:
+    """The point (R_S, w_R, w_P) as floats. A key rate that is not a number, weights that are not a pair of numbers
+    and a point that no optimizer run accepts are a ``ValidationError``; NaN and inf fail too."""
+    try:
+        w_r, w_p = weights
+    except (TypeError, ValueError):  # not a pair
+        w_r = w_p = None
+    if not (isinstance(w_r, numbers.Real) and isinstance(w_p, numbers.Real)):
+        raise ValidationError(f"weights must be a pair of numbers (w_R, w_P), got {weights!r}")
+    w_r, w_p = float(w_r), float(w_p)
     if not (w_r >= 0 and w_p >= 0 and 0 < w_r + w_p < np.inf):
         raise ValidationError(f"weights must be finite, nonnegative and not both zero, got ({w_r}, {w_p})")
-    if not (np.isfinite(r_s) and r_s >= 0):
-        raise ValidationError(f"key rate must be finite and nonnegative, got {r_s}")
+    if not (isinstance(r_s, numbers.Real) and np.isfinite(r_s) and r_s >= 0):
+        raise ValidationError(f"key rate must be a finite, nonnegative number, got {r_s!r}")
+    return float(r_s), w_r, w_p
 
 
 def optimize_region(
@@ -335,8 +345,7 @@ def optimize_region(
     returned witness is its Y-collapse {p(x), Σ_y p(y|x) ρ_{x,y}}: the same
     σ_x, hence the same a, and b = c = 0.
     """
-    w_r, w_p = float(weights[0]), float(weights[1])
-    _check_point(r_s, w_r, w_p)
+    r_s, w_r, w_p = _check_point(r_s, weights)
     nx, ny = cfg.resolve_alphabets(iso)
     par = _Parametrization(nx, ny, iso.dim_in, cfg.pure_states_only)
 
@@ -428,9 +437,7 @@ def pareto_surface(
 ) -> list[ParetoSample]:
     """Optimizer sweep over key rates and weight vectors; rows are CSV-emittable. Every (R_S, w)
     pair is checked before the first point is optimized."""
-    points = [(float(r_s), float(w_r), float(w_p)) for r_s in r_s_list for (w_r, w_p) in weight_grid]
-    for point in points:
-        _check_point(*point)
+    points = [_check_point(r_s, w) for r_s in r_s_list for w in weight_grid]
     return [ParetoSample(r_s=r_s, w_r=w_r, w_p=w_p, result=optimize_region(iso, r_s, (w_r, w_p), cfg))
             for r_s, w_r, w_p in points]
 

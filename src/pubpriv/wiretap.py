@@ -644,15 +644,22 @@ def _symbol_masks(words: np.ndarray, q: int, first: int = 0) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _count_scores(logs: list, words: np.ndarray, outs: np.ndarray) -> np.ndarray:
-    """ll[t, p] = Σ_(e, a) N_ae·logs[a][e] in (e, a) order; N_ae = Σ popcount(outs[e, t] & words[a, p]) counts the
-    joint type exactly (``_symbol_masks``); p goes in blocks of about ``_BLOCK_SYMBOLS`` counts; 0·(-inf) is 0."""
-    ll = np.zeros((outs.shape[1], words.shape[1]))
-    cols = max(1, _BLOCK_SYMBOLS // (outs.shape[1] * outs.shape[2]))
-    for lo, e, a in _iproduct(range(0, ll.shape[1], cols), range(len(outs)), range(len(words))):
-        count = np.bitwise_count(outs[e, :, None] & words[a, lo: lo + cols]).sum(axis=-1)
-        ll[:, lo: lo + cols] += count * logs[a][e] if logs[a][e] > -math.inf else np.where(count > 0, -math.inf, 0.0)
-    return ll
+def _count_scores(coefs, words: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """The one joint-type count kernel: scores[t, p] = Σ_(e, a) N_ae·coefs[a][e] in (e, a) order; N_ae, the positions
+    where word p holds a and output t holds e, sums popcount(outs[e, t, j] & words[a, p, j]) over the ⌈n/64⌉ mask
+    words j (``_symbol_masks``) in uint8 (n ≤ 255), one output's words as 0-d values, which numpy ANDs as fast as
+    scalars. p goes in blocks of about ``_BLOCK_SYMBOLS`` counts; 0·(-inf) is 0. Monte-Carlo secrecy takes coefs =
+    log p(e|a), ML's filter its coefficients."""
+    T, W = outs.shape[1:]
+    scores = np.zeros((T, words.shape[1]))
+    cols = max(1, _BLOCK_SYMBOLS // T)
+    for lo, e, a in _iproduct(range(0, scores.shape[1], cols), range(len(outs)), range(len(words))):
+        o, m, w = outs[e, :, None] if T > 1 else outs[e, 0], words[a, None, lo: lo + cols], coefs[a][e]
+        count = np.bitwise_count(o[..., 0] & m[..., 0])
+        for j in range(1, W):
+            count += np.bitwise_count(o[..., j] & m[..., j])
+        scores[:, lo: lo + cols] += count * w if w > -math.inf else np.where(count > 0, -math.inf, 0.0)
+    return scores
 
 
 def _ml_argmax(b: np.ndarray, codebook: Codebook, ch: ClassicalWiretap) -> int:
@@ -663,10 +670,10 @@ def _ml_argmax(b: np.ndarray, codebook: Codebook, ch: ClassicalWiretap) -> int:
     Step 1 filters by exact joint types. A word's log-likelihood Σ N_aβ·L[a, β], N_aβ its positions where it
     holds a and b holds β, is f = Σ_(a ≥ 1) c_a·(L[a, 0] − L[0, 0]) + Σ_(a, β ≥ 1) N_aβ·(L[a, β] − L[a, 0] −
     L[0, β] + L[0, 0]) plus a term of b alone: N_a0, N_0β and N_00 follow from the word's counts c_a, b's counts and
-    n by integer subtraction. N_aβ sums the popcounts of the words' and b's ``_symbol_masks`` (a, β ≥ 1) over the
-    ⌈n/64⌉ mask words; words go in blocks of ``_BLOCK_SYMBOLS``. L is log_p with each -inf replaced by the floor
-    F = 256·min(finite log_p) − 1 (``ClassicalWiretap._ml_tables``), so a word with a position of probability 0
-    sums to at most F, at least 1 + 128·|min finite log_p| below any other word (n ≤ 128). Step 2 rescores the
+    n by integer subtraction. ``_count_scores`` sums the second part in (β, a) order from the words' and b's
+    ``_symbol_masks`` (a, β ≥ 1), then the first part is added a by a. L is log_p with each -inf replaced by the
+    floor F = 256·min(finite log_p) − 1 (``ClassicalWiretap._ml_tables``), so a word with a position of probability
+    0 sums to at most F, at least 1 + 128·|min finite log_p| below any other word (n ≤ 128). Step 2 rescores the
     words whose f lies within ``slack`` of the largest, in ascending order, with ``_row_scores`` (numpy's own row
     sum, bit-identical to the gather), and returns the first maximum; a lone candidate needs no rescoring unless
     p(b|a) has a zero, when it may score -inf.
@@ -681,17 +688,9 @@ def _ml_argmax(b: np.ndarray, codebook: Codebook, ch: ClassicalWiretap) -> int:
     log_p, coef_a, coef_ab, max_abs, zeros = ch._ml_tables
     slack = 2.0 ** -46 * n * max_abs * (n + log_p.size)
     masks, counts = codebook._type_masks
-    outs = _symbol_masks(b[None], log_p.shape[1], first=1)[:, 0]  # (|B| - 1, ⌈n/64⌉)
-    f = np.zeros(counts.shape[1])
-    for lo in range(0, f.size, _BLOCK_SYMBOLS):
-        blk, rows = f[lo: lo + _BLOCK_SYMBOLS], slice(lo, lo + _BLOCK_SYMBOLS)
-        for a, (m_a, c_a) in enumerate(zip(masks[:, rows], counts[:, rows])):
-            blk += c_a * coef_a[a]
-            for beta, o in enumerate(outs):
-                n_ab = np.bitwise_count(m_a[:, 0] & o[0])
-                for j in range(1, len(o)):
-                    n_ab += np.bitwise_count(m_a[:, j] & o[j])
-                blk += n_ab * coef_ab[a, beta]
+    f = _count_scores(coef_ab, masks, _symbol_masks(b[None], log_p.shape[1], first=1))[0]
+    for c_a, coef in zip(counts, coef_a):
+        f += c_a * coef
     cand = np.flatnonzero(f >= f.max() - slack)
     if cand.size == 1 and not zeros:  # every maximizer is a candidate, and no word scores -inf
         return int(cand[0])
@@ -709,17 +708,22 @@ def _check_config(cfg: CodeConfig, codebook: Codebook) -> None:
 
 
 def _check_messages(messages, cfg: CodeConfig) -> list[tuple[int, int]]:
-    """The (k, m) pairs as ints; a pair with k outside [0, K_pub), m outside [0, M) or a fractional index names
-    no message."""
-    pairs = []
-    for k, m in messages:
-        if not (0 <= k < cfg.K_pub and 0 <= m < cfg.M and k == int(k) and m == int(m)):
-            raise ValidationError(f"message pair (k, m) = ({k}, {m}) does not exist: "
+    """The distinct (k, m) pairs as ints, in first-seen order; an entry that is not a pair of integers with k in
+    [0, K_pub) and m in [0, M) names no message."""
+    pairs = {}
+    for entry in messages:
+        try:
+            k, m = entry
+        except (TypeError, ValueError):  # not a pair
+            k = m = None
+        if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (k, m))
+                and 0 <= k < cfg.K_pub and 0 <= m < cfg.M):
+            raise ValidationError(f"message pair (k, m) = {entry!r} does not exist: "
                                   f"need integers 0 <= k < K_pub = {cfg.K_pub} and 0 <= m < M = {cfg.M}")
-        pairs.append((int(k), int(m)))
+        pairs[int(k), int(m)] = None
     if not pairs:
         raise ValidationError("messages is empty: a secrecy distance needs at least one (k, m) pair")
-    return pairs
+    return list(pairs)
 
 
 def _jt_tables(codebook: Codebook, ch: ClassicalWiretap):
@@ -1003,23 +1007,12 @@ class SecurityReport:
 
 
 def _eve_product_rows(p_eve: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(R, |E|^n) product laws (p_0·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words.
-
-    One table filled in place: position i sends column j to columns j·|E| + e, highest first, each chunk of
-    about ``_BLOCK_SYMBOLS`` entries copied to scratch before it is overwritten; columns are prefix-major."""
-    (rows, n), q = words.shape, p_eve.shape[1]
-    out = np.empty((rows, q ** n))
-    out[:, 0] = 1.0
-    chunk = max(1, _BLOCK_SYMBOLS // rows)
-    src = np.empty((rows, min(chunk, q ** n // q)))
-    for i in range(n):
-        p_i = p_eve[words[:, i]]
-        for lo in range((q ** i - 1) // chunk * chunk, -1, -chunk):
-            c = min(chunk, q ** i - lo)
-            np.copyto(src[:, :c], out[:, lo: lo + c])
-            dst = out[:, lo * q: (lo + c) * q].reshape(rows, c, q)  # a view: splits contiguous columns
-            for e in range(q):
-                np.multiply(src[:, :c], p_i[:, e: e + 1], out=dst[:, :, e])
+    """(R, |E|^n) product laws (p_0·p_1)···p_{n-1} of Eve's outputs given each of the (R, n) words, one broadcast
+    per position i: column j·|E| + e of the new table is column j of the last one times p_i(e), so columns are
+    prefix-major. The last step holds both tables, 1 + 1/|E| times the result."""
+    out = np.ones((len(words), 1))
+    for a in words.T:
+        out = (out[:, :, None] * p_eve[a][:, None, :]).reshape(len(words), -1)
     return out
 
 
@@ -1075,20 +1068,20 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
     (``_exact_distances``), within 1e-12 of a long-double table and with no
     (M, |E|^n) table. Its one limit, (M + S - 1)·|E|^n ≤
     ``EXACT_WORK_BUDGET`` = 2^24, bounds one call's work (n ≤ 23 for a
-    binary Eve and M = 2). Each distinct (k, m) is probed once.
-    Monte-Carlo mode samples Eve outcomes from the reference mixture P̄ and
-    averages |likelihood ratio - 1|, an unbiased L1 estimate for each (k, m);
-    the reported maximum of these means over the probed messages is biased
-    upward, more so the more messages are probed (the report's
+    binary Eve and M = 2). In either mode each distinct (k, m) is probed
+    once. Monte-Carlo mode samples Eve outcomes from the reference mixture
+    P̄ and averages |likelihood ratio - 1|, an unbiased L1 estimate for each
+    (k, m); the reported maximum of these means over the probed messages is
+    biased upward, more so the more messages are probed (the report's
     ``messages_probed``), and is clipped at 2, the largest L1 distance; its
-    standard error is that of the winning mean alone. Each (k, m)
-    draws from its own seeded stream its T keys, then its T reference
-    words, then Eve's uniforms in trial order, so the trial
-    blocks change no value; its log-likelihoods are sums over exact
+    standard error is that of the winning mean alone, the first given of
+    tied means. Each (k, m) draws from its own seeded stream its T keys,
+    then its T reference words, then Eve's uniforms in trial order, so the
+    trial blocks change no value; its log-likelihoods are sums over exact
     joint-type counts (``_count_scores``). ``messages`` restricts the (k, m)
     pairs probed; by default all pairs are probed, which requires an eagerly
-    materialized codebook; an empty list, or a pair outside
-    [0, K_pub) × [0, M), is a ``ValidationError``.
+    materialized codebook; an empty list, or an entry that is not a pair of
+    integers in [0, K_pub) × [0, M), is a ``ValidationError``.
     """
     if mode not in SECURITY_MODES:
         raise ValidationError(f"mode must be one of {SECURITY_MODES}, got {mode!r}")
@@ -1100,7 +1093,6 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
             raise BudgetError("probing all (k, m) pairs needs an eager codebook; pass `messages`")
         messages = [(k, m) for k in range(K) for m in range(M)]
     messages = _check_messages(messages, cfg)
-    probed = len(set(messages))
 
     if mode == "exact":
         work = (M + S - 1) * ch.size_e ** n
@@ -1108,7 +1100,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
             raise BudgetError(f"exact security work (M+S-1)*|E|^n = {work} exceeds the per-call "
                               f"budget 2^{EXACT_WORK_BUDGET.bit_length() - 1}")
         best_full = best_msg = 0.0
-        for k, pairs in _groupby(sorted(set(messages)), key=lambda km: km[0]):
+        for k, pairs in _groupby(sorted(messages), key=lambda km: km[0]):
             ms = [m for _, m in pairs]
             d_p, d_mix = _exact_distances(p_eve, codebook.inner_block(k, 0, M), S, ms)
             for i, m in enumerate(ms):
@@ -1116,14 +1108,14 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
                 if S > 1:  # with S = 1 the key mixture of m is row m itself, whose distance is d_p[m]
                     best_msg = max(best_msg, float(d_mix[i]))
         return SecurityReport(full_criterion=best_full, message_secrecy=best_msg if S > 1 else best_full,
-                              mode="exact", messages_probed=probed)
+                              mode="exact", messages_probed=len(messages))
 
     if codebook.is_lazy:
         raise BudgetError("Monte-Carlo security needs every inner word for the reference mixture; "
                           "lazy codebooks are not supported")
     # math.log and math.exp, not numpy's: its SIMD loops differ from libm's in the last bit on some inputs
     log_eve = [[math.log(p) if p > 0 else -math.inf for p in row] for row in p_eve.tolist()]  # [a][e]
-    per = max(1, min(T, _BLOCK_SYMBOLS // max(M * -(-n // 64), n)))  # (c, M, ⌈n/64⌉) counts, (c, n) uniforms
+    per = max(1, min(T, _BLOCK_SYMBOLS // max(M, n)))  # (c, M) log-likelihoods, (c, n) uniforms
     best_full, best_msg, masks_k = (-np.inf, 0.0), (-np.inf, 0.0), None
     for k, m in messages:
         words = codebook.inner_block(k, 0, M)
@@ -1150,7 +1142,7 @@ def security_distance(codebook: Codebook, cfg: CodeConfig, ch: ClassicalWiretap,
         best_msg = max(best_msg, msg, key=lambda b: b[0])
     return SecurityReport(full_criterion=min(best_full[0], 2.0), message_secrecy=min(best_msg[0], 2.0),
                           mode="monte_carlo", std_err_full=best_full[1], std_err_message=best_msg[1],
-                          messages_probed=probed)
+                          messages_probed=len(messages))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pubpriv.channels import (
     QuantumChannel,
     dephasing_channel,
     depolarizing_channel,
+    erasure_channel,
     identity_channel,
     isometric_extension,
 )
@@ -26,7 +27,7 @@ from pubpriv.entropics import (
     staged_infos,
 )
 from pubpriv.errors import DimensionError, ValidationError
-from pubpriv.region import skp_constraints
+from pubpriv.region import one_shot_constraints, skp_constraints
 from pubpriv.qcore import DensityOperator, partial_trace, von_neumann_entropy
 from pubpriv.serialize import ensemble_from_json, ensemble_to_json
 
@@ -170,6 +171,30 @@ class TestBounds:
                       cond_mutual_info_YE_given_X, mutual_info_XYB, mutual_info_XYE):
                 assert f(s) >= 0.0
 
+
+
+# The qubit Weyl operators X^a Z^b, a, b in {0, 1}.
+WEYL = np.array([np.linalg.matrix_power([[0, 1], [1, 0]], a) @ np.diag([1, (-1) ** b]) for a in (0, 1) for b in (0, 1)],
+                dtype=np.complex128)
+
+
+class TestTwirl:
+    """The twirl lemma for Weyl-covariant channels: X becomes (x, g) at p(x)/4 with ρ_{(x,g),y} = U_g ρ_{x,y} U_g†.
+    Every output moves by a unitary, so b and c keep their values, and H(B) can only grow, so a cannot drop."""
+
+    @pytest.mark.parametrize("channel", [identity_channel(2), dephasing_channel(0.3), depolarizing_channel(0.3),
+                                         erasure_channel(0.3), erasure_channel(0.7)],
+                             ids=["identity", "dephasing(0.3)", "depolarizing(0.3)", "erasure(0.3)", "erasure(0.7)"])
+    def test_twirling_keeps_b_and_c_and_never_lowers_a(self, channel, rng):
+        iso = isometric_extension(channel)
+        for _ in range(20):
+            nx, ny = (int(v) for v in rng.integers(1, 4, size=2))
+            ens = rand_ensemble(rng, nx, ny, 2)
+            states = np.einsum("gij,xyjk,glk->xgyil", WEYL, ens.states, WEYL.conj()).reshape(4 * nx, ny, 2, 2)
+            twirled = InputEnsemble(np.repeat(ens.p_x, 4) / 4, np.repeat(ens.p_y_given_x, 4, axis=0), states)
+            before, after = one_shot_constraints(ens, iso), one_shot_constraints(twirled, iso)
+            assert after.a >= before.a - 1e-12
+            assert abs(after.b - before.b) <= 1e-12 and abs(after.c - before.c) <= 1e-12
 
 def reference_infos(ens, iso):
     """The six quantities block by block, through the single-matrix qcore primitives."""

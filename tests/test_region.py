@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from pubpriv.channels import (
     IsometricExtension,
     dephasing_channel,
     depolarizing_channel,
+    erasure_channel,
     identity_channel,
     isometric_extension,
 )
@@ -31,6 +33,7 @@ from pubpriv.region import (
 )
 
 from conftest import over_x, rand_ensemble
+from oracles import erasure_optimum
 
 
 def ket(k, d=2):
@@ -344,6 +347,63 @@ class TestParetoSurface:
         assert rows[0][8] == FAST_CFG.seed
         assert PARETO_CSV_COLUMNS[-1] == "converged"
         assert rows[0][10] == int(samples[0].result.converged)
+
+
+BAD_POINTS = {  # (R_S, weights) with the name the error gives and the value it shows
+    "three weights": (0.0, (1, 1, 1), "weights", (1, 1, 1)),
+    "one weight": (0.0, (1.0,), "weights", (1.0,)),
+    "a string weight": (0.0, ("a", 1), "weights", ("a", 1)),
+    "a None weight": (0.0, (1.0, None), "weights", (1.0, None)),
+    "a bare number": (0.0, 1.0, "weights", 1.0),
+    "a string of two digits": (0.0, "10", "weights", "10"),
+    "a string key rate": ("0.5", (1, 0), "key rate", "0.5"),
+    "a None key rate": (None, (1, 0), "key rate", None),
+    "a list key rate": ([0.1], (1, 0), "key rate", [0.1]),
+}
+
+
+@pytest.mark.parametrize("point", BAD_POINTS.values(), ids=BAD_POINTS)
+@pytest.mark.parametrize("entry", ["optimize_region", "pareto_surface"])
+def test_a_point_that_is_not_numbers_is_rejected(monkeypatch, entry, point):
+    """Both entry points name the weights or the key rate in a ``ValidationError`` before any candidate is scored;
+    the sweep checks every point before it optimizes its valid first one."""
+    r_s, weights, name, shown = point
+    monkeypatch.setattr(region, "staged_infos", lambda *args: pytest.fail("a candidate was scored"))
+    run = {"optimize_region": lambda: optimize_region(ISO_DEPH_HALF, r_s, weights, FAST_CFG),
+           "pareto_surface": lambda: pareto_surface(ISO_DEPH_HALF, [0.0, r_s], [(1.0, 0.0), weights], FAST_CFG)}
+    with pytest.raises(ValidationError, match=f"^{name} must .*, got {re.escape(repr(shown))}$"):
+        run[entry]()
+
+
+def test_weights_may_be_any_pair_of_real_numbers():
+    cfg = OptimizerConfig(restarts=1, max_iters=5, alphabet_x=2, alphabet_y=2)
+    want = optimize_region(ISO_DEPH_HALF, 0.0, (1.0, 1.0), cfg)
+    for weights in ([1, 1], (np.int64(1), np.float32(1.0)), np.ones(2)):
+        assert optimize_region(ISO_DEPH_HALF, 0.0, weights, cfg).objective == want.objective
+
+
+class TestErasureOracle:
+    """Default sweeps against the exact optimum of erasure(p, d) (``oracles.erasure_optimum``): no row may lie above
+    it, and the rows that the default optimizer reaches must meet it."""
+
+    @pytest.mark.parametrize("p, r_s, w, want", [(0.3, 0.0, (1, 1), 0.7), (0.3, 0.1, (1, 1), 0.7),
+                                                (0.3, 0.0, (1, 3), 1.2), (0.3, 0.1, (1, 3), 1.5),
+                                                (0.7, 0.1, (0, 1), 0.3 / 7), (0.7, 0.3, (0, 1), 0.9 / 7),
+                                                (0.7, 0.3, (1, 0), 0.3), (0.0, 0.2, (1, 2), 2.0)])
+    def test_oracle_values(self, p, r_s, w, want):
+        """Its corners and kinks by hand: at p = 0.7 and w = (0, 1) the best Δ is R_S/p, where the two bounds on P
+        cross, and P = 0.3·R_S/0.7."""
+        assert abs(erasure_optimum(p, 2, r_s, *w) - want) <= 1e-12
+
+    def test_default_sweep_meets_the_oracle_at_w_1_3_and_never_passes_it(self):
+        samples = pareto_surface(isometric_extension(erasure_channel(0.3)), [0.0, 0.1], [(1.0, 1.0), (1.0, 3.0)],
+                                 OptimizerConfig())
+        for s in samples:
+            oracle = erasure_optimum(0.3, 2, s.r_s, s.w_r, s.w_p)
+            got = s.w_r * s.result.achieved.R + s.w_p * s.result.achieved.P
+            assert got <= oracle + 1e-9, (s.r_s, s.w_r, s.w_p)
+            if s.w_p == 3.0:
+                assert abs(got - oracle) <= 1e-9, (s.r_s, got, oracle)
 
 
 def _hex_and_digest(res):

@@ -659,10 +659,10 @@ class TestMLDecode:
                 slack = 2.0 ** -46 * n * max_abs * (n + log_p.size)
                 b = rng.integers(0, qb, size=n)
                 f = np.zeros(len(words))
+                for beta, a in product(range(1, qb), range(1, qa)):
+                    f += ((words == a) & (b == beta)).sum(axis=1, dtype=np.uint8) * coef_ab[a - 1, beta - 1]
                 for a in range(1, qa):
                     f += (words == a).sum(axis=1, dtype=np.uint8) * coef_a[a - 1]
-                    for beta in range(1, qb):
-                        f += ((words == a) & (b == beta)).sum(axis=1, dtype=np.uint8) * coef_ab[a - 1, beta - 1]
                 with np.errstate(divide="ignore"):
                     sums = log_p[words, b].sum(axis=1)
                 feasible = np.isfinite(sums)
@@ -1940,6 +1940,30 @@ class TestSecurity:
         cb = generate_codebook(two, ch, TWO_LAYER_LAW)
         assert security_distance(cb, two, ch, mode=mode).messages_probed == 12
         assert security_distance(cb, two, ch, mode=mode, messages=iter([(2, 1), (1, 3)])).messages_probed == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("entry", [(0,), (0, 1, 2), 0, "01", ("0", 1), (0, 1.0), (False, 1), (0, None)],
+                             ids=["one index", "three indices", "a bare index", "a string", "a string index",
+                                  "a float index", "a bool index", "None"])
+    def test_entries_that_are_not_a_pair_of_integers_are_rejected(self, mode, entry):
+        """Each entry is checked before it is unpacked or compared, and the error names it."""
+        ch, cfg = ClassicalWiretap.bsc_pair(0.05, 0.2), CodeConfig(n=8, M=8, S=2, delta=0.9, seed=1, trials=20)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        with pytest.raises(ValidationError, match=re.escape(f"(k, m) = {entry!r} does not exist")):
+            security_distance(cb, cfg, ch, mode=mode, messages=[(0, 0), entry])
+
+    def test_monte_carlo_probes_each_distinct_pair_once(self, monkeypatch):
+        """Repeats are dropped in first-seen order: each pair is estimated once, as in exact mode, and the report
+        is the one of the distinct pairs, in the same order, to the bit."""
+        ch, cfg = ClassicalWiretap.bsc_pair(0.05, 0.2), CodeConfig(n=8, M=8, S=2, delta=0.9, seed=1, trials=20)
+        cb = generate_codebook(cfg, ch, UNIFORM2)
+        assert wt._check_messages([(0, 5), (0, 2), (0, 5), (0, np.int64(2))], cfg) == [(0, 5), (0, 2)]
+        calls, kernel = [], wt._count_scores
+        monkeypatch.setattr(wt, "_count_scores", lambda *args: calls.append(1) or kernel(*args))
+        reports = [security_distance(cb, cfg, ch, mode="monte_carlo", messages=messages)
+                   for messages in ([(0, 5), (0, 2)], [(0, 5), (0, 2), (0, 5), (0, 2)])]
+        assert len(calls) == 4  # one trial block per pair and call
+        assert reports[0] == reports[1] and reports[1].messages_probed == 2
 
     def test_monte_carlo_deterministic(self):
         ch = ClassicalWiretap.from_marginals(bsc(0.1), bsc(0.2))
